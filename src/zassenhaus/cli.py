@@ -14,12 +14,14 @@ All output is deterministic for fixed flags (and seed, where one
 applies): JSON is dumped with sorted keys and fixed separators, and term
 order is canonical everywhere.  The cache layout is
 
-    <root>/<schema-version>/n<n>/K<K>/W<m>.<path>.json
+    <root>/<cache-version>/n<n>/W<m>.json
 
 where <root> comes from --cache, or else the ZASSENHAUS_CACHE_DIR
-environment variable.  Every entry stores the canonical polynomial
-payload together with its SHA-256 digest; a digest mismatch on load is
-an integrity failure, never silently recomputed.
+environment variable.  W_m depends only on (n, m), so an entry serves
+every K and --path, and `--path both` still cross-checks a cached value.
+Every entry stores the canonical payload (context (n, m)) with its
+SHA-256 digest; a digest mismatch or a malformed entry on load is an
+integrity failure, never silently recomputed.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ import hashlib
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
-from .engine import EngineCtx, PathDisagreementError, f1k_comm, f1k_direct
+from .engine import EngineCtx, PathDisagreementError, f1k_comm, f1k_direct, series
 from .freealg import AlgebraCtx, AssocPoly
-from .lieform import LieExpr, expand, render
+from .lieform import expand, render
 from .oracle import (
     exact_identity_check,
     numeric_order_check,
@@ -43,6 +45,7 @@ from .oracle import (
 )
 
 SCHEMA_VERSION = 1
+CACHE_VERSION = 2
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -69,43 +72,57 @@ def cache_root(flag_value: str | None) -> Path | None:
     return Path(env) if env else None
 
 
-def _cache_file(root: Path, n: int, max_degree: int, m: int, path: str) -> Path:
-    return root / str(SCHEMA_VERSION) / f"n{n}" / f"K{max_degree}" / f"W{m}.{path}.json"
+def _cache_file(root: Path, n: int, m: int) -> Path:
+    return root / str(CACHE_VERSION) / f"n{n}" / f"W{m}.json"
 
 
-def _cache_key(n: int, max_degree: int, m: int, path: str) -> dict:
-    return {"format": SCHEMA_VERSION, "n": n, "K": max_degree, "m": m, "path": path}
+def _cache_key(n: int, m: int) -> dict:
+    return {"format": CACHE_VERSION, "n": n, "m": m}
 
 
-def cache_store(root: Path, n: int, max_degree: int, m: int, path: str, poly: AssocPoly) -> Path:
+def cache_store(root: Path, n: int, m: int, poly: AssocPoly) -> Path:
+    """Write W_m (in context (n, m)) atomically: a killed run leaves no partial entry."""
     payload = poly.to_json_dict()
     entry = {
         "digest": hashlib.sha256(_dumps(payload).encode()).hexdigest(),
-        "key": _cache_key(n, max_degree, m, path),
+        "key": _cache_key(n, m),
         "payload": payload,
     }
-    target = _cache_file(root, n, max_degree, m, path)
+    target = _cache_file(root, n, m)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(_dumps(entry) + "\n")
+    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(_dumps(entry) + "\n")
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
     return target
 
 
-def cache_load(root: Path, n: int, max_degree: int, m: int, path: str) -> AssocPoly | None:
-    """The cached W_m, or None on a clean miss; digest mismatch raises."""
-    target = _cache_file(root, n, max_degree, m, path)
+def cache_load(root: Path, n: int, m: int) -> AssocPoly | None:
+    """The cached W_m in context (n, m), or None on a clean miss; a bad entry raises."""
+    target = _cache_file(root, n, m)
     if not target.exists():
         return None
     try:
         entry = json.loads(target.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CacheCorruptionError(f"unreadable cache entry {target}: {exc}") from exc
-    if entry.get("key") != _cache_key(n, max_degree, m, path):
+    if not isinstance(entry, dict):
+        raise CacheCorruptionError(f"cache entry {target} is not a JSON object")
+    if entry.get("key") != _cache_key(n, m):
         return None  # stale key (e.g. older format version): recompute
     payload = entry.get("payload")
     digest = hashlib.sha256(_dumps(payload).encode()).hexdigest()
     if digest != entry.get("digest"):
         raise CacheCorruptionError(f"digest mismatch in cache entry {target}")
-    return AssocPoly.from_json_dict(payload)
+    try:
+        poly = AssocPoly.from_json_dict(payload)
+        if poly.ctx != AlgebraCtx(n, m) or poly.degrees() - {m}:
+            raise ValueError(f"payload is not homogeneous of degree {m} in {n} generators")
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CacheCorruptionError(f"malformed cache entry {target}: {exc!r}") from exc
+    return poly
 
 
 # -- terms --------------------------------------------------------------------
@@ -113,25 +130,13 @@ def cache_load(root: Path, n: int, max_degree: int, m: int, path: str) -> AssocP
 
 def _terms_lines(args: argparse.Namespace) -> str:
     n, K, path = args.n, args.max_degree, args.path
-    if K < 2:
-        raise ValueError(f"the splitting exponents start at W_2; need --max-degree >= 2, got {K}")
     root = cache_root(args.cache)
-    ectx = EngineCtx(AlgebraCtx(n, K))
-    rows: list[tuple[int, AssocPoly, LieExpr | None]] = []
-    for m in range(2, K + 1):
-        poly = cache_load(root, n, K, m, path) if root else None
-        if poly is None:
-            generic = ectx.w_term(m) if path in ("generic", "both") or m < 5 else None
-            expanded = ectx.w_term_expanded(m) if path in ("expanded", "both") and m >= 5 else None
-            if path == "both" and m >= 5 and generic != expanded:
-                raise PathDisagreementError(
-                    f"W_{m}: generic recursion and expanded formula disagree"
-                )
-            poly = generic if generic is not None else expanded
-            if root:
-                cache_store(root, n, K, m, path, poly)
-        comm = f1k_comm(m - 1, n).scaled(Fraction(1, m)) if args.form == "comm" and m <= 4 else None
-        rows.append((m, poly, comm))
+    # The hook looks cache_load/cache_store up at call time, so rebinding them (to trace them) takes effect.
+    cache = SimpleNamespace(
+        load=lambda n, m: cache_load(root, n, m), store=lambda n, m, poly: cache_store(root, n, m, poly)
+    )
+    ectx = EngineCtx(AlgebraCtx(n, K), cache if root else None)
+    rows = [(t.m, t.poly, t.comm if args.form == "comm" else None) for t in series(n, K, path, ectx)]
 
     if args.format == "json":
         doc = {
@@ -171,17 +176,10 @@ def cmd_terms(args: argparse.Namespace) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _series_polys(n: int, max_degree: int) -> list[AssocPoly]:
-    if max_degree < 2:
-        return []
-    ectx = EngineCtx(AlgebraCtx(n, max_degree))
-    return [ectx.w_term(m) for m in range(2, max_degree + 1)]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     n, K = args.n, args.max_degree
     t_values = [float(part) for part in args.t.split(",") if part.strip()]
-    ws = _series_polys(n, K)
+    ws = series(n, K).polys() if K >= 2 else []  # K = 1 verifies the bare splitting
     reports = []
     if args.mode in ("exact", "all"):
         reports.append(exact_identity_check(n, K, ws))

@@ -13,13 +13,14 @@ splitting, a homogeneous Lie polynomial of degree k + 1):
              compositions of k (`f1k_comm`);
     f[m, k]  = sum_{j=0}^{floor(k/m)-1} (-1)^j/j! * ad_{W_m}^j f[m-1, k-m*j]
              for m >= 2 (`EngineCtx.fmk`);
-    W_2      = f[1,1]/2,  W_3 = f[1,2]/3,  W_4 = f[1,3]/4,
-    W_m      = f[floor((m-1)/2), m-1] / m  for m >= 5 (`EngineCtx.w_term`).
+    W_m      = f[max(1, floor((m-1)/2)), m-1] / m  (`EngineCtx.w_term`).
 
-`EngineCtx.w_term_expanded` evaluates the same W_m through fully
-unrolled formulas (the recursion applied until every residual index
-reaches its base family), which exercises a different code path; the
-two must agree exactly, and `series(..., path="both")` asserts that.
+`EngineCtx.w_term_expanded` evaluates W_m (m >= 5) through the paper's
+unrolled residue-class formulas.  That cross-checks the formulas against
+the recursion but is not independent of it: each ad_{W_j} uses the
+generic `w_term`, and for m >= 11 the formulas start from f[base, .] with
+base >= 2.  `series` alone chooses the path; path="both" asserts that the
+two agree exactly.
 
 All values are exact; the memo caches inside `EngineCtx` are filled once
 per key and never mutated afterwards, so concurrent readers are safe.
@@ -147,10 +148,14 @@ class EngineCtx:
     Memo entries are immutable once inserted (insert-if-absent), so the
     caches are safe for concurrent readers; caches are never shared
     across different (n, max_degree) contexts.
+
+    `cache`, if given, backs `w_term`: `cache.load(n, m)` returns W_m in
+    context (n, m) or None, and `cache.store(n, m, poly)` saves it.
     """
 
-    def __init__(self, alg: AlgebraCtx):
+    def __init__(self, alg: AlgebraCtx, cache=None):
         self.alg = alg
+        self.cache = cache
         self._f_memo: dict[tuple[int, int], AssocPoly] = {}
         self._w_memo: dict[int, AssocPoly] = {}
 
@@ -180,7 +185,7 @@ class EngineCtx:
         return self._f_memo.setdefault(key, value)
 
     def w_term(self, m: int) -> AssocPoly:
-        """W_m through the generic rule; homogeneous of degree m."""
+        """W_m by the generic rule (memo, then cache, then compute); homogeneous of degree m."""
         if m < 2:
             raise ValueError(f"the splitting exponents start at W_2, got m={m}")
         if m > self.alg.max_degree:
@@ -188,17 +193,21 @@ class EngineCtx:
         cached = self._w_memo.get(m)
         if cached is not None:
             return cached
-        if m <= 4:
-            value = self.fmk(1, m - 1).scaled(Fraction(1, m))
+        n, K = self.alg.n, self.alg.max_degree
+        value = self.cache.load(n, m) if self.cache is not None else None
+        if value is not None:
+            value = value.restricted(K)
         else:
-            value = self.fmk((m - 1) // 2, m - 1).scaled(Fraction(1, m))
+            value = self.fmk(max(1, (m - 1) // 2), m - 1).scaled(Fraction(1, m))
+            if self.cache is not None:
+                self.cache.store(n, m, value.restricted(m))
         return self._w_memo.setdefault(m, value)
 
     def w_term_expanded(self, m: int) -> AssocPoly:
         """W_m through the fully unrolled formula for its residue class.
 
-        Must equal `w_term(m)` exactly; kept as an independent code path
-        so the two can be cross-checked.
+        Must equal `w_term(m)` exactly: a cross-check of the formulas
+        against the recursion, which they reuse (see the module docstring).
         """
         if m < 5:
             raise ValueError(f"the expanded formulas start at m=5, got m={m}")
@@ -393,13 +402,9 @@ def series(n: int, max_degree: int, path: str = "generic", ectx: EngineCtx | Non
         raise ValueError("engine context does not match requested (n, max_degree)")
     out: list[SeriesTerm] = []
     for m in range(2, max_degree + 1):
-        generic = ectx.w_term(m) if path in ("generic", "both") or m < 5 else None
-        expanded = ectx.w_term_expanded(m) if path in ("expanded", "both") and m >= 5 else None
-        if path == "both" and m >= 5 and generic != expanded:
-            raise PathDisagreementError(
-                f"W_{m}: generic recursion and expanded formula disagree"
-            )
-        poly = generic if generic is not None else expanded
+        poly = ectx.w_term_expanded(m) if path == "expanded" and m >= 5 else ectx.w_term(m)
+        if path == "both" and m >= 5 and ectx.w_term_expanded(m) != poly:
+            raise PathDisagreementError(f"W_{m}: generic recursion and expanded formula disagree")
         comm = f1k_comm(m - 1, n).scaled(Fraction(1, m)) if m <= 4 else None
         out.append(SeriesTerm(m=m, poly=poly, path=path, comm=comm))
     return ZassenhausSeries(n=n, max_degree=max_degree, path=path, terms=tuple(out))

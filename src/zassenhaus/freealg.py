@@ -306,10 +306,6 @@ def _latex_signed_coeff(c: Fraction, follows_term: bool, omit_one: bool) -> str:
 # -- ring operations ---------------------------------------------------------
 
 
-def add(a: AssocPoly, b: AssocPoly) -> AssocPoly:
-    return a + b
-
-
 def _buckets(terms: dict[Word, Fraction]) -> dict[int, list[tuple[Word, Fraction]]]:
     out: dict[int, list[tuple[Word, Fraction]]] = {}
     for w, c in terms.items():
@@ -394,10 +390,6 @@ def log_trunc(a: AssocPoly) -> AssocPoly:
             break
         acc = acc + power.scaled(Fraction((-1) ** (p + 1), p))
     return acc
-
-
-def degree_component(a: AssocPoly, d: int) -> AssocPoly:
-    return a.degree_component(d)
 
 
 def poly_sum(ctx: AlgebraCtx, polys: Iterable[AssocPoly]) -> AssocPoly:

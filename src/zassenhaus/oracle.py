@@ -213,6 +213,8 @@ def numeric_order_check(
     `ws` defaults to the peel-off oracle output (keeping this check
     independent of the engine); `mats` defaults to `random_matrices`.
     """
+    if dim < 1:
+        raise ValueError(f"matrix dimension must be >= 1, got {dim}")
     if len(t_values) < 2:
         raise ValueError("need at least two t values to estimate an order")
     if any(t <= 0 for t in t_values):

@@ -2,7 +2,17 @@ import hashlib
 import json
 from fractions import Fraction
 
-from zassenhaus.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED
+import pytest
+
+from zassenhaus.cli import (
+    CACHE_VERSION,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
+    cache_load,
+    cache_store,
+)
 from zassenhaus.freealg import AlgebraCtx, AssocPoly
 from zassenhaus.lieform import expand, parse
 
@@ -67,6 +77,20 @@ class TestTerms:
         direct = cli("terms", "--n", 2, "--max-degree", 3)
         assert target.read_text() == direct.stdout
 
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (("--format", "json"), "aa86a3b9c7be0f37041ba90c84a7e46020082f908d732d7636874f76693c48b4"),
+            (("--format", "text"), "f6aecda747be1d58ab4de9fdbf8656ab57fd0a494fd92f3681c7c9a73898a5e5"),
+            (("--format", "latex"), "8f0dac142a76f6953d71c85b541c8a3267e38b28d9b9b1aab10e9753d24c8791"),
+            (("--form", "comm", "--format", "text"), "bda9eaf98beb8dcf3cc973514d9cb731a57535d8075588bea0154230de6a3890"),
+        ],
+    )
+    def test_stdout_bytes_are_pinned(self, cli, flags, digest):
+        r = cli("terms", "--n", 3, "--max-degree", 6, *flags)
+        assert r.returncode == EXIT_OK
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
     def test_usage_errors(self, cli):
         assert cli("terms", "--n", 0).returncode == EXIT_USAGE
         assert cli("terms", "--max-degree", 1).returncode == EXIT_USAGE
@@ -80,9 +104,9 @@ class TestTermsCache:
         cold = cli("terms", "--n", 2, "--max-degree", 4, "--format", "json", "--cache", cache)
         files = sorted(p.relative_to(cache).as_posix() for p in cache.rglob("*.json"))
         assert files == [
-            "1/n2/K4/W2.generic.json",
-            "1/n2/K4/W3.generic.json",
-            "1/n2/K4/W4.generic.json",
+            "2/n2/W2.json",
+            "2/n2/W3.json",
+            "2/n2/W4.json",
         ]
         before = [(p.as_posix(), p.read_bytes()) for p in sorted(cache.rglob("*.json"))]
         warm = cli("terms", "--n", 2, "--max-degree", 4, "--format", "json", "--cache", cache)
@@ -93,15 +117,15 @@ class TestTermsCache:
     def test_entries_carry_valid_digests(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
-        entry = json.loads((cache / "1" / "n2" / "K3" / "W2.generic.json").read_text())
+        entry = json.loads((cache / "2" / "n2" / "W2.json").read_text())
         payload = json.dumps(entry["payload"], sort_keys=True, separators=(",", ":"))
         assert entry["digest"] == hashlib.sha256(payload.encode()).hexdigest()
-        assert entry["key"] == {"format": 1, "n": 2, "K": 3, "m": 2, "path": "generic"}
+        assert entry["key"] == {"format": 2, "n": 2, "m": 2}
 
     def test_corrupted_digest_is_rejected(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
-        target = cache / "1" / "n2" / "K3" / "W3.generic.json"
+        target = cache / "2" / "n2" / "W3.json"
         entry = json.loads(target.read_text())
         entry["payload"]["terms"][0]["coeff"] = "7/1"
         target.write_text(json.dumps(entry))
@@ -112,19 +136,87 @@ class TestTermsCache:
     def test_stale_key_is_recomputed(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
-        target = cache / "1" / "n2" / "K3" / "W3.generic.json"
+        target = cache / "2" / "n2" / "W3.json"
         entry = json.loads(target.read_text())
         entry["key"]["format"] = 0  # pretend an older schema wrote it
         target.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")))
         r = cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
         assert r.returncode == EXIT_OK
-        assert json.loads(target.read_text())["key"]["format"] == 1
+        assert json.loads(target.read_text())["key"]["format"] == CACHE_VERSION
 
     def test_env_var_sets_root(self, cli, tmp_path):
         cache = tmp_path / "from-env"
         r = cli("terms", "--n", 2, "--max-degree", 3, extra_env={"ZASSENHAUS_CACHE_DIR": str(cache)})
         assert r.returncode == EXIT_OK
-        assert (cache / "1" / "n2" / "K3" / "W2.generic.json").exists()
+        assert (cache / "2" / "n2" / "W2.json").exists()
+
+    def test_entries_do_not_depend_on_max_degree(self, cli, tmp_path):
+        cache = tmp_path / "c"
+        cli("terms", "--n", 2, "--max-degree", 6, "--format", "json", "--cache", cache)
+        before = _files(cache)
+        assert sorted(before) == [f"2/n2/W{m}.json" for m in range(2, 7)]
+        r = cli("terms", "--n", 2, "--max-degree", 8, "--format", "json", "--cache", cache)
+        after = _files(cache)
+        assert sorted(after) == sorted([*before, "2/n2/W7.json", "2/n2/W8.json"])
+        assert {name: after[name] for name in before} == before
+        assert r.returncode == EXIT_OK
+        assert r.stdout == cli("terms", "--n", 2, "--max-degree", 8, "--format", "json").stdout
+
+    def test_warm_cache_cannot_bypass_path_both(self, cli, tmp_path):
+        cache = tmp_path / "c"
+        cli("terms", "--n", 2, "--max-degree", 6, "--cache", cache)
+        _rewrite_entry(cache / "2" / "n2" / "W6.json", lambda p: p["terms"][0].update(coeff="7/1"))
+        r = cli("terms", "--n", 2, "--max-degree", 6, "--path", "both", "--cache", cache)
+        assert r.returncode == EXIT_INTERNAL
+        assert "disagree" in r.stderr and r.stdout == ""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            "not-an-object",
+            lambda p: p.pop("terms"),
+            lambda p: p.pop("n"),
+            lambda p: p.update(n=3),
+            lambda p: p["terms"][0].update(word=[1, 3, 2]),
+            lambda p: p["terms"].append({"word": [1, 2], "coeff": "1/1"}),
+        ],
+        ids=["not-an-object", "missing-terms", "missing-n", "n-differs-from-key", "letter-out-of-range",
+             "not-homogeneous"],
+    )
+    def test_malformed_entry_is_corruption(self, cli, tmp_path, mutate):
+        cache = tmp_path / "c"
+        cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
+        target = cache / "2" / "n2" / "W3.json"
+        if mutate == "not-an-object":
+            target.write_text("[1,2]")
+        else:
+            _rewrite_entry(target, mutate)
+        r = cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
+        assert r.returncode == EXIT_INTERNAL
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+    def test_store_replaces_entries_atomically(self, tmp_path):
+        ctx = AlgebraCtx(2, 2)
+        first, second = AssocPoly.monomial(ctx, (1, 2)), AssocPoly.monomial(ctx, (2, 1), Fraction(1, 3))
+        target = cache_store(tmp_path, 2, 2, first)
+        assert cache_store(tmp_path, 2, 2, second) == target
+        assert list(target.parent.iterdir()) == [target]
+        assert cache_load(tmp_path, 2, 2) == second
+        fresh = cache_store(tmp_path / "fresh", 2, 2, second)
+        assert target.read_bytes() == fresh.read_bytes()
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _rewrite_entry(target, mutate):
+    """Apply `mutate` to an entry's payload and store it under a recomputed, valid digest."""
+    entry = json.loads(target.read_text())
+    mutate(entry["payload"])
+    payload = json.dumps(entry["payload"], sort_keys=True, separators=(",", ":"))
+    entry["digest"] = hashlib.sha256(payload.encode()).hexdigest()
+    target.write_text(json.dumps(entry))
 
 
 class TestVerify:
@@ -157,6 +249,9 @@ class TestVerify:
     def test_usage_errors(self, cli):
         assert cli("verify", "--mode", "fancy").returncode == EXIT_USAGE
         assert cli("verify", "--t", "0.1").returncode == EXIT_USAGE
+        for dim in (0, -1):
+            r = cli("verify", "--mode", "numeric", "--dim", dim)
+            assert r.returncode == EXIT_USAGE and r.stdout == ""
 
 
 class TestF1k:

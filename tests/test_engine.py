@@ -152,6 +152,23 @@ class TestWTerm:
         assert e.w_term(4) is e.w_term(4)
         assert e.fmk(2, 4) is e.fmk(2, 4)
 
+    def test_backing_cache(self):
+        class DictCache(dict):
+            def load(self, n, m):
+                return self.get((n, m))
+
+            def store(self, n, m, poly):
+                self[n, m] = poly
+
+        cache = DictCache()
+        cold = series(2, 6, ectx=EngineCtx(AlgebraCtx(2, 6), cache))
+        assert sorted(cache) == [(2, m) for m in range(2, 7)]
+        assert all(poly.ctx == AlgebraCtx(n, m) for (n, m), poly in cache.items())
+        warm = EngineCtx(AlgebraCtx(2, 8), cache)
+        for m in range(2, 7):
+            assert warm.w_term(m) == cold.term(m).poly.restricted(8)
+        assert not warm._f_memo  # every W_m came from the cache
+
     def test_errors(self):
         e = EngineCtx(AlgebraCtx(2, 4))
         with pytest.raises(ValueError):
@@ -201,10 +218,12 @@ class TestSeries:
         assert all(t.poly.is_zero for t in series(1, 6))
 
     def test_monotone_consistency(self):
-        full = series(3, 6)
-        short = series(3, 4)
-        for m in range(2, 5):
-            assert full.term(m).poly.restricted(4) == short.term(m).poly
+        # W_m does not depend on the truncation degree.
+        for n, short_k, full_k in ((3, 4, 6), (2, 6, 9), (3, 4, 7)):
+            full = series(n, full_k)
+            short = series(n, short_k)
+            for m in range(2, short_k + 1):
+                assert full.term(m).poly.restricted(short_k) == short.term(m).poly
 
     def test_reuses_engine_context(self, engine):
         e = engine(2, 6)

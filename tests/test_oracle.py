@@ -154,6 +154,12 @@ class TestNumericOrderCheck:
         with pytest.raises(ValueError):
             numeric_order_check(2, 3, 4, 0, [0.1, 0.1])
 
+    def test_rejects_empty_matrices(self):
+        # dim 0 would measure nothing and report a pass.
+        for dim in (0, -1):
+            with pytest.raises(ValueError):
+                numeric_order_check(2, 3, dim, 0, [0.2, 0.1])
+
     def test_json_schema(self):
         d = numeric_order_check(2, 2, 4, 1, [0.2, 0.1]).to_json_dict()
         assert d["mode"] == "numeric"
