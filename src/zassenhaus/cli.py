@@ -167,7 +167,11 @@ def _terms_lines(args: argparse.Namespace) -> str:
 def cmd_terms(args: argparse.Namespace) -> int:
     text = _terms_lines(args)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return EXIT_OK

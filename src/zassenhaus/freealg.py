@@ -4,8 +4,16 @@ Elements live in Q<X1, ..., Xn> / (words of degree > K): noncommutative
 polynomials with rational coefficients, truncated so that every product
 drops words longer than the context's maximum degree.  A word is a tuple
 of generator indices (1-based); the empty tuple is the unit monomial.
-Coefficients are `fractions.Fraction`, so all arithmetic is exact and
-every equality test in this package is a zero-tolerance test.
+
+A polynomial stores integer numerators over one common denominator: the
+coefficient of word w is `_terms[w] / _den`, with `_den` a positive int.
+The form is canonical -- no zero numerators, gcd(_den, all numerators)
+== 1, and `_den == 1` for the zero polynomial -- so equality is
+structural and all arithmetic runs on Python ints.  `fractions.Fraction`
+appears only at the API boundary: constructors and `scaled` accept int or
+Fraction scalars, and `terms`, `coeff`, `constant_term` and
+`max_abs_coeff` return Fractions.  Everything is exact, and every
+equality test in this package is a zero-tolerance test.
 
 Lie elements are represented associatively via [A, B] = A*B - B*A; see
 `bracket` and `ad_pow`.  Exponentials and logarithms of elements without
@@ -26,15 +34,14 @@ so values may be freely shared between threads.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Word = tuple[int, ...]
 Scalar = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ContextMismatchError(ValueError):
@@ -69,19 +76,24 @@ def word_key(word: Word) -> tuple[int, Word]:
     return (len(word), word)
 
 
+def canonical_words(words: Iterable[Word]) -> list[Word]:
+    """`words` sorted by `word_key`: a stable sort by length of the lexicographic order."""
+    return sorted(sorted(words), key=len)
+
+
 def _require_same_ctx(a: "AssocPoly", b: "AssocPoly") -> None:
     if a.ctx != b.ctx:
         raise ContextMismatchError(f"context mismatch: {a.ctx} vs {b.ctx}")
 
 
 class AssocPoly:
-    """A truncated noncommutative polynomial: sparse map word -> Fraction.
+    """A truncated noncommutative polynomial: word -> int numerator over `_den`.
 
-    Instances are immutable; arithmetic returns new values.  Zero
-    coefficients are never stored.
+    Instances are immutable; arithmetic returns new values.  The stored
+    form is canonical (see the module docstring).
     """
 
-    __slots__ = ("ctx", "_terms")
+    __slots__ = ("ctx", "_terms", "_den")
 
     def __init__(self, ctx: AlgebraCtx, terms: Mapping[Word, Scalar] | Iterable[tuple[Word, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -89,21 +101,33 @@ class AssocPoly:
         for word, coeff in items:
             word = tuple(word)
             ctx.check_word(word)
-            c = acc.get(word, _ZERO) + Fraction(coeff)
-            if c:
-                acc[word] = c
-            else:
-                acc.pop(word, None)
+            c = Fraction(coeff)
+            acc[word] = acc[word] + c if word in acc else c
+        # Over the lcm of the reduced denominators the form is already canonical.
+        den = lcm(*(c.denominator for c in acc.values()))
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_terms", {w: c.numerator * (den // c.denominator) for w, c in acc.items() if c})
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _make(cls, ctx: AlgebraCtx, terms: dict[Word, Fraction]) -> "AssocPoly":
-        # Trusted constructor: terms already canonical (validated words, no zeros).
+    def _make(cls, ctx: AlgebraCtx, terms: dict[Word, int], den: int = 1) -> "AssocPoly":
+        # Trusted constructor: (terms, den) already canonical, words validated.
         self = object.__new__(cls)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_den", den)
         return self
+
+    @classmethod
+    def _reduce(cls, ctx: AlgebraCtx, terms: dict[Word, int], den: int) -> "AssocPoly":
+        """Canonical form of sum(terms[w] / den * w): zeros dropped, common factor cancelled."""
+        g = gcd(den, *terms.values())  # zeros leave the gcd unchanged
+        if g != 1:
+            den //= g
+            terms = {w: c // g for w, c in terms.items() if c}
+        elif 0 in terms.values():
+            terms = {w: c for w, c in terms.items() if c}
+        return cls._make(ctx, terms, den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("AssocPoly is immutable")
@@ -116,32 +140,41 @@ class AssocPoly:
 
     @classmethod
     def one(cls, ctx: AlgebraCtx) -> "AssocPoly":
-        return cls._make(ctx, {(): _ONE})
+        return cls._make(ctx, {(): 1})
 
     @classmethod
     def generator(cls, ctx: AlgebraCtx, i: int) -> "AssocPoly":
         if not 1 <= i <= ctx.n:
             raise ValueError(f"generator index {i} out of range 1..{ctx.n}")
-        return cls._make(ctx, {(i,): _ONE})
+        return cls._make(ctx, {(i,): 1})
 
     @classmethod
     def monomial(cls, ctx: AlgebraCtx, word: Word, coeff: Scalar = 1) -> "AssocPoly":
         word = tuple(word)
         ctx.check_word(word)
         c = Fraction(coeff)
-        return cls._make(ctx, {word: c} if c else {})
+        return cls._make(ctx, {word: c.numerator}, c.denominator) if c else cls._make(ctx, {})
 
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> list[tuple[Word, Fraction]]:
         """All (word, coeff) pairs in canonical order."""
-        return sorted(self._terms.items(), key=lambda it: word_key(it[0]))
+        terms, den = self._terms, self._den
+        return [(w, Fraction(terms[w], den)) for w in canonical_words(terms)]
+
+    def _reduced_terms(self) -> Iterator[tuple[Word, int, int]]:
+        """(word, p, q) in canonical order, p/q the coefficient in lowest terms."""
+        terms, den = self._terms, self._den
+        for w in canonical_words(terms):
+            c = terms[w]
+            g = gcd(c, den)
+            yield w, c // g, den // g
 
     def coeff(self, word: Word) -> Fraction:
-        return self._terms.get(tuple(word), _ZERO)
+        return Fraction(self._terms.get(tuple(word), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((), _ZERO)
+        return Fraction(self._terms.get((), 0), self._den)
 
     @property
     def is_zero(self) -> bool:
@@ -154,7 +187,7 @@ class AssocPoly:
         return len(self._terms)
 
     def degrees(self) -> set[int]:
-        return {len(w) for w in self._terms}
+        return set(map(len, self._terms))
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all words, or None if mixed or zero."""
@@ -164,14 +197,14 @@ class AssocPoly:
         return None
 
     def max_abs_coeff(self) -> Fraction:
-        return max((abs(c) for c in self._terms.values()), default=_ZERO)
+        return Fraction(max(map(abs, self._terms.values()), default=0), self._den)
 
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AssocPoly):
             return NotImplemented
-        return self.ctx == other.ctx and self._terms == other._terms
+        return self.ctx == other.ctx and self._den == other._den and self._terms == other._terms
 
     __hash__ = None  # mutable-dict backed; identity hashing would be a trap
 
@@ -179,39 +212,31 @@ class AssocPoly:
         if not isinstance(other, AssocPoly):
             return NotImplemented
         _require_same_ctx(self, other)
-        small, big = sorted((self._terms, other._terms), key=len)
-        out = dict(big)
-        for word, c in small.items():
-            s = out.get(word, _ZERO) + c
-            if s:
-                out[word] = s
-            else:
-                del out[word]
-        return AssocPoly._make(self.ctx, out)
+        return _sum(self.ctx, (self, other))
 
     def __sub__(self, other: "AssocPoly") -> "AssocPoly":
         if not isinstance(other, AssocPoly):
             return NotImplemented
         _require_same_ctx(self, other)
-        out = dict(self._terms)
-        for word, c in other._terms.items():
-            s = out.get(word, _ZERO) - c
-            if s:
-                out[word] = s
-            else:
-                del out[word]
-        return AssocPoly._make(self.ctx, out)
+        return _sum(self.ctx, (self, -other))
 
     def __neg__(self) -> "AssocPoly":
-        return AssocPoly._make(self.ctx, {w: -c for w, c in self._terms.items()})
+        return AssocPoly._make(self.ctx, {w: -c for w, c in self._terms.items()}, self._den)
 
     def scaled(self, scalar: Scalar) -> "AssocPoly":
-        c = Fraction(scalar)
-        if not c:
+        s = Fraction(scalar)
+        if not s:
             return AssocPoly.zero(self.ctx)
-        if c == 1:
+        if s == 1:
             return self
-        return AssocPoly._make(self.ctx, {w: c * v for w, v in self._terms.items()})
+        terms, den = self._terms, self._den
+        # p cancels against the denominator, q against the numerators; both stay coprime after.
+        g = gcd(s.numerator, den)
+        h = gcd(s.denominator, *terms.values())
+        p, q = s.numerator // g, s.denominator // h
+        if h != 1 or p != 1:
+            terms = {w: c // h * p for w, c in terms.items()}
+        return AssocPoly._make(self.ctx, terms, den // g * q)
 
     def __mul__(self, other: "AssocPoly | Scalar") -> "AssocPoly":
         if isinstance(other, AssocPoly):
@@ -231,13 +256,13 @@ class AssocPoly:
         """Restriction to words of degree exactly d."""
         if d < 0 or d > self.ctx.max_degree:
             raise ValueError(f"degree {d} outside 0..{self.ctx.max_degree}")
-        return AssocPoly._make(self.ctx, {w: c for w, c in self._terms.items() if len(w) == d})
+        return AssocPoly._reduce(self.ctx, {w: c for w, c in self._terms.items() if len(w) == d}, self._den)
 
     def restricted(self, max_degree: int) -> "AssocPoly":
         """The same polynomial in the shallower context (n, max_degree)."""
         new_ctx = AlgebraCtx(self.ctx.n, max_degree)
-        return AssocPoly._make(
-            new_ctx, {w: c for w, c in self._terms.items() if len(w) <= max_degree}
+        return AssocPoly._reduce(
+            new_ctx, {w: c for w, c in self._terms.items() if len(w) <= max_degree}, self._den
         )
 
     # -- rendering / serialization ------------------------------------------
@@ -250,22 +275,22 @@ class AssocPoly:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for word, c in self.terms():
+        for word, p, q in self._reduced_terms():
             mono = "1" if not word else "*".join(f"X{i}" for i in word)
-            mag = abs(c)
-            body = mono if mag == 1 and word else (f"{mag}" if not word else f"{mag}*{mono}")
+            mag = f"{abs(p)}" if q == 1 else f"{abs(p)}/{q}"
+            body = mono if mag == "1" and word else (mag if not word else f"{mag}*{mono}")
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if p > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if p > 0 else f"- {body}")
         return " ".join(parts)
 
     def latex(self) -> str:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for word, c in self.terms():
-            coeff = _latex_signed_coeff(c, follows_term=bool(parts), omit_one=bool(word))
+        for word, p, q in self._reduced_terms():
+            coeff = _latex_signed_coeff(p, q, follows_term=bool(parts), omit_one=bool(word))
             mono = "".join(f"X_{{{i}}}" for i in word)
             parts.append(coeff + mono)
         return "".join(parts)
@@ -275,17 +300,13 @@ class AssocPoly:
         return {
             "n": self.ctx.n,
             "maxDegree": self.ctx.max_degree,
-            "terms": [
-                {"word": list(word), "coeff": format_fraction(c)}
-                for word, c in self.terms()
-            ],
+            "terms": [{"word": list(word), "coeff": f"{p}/{q}"} for word, p, q in self._reduced_terms()],
         }
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "AssocPoly":
         ctx = AlgebraCtx(int(payload["n"]), int(payload["maxDegree"]))
-        terms = [(tuple(t["word"]), Fraction(t["coeff"])) for t in payload["terms"]]
-        return cls(ctx, terms)
+        return cls(ctx, [(t["word"], t["coeff"]) for t in payload["terms"]])  # the constructor parses "p/q"
 
 
 def format_fraction(c: Fraction) -> str:
@@ -293,61 +314,72 @@ def format_fraction(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _latex_signed_coeff(c: Fraction, follows_term: bool, omit_one: bool) -> str:
-    sign = "-" if c < 0 else ("+" if follows_term else "")
-    mag = abs(c)
-    if mag == 1 and omit_one:
+def _latex_signed_coeff(p: int, q: int, follows_term: bool, omit_one: bool) -> str:
+    """Sign and magnitude of the reduced coefficient p/q (q > 0) in LaTeX."""
+    sign = "-" if p < 0 else ("+" if follows_term else "")
+    mag = abs(p)
+    if mag == 1 and q == 1 and omit_one:
         return sign
-    if mag.denominator == 1:
-        return f"{sign}{mag.numerator}"
-    return f"{sign}\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+    if q == 1:
+        return f"{sign}{mag}"
+    return f"{sign}\\frac{{{mag}}}{{{q}}}"
 
 
 # -- ring operations ---------------------------------------------------------
 
 
-def _buckets(terms: dict[Word, Fraction]) -> dict[int, list[tuple[Word, Fraction]]]:
-    out: dict[int, list[tuple[Word, Fraction]]] = {}
-    for w, c in terms.items():
-        out.setdefault(len(w), []).append((w, c))
-    return out
+def _blocks(a: AssocPoly, b: AssocPoly) -> Iterable[tuple[Iterable, Iterable]]:
+    """(a-items, b-items) blocks whose word pairs are exactly those of degree <= max_degree."""
+    ta, tb = a._terms, b._terms
+    if not ta or not tb:
+        return ()
+    cap = a.ctx.max_degree
+    degs_a, degs_b = set(map(len, ta)), set(map(len, tb))
+    if max(degs_a) + max(degs_b) <= cap:
+        # No pair truncates: one degree check for homogeneous operands.
+        return ((ta.items(), tb.items()),)
+    if min(degs_a) + min(degs_b) > cap:
+        return ()
+    # Truncating product of mixed degrees (exp_trunc, log_trunc): one block per degree d
+    # of a, against the words of b, sorted by degree, that fit beside it.
+    words_a, words_b = sorted(ta, key=len), sorted(tb, key=len)
+    lens_a, lens_b = list(map(len, words_a)), list(map(len, words_b))
+    items_b = [(w, tb[w]) for w in words_b]
+    blocks = []
+    lo = 0
+    while lo < len(words_a):
+        d = lens_a[lo]
+        hi = bisect_right(lens_a, d, lo)
+        blocks.append(([(w, ta[w]) for w in words_a[lo:hi]], items_b[: bisect_right(lens_b, cap - d)]))
+        lo = hi
+    return blocks
+
+
+def _product(a: AssocPoly, b: AssocPoly, commutator: bool) -> AssocPoly:
+    """a*b, or [a, b] = a*b - b*a when `commutator`, on the integer numerators."""
+    _require_same_ctx(a, b)
+    out: dict[Word, int] = {}
+    get = out.get
+    for items_a, items_b in _blocks(a, b):
+        for wa, ca in items_a:
+            for wb, cb in items_b:
+                c = ca * cb
+                w = wa + wb
+                out[w] = get(w, 0) + c
+                if commutator:
+                    w = wb + wa
+                    out[w] = get(w, 0) - c
+    return AssocPoly._reduce(a.ctx, out, a._den * b._den)
 
 
 def mul(a: AssocPoly, b: AssocPoly) -> AssocPoly:
     """Concatenation product; words of degree > max_degree are dropped eagerly."""
-    _require_same_ctx(a, b)
-    cap = a.ctx.max_degree
-    out: dict[Word, Fraction] = {}
-    bb = _buckets(b._terms)
-    for da, items_a in _buckets(a._terms).items():
-        for db, items_b in bb.items():
-            if da + db > cap:
-                continue
-            for wa, ca in items_a:
-                for wb, cb in items_b:
-                    w = wa + wb
-                    out[w] = out.get(w, _ZERO) + ca * cb
-    return AssocPoly._make(a.ctx, {w: c for w, c in out.items() if c})
+    return _product(a, b, False)
 
 
 def bracket(a: AssocPoly, b: AssocPoly) -> AssocPoly:
     """Commutator [a, b] = a*b - b*a."""
-    _require_same_ctx(a, b)
-    cap = a.ctx.max_degree
-    out: dict[Word, Fraction] = {}
-    bb = _buckets(b._terms)
-    for da, items_a in _buckets(a._terms).items():
-        for db, items_b in bb.items():
-            if da + db > cap:
-                continue
-            for wa, ca in items_a:
-                for wb, cb in items_b:
-                    c = ca * cb
-                    w = wa + wb
-                    out[w] = out.get(w, _ZERO) + c
-                    w = wb + wa
-                    out[w] = out.get(w, _ZERO) - c
-    return AssocPoly._make(a.ctx, {w: c for w, c in out.items() if c})
+    return _product(a, b, True)
 
 
 def ad_pow(a: AssocPoly, p: int, b: AssocPoly) -> AssocPoly:
@@ -392,19 +424,25 @@ def log_trunc(a: AssocPoly) -> AssocPoly:
     return acc
 
 
+def _sum(ctx: AlgebraCtx, polys: Sequence[AssocPoly]) -> AssocPoly:
+    # Each numerator is lifted to the lcm of the denominators.
+    den = lcm(*(p._den for p in polys))
+    out: dict[Word, int] = {}
+    get = out.get
+    for p in polys:
+        f = den // p._den
+        for w, c in p._terms.items():
+            out[w] = get(w, 0) + c * f
+    return AssocPoly._reduce(ctx, out, den)
+
+
 def poly_sum(ctx: AlgebraCtx, polys: Iterable[AssocPoly]) -> AssocPoly:
     """Sum of many polynomials in one pass."""
-    out: dict[Word, Fraction] = {}
+    polys = list(polys)
     for p in polys:
         if p.ctx != ctx:
             raise ContextMismatchError(f"context mismatch: {p.ctx} vs {ctx}")
-        for w, c in p._terms.items():
-            s = out.get(w, _ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-    return AssocPoly._make(ctx, out)
+    return _sum(ctx, polys)
 
 
 def generators(ctx: AlgebraCtx) -> list[AssocPoly]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .freealg import AlgebraCtx, AssocPoly, Scalar, bracket
+from .freealg import AlgebraCtx, AssocPoly, Scalar, bracket, generators, poly_sum
 
 Composition = tuple[int, ...]
 
@@ -175,10 +175,7 @@ def expand_term(t: CommTerm, ctx: AlgebraCtx) -> AssocPoly:
 
 
 def expand(e: LieExpr, ctx: AlgebraCtx) -> AssocPoly:
-    out = AssocPoly.zero(ctx)
-    for t in e:
-        out = out + expand_term(t, ctx)
-    return out
+    return poly_sum(ctx, [expand_term(t, ctx) for t in e])
 
 
 def dsw_project(a: AssocPoly) -> AssocPoly:
@@ -197,13 +194,14 @@ def dsw_project(a: AssocPoly) -> AssocPoly:
         raise ValueError("dsw_project requires a homogeneous polynomial")
     if d == 0:
         raise ValueError("dsw_project is undefined in degree 0")
-    out = AssocPoly.zero(a.ctx)
-    for word, c in a.terms():
-        nested = AssocPoly.generator(a.ctx, word[0])
+    gens = generators(a.ctx)
+    pieces: list[AssocPoly] = []
+    for word, c in a._terms.items():  # integer numerators over the common denominator a._den
+        nested = gens[word[0] - 1]
         for letter in word[1:]:
-            nested = bracket(nested, AssocPoly.generator(a.ctx, letter))
-        out = out + nested.scaled(c)
-    return out.scaled(Fraction(1, d))
+            nested = bracket(nested, gens[letter - 1])
+        pieces.append(nested.scaled(c))
+    return poly_sum(a.ctx, pieces).scaled(Fraction(1, d * a._den))
 
 
 # -- rendering ---------------------------------------------------------------

@@ -33,6 +33,8 @@ from scipy.linalg import expm
 from .freealg import (
     AlgebraCtx,
     AssocPoly,
+    Word,
+    canonical_words,
     exp_trunc,
     format_fraction,
     generators,
@@ -169,11 +171,22 @@ def substitute(poly: AssocPoly, mats: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError(f"need {poly.ctx.n} matrices, got {len(mats)}")
     dim = mats[0].shape[0]
     out = np.zeros((dim, dim))
-    for word, coeff in poly.terms():
-        acc = np.eye(dim)
-        for letter in word:
-            acc = acc @ mats[letter - 1]
-        out += float(coeff) * acc
+    terms, den = poly._terms, poly._den
+    # prefix[k] = I @ M[w1] @ ... @ M[wk] for the previous word; in canonical
+    # order neighbouring words share long prefixes, whose products are reused.
+    prefix = [np.eye(dim)]
+    prev: Word = ()
+    for word in canonical_words(terms):
+        k = 0
+        for x, y in zip(prev, word):
+            if x != y:
+                break
+            k += 1
+        del prefix[k + 1 :]
+        for letter in word[k:]:
+            prefix.append(prefix[-1] @ mats[letter - 1])
+        out += (terms[word] / den) * prefix[len(word)]
+        prev = word
     return out
 
 
@@ -210,6 +223,10 @@ def numeric_order_check(
     residuals are at round-off level there is no order to measure: the
     report is inconclusive and counts as a pass.
 
+    Every t must lie in (0, 1]: the order is a statement about t -> 0, and
+    a huge t (1e300, inf) would only overflow the matrix exponentials, as
+    nan would poison them.  These are rejected before any work is done.
+
     `ws` defaults to the peel-off oracle output (keeping this check
     independent of the engine); `mats` defaults to `random_matrices`.
     """
@@ -217,8 +234,8 @@ def numeric_order_check(
         raise ValueError(f"matrix dimension must be >= 1, got {dim}")
     if len(t_values) < 2:
         raise ValueError("need at least two t values to estimate an order")
-    if any(t <= 0 for t in t_values):
-        raise ValueError("t values must be positive")
+    if not all(0 < t <= 1 for t in t_values):
+        raise ValueError("t values must lie in (0, 1]")
     if len(set(t_values)) != len(t_values):
         raise ValueError("t values must be distinct")
     if ws is None:

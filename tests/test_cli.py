@@ -91,11 +91,14 @@ class TestTerms:
         assert r.returncode == EXIT_OK
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
-    def test_usage_errors(self, cli):
+    def test_usage_errors(self, cli, tmp_path):
         assert cli("terms", "--n", 0).returncode == EXIT_USAGE
         assert cli("terms", "--max-degree", 1).returncode == EXIT_USAGE
         assert cli("terms", "--format", "yaml").returncode == EXIT_USAGE
         assert cli("nonsense").returncode == EXIT_USAGE
+        for out in (tmp_path / "missing" / "x", tmp_path):  # no parent directory; a directory
+            r = cli("terms", "--max-degree", 3, "--out", out)
+            assert r.returncode == EXIT_USAGE and r.stderr.startswith("error: ")
 
 
 class TestTermsCache:
@@ -252,6 +255,9 @@ class TestVerify:
         for dim in (0, -1):
             r = cli("verify", "--mode", "numeric", "--dim", dim)
             assert r.returncode == EXIT_USAGE and r.stdout == ""
+        for t in ("nan,0.1", "inf,0.1", "1e300,0.1"):
+            r = cli("verify", "--mode", "numeric", "--t", t)
+            assert r.returncode == EXIT_USAGE and r.stdout == "" and r.stderr.startswith("error: ")
 
 
 class TestF1k:

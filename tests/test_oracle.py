@@ -153,6 +153,9 @@ class TestNumericOrderCheck:
             numeric_order_check(2, 3, 4, 0, [0.1, -0.2])
         with pytest.raises(ValueError):
             numeric_order_check(2, 3, 4, 0, [0.1, 0.1])
+        for bad in (float("nan"), float("inf"), 1e300):
+            with pytest.raises(ValueError):
+                numeric_order_check(2, 3, 4, 0, [bad, 0.1])
 
     def test_rejects_empty_matrices(self):
         # dim 0 would measure nothing and report a pass.
