@@ -7,8 +7,9 @@ Three subcommands:
     verify  run the exact / oracle / numeric checks and print a JSON report
     f1k     print the base-family element f[1, k] from either closed form
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-invariant breach (path disagreement, corrupted cache entry).
+Exit codes: 0 success, 1 verification failure, 2 usage error (including an
+--out file or cache root that cannot be used), 3 internal invariant breach
+(path disagreement, corrupted cache entry).
 
 All output is deterministic for fixed flags (and seed, where one
 applies): JSON is dumped with sorted keys and fixed separators, and term
@@ -57,6 +58,10 @@ class CacheCorruptionError(RuntimeError):
     """A cache entry failed its digest or key consistency check."""
 
 
+class CacheAccessError(RuntimeError):
+    """The cache root cannot be read or written (e.g. it is a regular file)."""
+
+
 def _dumps(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -89,23 +94,30 @@ def cache_store(root: Path, n: int, m: int, poly: AssocPoly) -> Path:
         "payload": payload,
     }
     target = _cache_file(root, n, m)
-    target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(_dumps(entry) + "\n")
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(_dumps(entry) + "\n")
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise CacheAccessError(f"cannot write cache entry {target}: {exc.strerror or exc}") from exc
     return target
 
 
 def cache_load(root: Path, n: int, m: int) -> AssocPoly | None:
     """The cached W_m in context (n, m), or None on a clean miss; a bad entry raises."""
     target = _cache_file(root, n, m)
-    if not target.exists():
-        return None
     try:
-        entry = json.loads(target.read_text())
+        text = target.read_text()
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise CacheAccessError(f"cannot read cache entry {target}: {exc.strerror or exc}") from exc
+    try:
+        entry = json.loads(text)
     except ValueError as exc:
         raise CacheCorruptionError(f"unreadable cache entry {target}: {exc}") from exc
     if not isinstance(entry, dict):
@@ -205,6 +217,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_f1k(args: argparse.Namespace) -> int:
     k, n = args.k, args.n
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     ctx = AlgebraCtx(n, k + 1)
     comm = f1k_comm(k, n) if args.path in ("comm", "both") else None
     direct = f1k_direct(k, ctx) if args.path in ("direct", "both") else None
@@ -277,7 +291,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (PathDisagreementError, CacheCorruptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
+    except (ValueError, CacheAccessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,12 +15,13 @@ splitting, a homogeneous Lie polynomial of degree k + 1):
              for m >= 2 (`EngineCtx.fmk`);
     W_m      = f[max(1, floor((m-1)/2)), m-1] / m  (`EngineCtx.w_term`).
 
-`EngineCtx.w_term_expanded` evaluates W_m (m >= 5) through the paper's
-unrolled residue-class formulas.  That cross-checks the formulas against
-the recursion but is not independent of it: each ad_{W_j} uses the
-generic `w_term`, and for m >= 11 the formulas start from f[base, .] with
-base >= 2.  `series` alone chooses the path; path="both" asserts that the
-two agree exactly.
+`EngineCtx.w_term_expanded` evaluates W_m (m >= 5) through the recursion
+unrolled down to f[base, .] (`_expanded_formula`), which reproduces the
+paper's expanded formulas; tests/golden.py holds those and the tests
+compare them term by term for m <= 40.  It is a cross-check, not an
+independent derivation: each ad_{W_j} uses the generic `w_term`, and for
+m >= 11 the f[base, .] with base >= 2 come from the recursion.  `series`
+alone chooses the path; path="both" asserts that the two agree exactly.
 
 All values are exact; the memo caches inside `EngineCtx` are filled once
 per key and never mutated afterwards, so concurrent readers are safe.
@@ -136,10 +137,7 @@ def f1k_comm_grouped(k: int, n: int) -> list[tuple[Composition, LieExpr]]:
 
 def f1k_comm(k: int, n: int) -> LieExpr:
     """f[1, k] as a single LieExpr (all composition groups combined)."""
-    out = LieExpr()
-    for _, group in f1k_comm_grouped(k, n):
-        out = out + group
-    return out
+    return LieExpr(t for _, group in f1k_comm_grouped(k, n) for t in group)
 
 
 class EngineCtx:
@@ -204,13 +202,11 @@ class EngineCtx:
         return self._w_memo.setdefault(m, value)
 
     def w_term_expanded(self, m: int) -> AssocPoly:
-        """W_m through the fully unrolled formula for its residue class.
+        """W_m (m >= 5) from the term list of `_expanded_formula(m)`.
 
-        Must equal `w_term(m)` exactly: a cross-check of the formulas
-        against the recursion, which they reuse (see the module docstring).
+        Must equal `w_term(m)` exactly: a cross-check against the
+        recursion, which it reuses (see the module docstring).
         """
-        if m < 5:
-            raise ValueError(f"the expanded formulas start at m=5, got m={m}")
         if m > self.alg.max_degree:
             raise ValueError(f"W_{m} has degree {m} > max_degree {self.alg.max_degree}")
         pieces: list[AssocPoly] = []
@@ -222,131 +218,31 @@ class EngineCtx:
         return poly_sum(self.alg, pieces).scaled(Fraction(1, m))
 
 
-# One unrolled formula per degree: a list of (coefficient, ad-operator
-# indices applied left to right, (m', k') of the base-family value).
+# An unrolled formula: a list of (coefficient, ad-operator indices applied
+# left to right, (m', k') of the base-family value).
 # `(1, (3, 2, 2), (1, 4))` reads as  ad_{W3} ad_{W2}^2 f[1, 4].
 _FormulaTerm = tuple[Fraction, tuple[int, ...], tuple[int, int]]
 
-_F = Fraction
-_EXPLICIT_FORMULAS: dict[int, list[_FormulaTerm]] = {
-    5: [(_F(1), (), (1, 4)), (_F(-1), (2,), (1, 2))],
-    6: [(_F(1), (), (1, 5)), (_F(-1), (2,), (1, 3))],
-    7: [
-        (_F(1), (), (1, 6)),
-        (_F(-1), (2,), (1, 4)),
-        (_F(1, 2), (2, 2), (1, 2)),
-        (_F(-1), (3,), (1, 3)),
-    ],
-    8: [
-        (_F(1), (), (1, 7)),
-        (_F(-1), (2,), (1, 5)),
-        (_F(1, 2), (2, 2), (1, 3)),
-        (_F(-1), (3,), (1, 4)),
-        (_F(1), (3, 2), (1, 2)),
-    ],
-    9: [
-        (_F(1), (), (1, 8)),
-        (_F(-1), (2,), (1, 6)),
-        (_F(1, 2), (2, 2), (1, 4)),
-        (_F(-1, 6), (2, 2, 2), (1, 2)),
-        (_F(-1), (3,), (1, 5)),
-        (_F(1), (3, 2), (1, 3)),
-        (_F(-1), (4,), (1, 4)),
-        (_F(1), (4, 2), (1, 2)),
-    ],
-    10: [
-        (_F(1), (), (1, 9)),
-        (_F(-1), (2,), (1, 7)),
-        (_F(1, 2), (2, 2), (1, 5)),
-        (_F(-1, 6), (2, 2, 2), (1, 3)),
-        (_F(-1), (3,), (1, 6)),
-        (_F(1), (3, 2), (1, 4)),
-        (_F(-1, 2), (3, 2, 2), (1, 2)),
-        (_F(1, 2), (3, 3), (1, 3)),
-        (_F(-1), (4,), (1, 5)),
-        (_F(1), (4, 2), (1, 3)),
-    ],
-}
-
 
 def _expanded_formula(m: int) -> list[_FormulaTerm]:
-    """Term list of the unrolled formula for W_m (without the leading 1/m)."""
-    if m in _EXPLICIT_FORMULAS:
-        return _EXPLICIT_FORMULAS[m]
-    k, i = divmod(m, 6)
-    # The residue-class formulas below are stated for k >= 2 except the
-    # 6k+5 class, whose k = 1 instance (m = 11) unrolls identically.
-    if m < 11:
-        raise ValueError(f"no expanded formula for m={m}")
-    terms: list[_FormulaTerm] = []
-    if i == 0:
-        base = 2 * k - 2
+    """Term list of the unrolled formula for W_m (without the leading 1/m).
+
+    Unrolls f[M, K] = sum_{j < K // M} (-1)^j/j! ad_{W_M}^j f[M-1, K-M*j]
+    from f[floor((m-1)/2), m-1] down to f[base, .], the level at which the
+    paper states its formulas: base = 1 up to m = 10, and floor((m-1)/3) - 1
+    from m = 11 on (the residue classes of m mod 6).
+    """
+    if m < 5:
+        raise ValueError(f"the expanded formulas start at m=5, got m={m}")
+    top = (m - 1) // 2
+    base = 1 if m <= 10 else (m - 1) // 3 - 1
+    terms: list[_FormulaTerm] = [(Fraction(1), (), (top, m - 1))]
+    for M in range(top, base, -1):
         terms = [
-            (_F(1), (), (base, 6 * k - 1)),
-            (_F(-1), (2 * k - 1,), (base, 4 * k)),
-            (_F(1, 2), (2 * k - 1, 2 * k - 1), (base, 2 * k + 1)),
-            (_F(-1), (2 * k,), (base, 4 * k - 1)),
-            (_F(1), (2 * k, 2 * k - 1), (base, 2 * k)),
-            (_F(-1), (2 * k + 1,), (base, 4 * k - 2)),
-            (_F(1), (2 * k + 1, 2 * k - 1), (base, 2 * k - 1)),
+            (coeff * Fraction((-1) ** j, factorial(j)), word + (M,) * j, (M - 1, k - M * j))
+            for coeff, word, (_, k) in terms
+            for j in range(k // M)
         ]
-        run = range(2 * k + 2, 3 * k)
-        top = 6 * k - 1
-    elif i == 1:
-        base = 2 * k - 1
-        terms = [
-            (_F(1), (), (base, 6 * k)),
-            (_F(-1), (2 * k,), (base, 4 * k)),
-            (_F(1, 2), (2 * k, 2 * k), (base, 2 * k)),
-        ]
-        run = range(2 * k + 1, 3 * k + 1)
-        top = 6 * k
-    elif i == 2:
-        base = 2 * k - 1
-        terms = [
-            (_F(1), (), (base, 6 * k + 1)),
-            (_F(-1), (2 * k,), (base, 4 * k + 1)),
-            (_F(1, 2), (2 * k, 2 * k), (base, 2 * k + 1)),
-            (_F(-1), (2 * k + 1,), (base, 4 * k)),
-            (_F(1), (2 * k + 1, 2 * k), (base, 2 * k)),
-        ]
-        run = range(2 * k + 2, 3 * k + 1)
-        top = 6 * k + 1
-    elif i == 3:
-        base = 2 * k - 1
-        terms = [
-            (_F(1), (), (base, 6 * k + 2)),
-            (_F(-1), (2 * k,), (base, 4 * k + 2)),
-            (_F(1, 2), (2 * k, 2 * k), (base, 2 * k + 2)),
-            (_F(-1), (2 * k + 1,), (base, 4 * k + 1)),
-            (_F(1), (2 * k + 1, 2 * k), (base, 2 * k + 1)),
-            (_F(-1), (2 * k + 2,), (base, 4 * k)),
-            (_F(1), (2 * k + 2, 2 * k), (base, 2 * k)),
-        ]
-        run = range(2 * k + 3, 3 * k + 2)
-        top = 6 * k + 2
-    elif i == 4:
-        base = 2 * k
-        terms = [
-            (_F(1), (), (base, 6 * k + 3)),
-            (_F(-1), (2 * k + 1,), (base, 4 * k + 2)),
-            (_F(1, 2), (2 * k + 1, 2 * k + 1), (base, 2 * k + 1)),
-        ]
-        run = range(2 * k + 2, 3 * k + 2)
-        top = 6 * k + 3
-    else:  # i == 5
-        base = 2 * k
-        terms = [
-            (_F(1), (), (base, 6 * k + 4)),
-            (_F(-1), (2 * k + 1,), (base, 4 * k + 3)),
-            (_F(1, 2), (2 * k + 1, 2 * k + 1), (base, 2 * k + 2)),
-            (_F(-1), (2 * k + 2,), (base, 4 * k + 2)),
-            (_F(1), (2 * k + 2, 2 * k + 1), (base, 2 * k + 1)),
-        ]
-        run = range(2 * k + 3, 3 * k + 3)
-        top = 6 * k + 4
-    for s in run:
-        terms.append((_F(-1), (s,), (base, top - s)))
     return terms
 
 

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import pytest
 
+from zassenhaus.cli import main
 from zassenhaus.engine import EngineCtx
 from zassenhaus.freealg import AlgebraCtx
 
@@ -28,7 +32,34 @@ def engine():
 
 
 def run_cli(*args, extra_env=None):
-    """Run the installed CLI in a subprocess and capture its output."""
+    """Run `zassenhaus.cli.main` in this process and capture it like a subprocess.
+
+    `SystemExit` gives its code and an uncaught exception gives 1 with the
+    traceback on stderr, as `python -m zassenhaus` would.  The environment
+    is restored afterwards.
+    """
+    argv = [str(a) for a in args]
+    saved_env = dict(os.environ)
+    os.environ.pop("ZASSENHAUS_CACHE_DIR", None)
+    os.environ.update(extra_env or {})
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = 0 if exc.code is None else exc.code
+            except Exception:
+                traceback.print_exc()
+                rc = 1
+    finally:
+        os.environ.clear()
+        os.environ.update(saved_env)
+    return subprocess.CompletedProcess(["zassenhaus", *argv], rc, out.getvalue(), err.getvalue())
+
+
+def run_cli_process(*args, extra_env=None):
+    """Run `python -m zassenhaus` in a fresh interpreter and capture its output."""
     env = dict(os.environ)
     env.pop("ZASSENHAUS_CACHE_DIR", None)
     if extra_env:
@@ -40,3 +71,8 @@ def run_cli(*args, extra_env=None):
 @pytest.fixture
 def cli():
     return run_cli
+
+
+@pytest.fixture
+def cli_process():
+    return run_cli_process

@@ -2,9 +2,10 @@
 
 Everything here was typed in directly from the closed-form displays (the
 two-variable W_2..W_4, the multivariable f[1,1]..f[1,5] and W_2..W_4,
-and the fully expanded W_5/W_6 commutator-class displays) and is kept
-deliberately independent of the engine: fixtures are built with explicit
-index loops and raw brackets only.
+the fully expanded W_5/W_6 commutator-class displays, and the expanded
+W_m formulas: W_5..W_10 one by one, then one per residue class of m mod 6)
+and is kept deliberately independent of the engine: fixtures are built
+with explicit index loops and raw brackets only.
 """
 
 from fractions import Fraction
@@ -234,3 +235,132 @@ def solve_class_coefficients(classes, target):
         return None, False  # inconsistent: the classes do not span the target
     solution = [rows[pivot_of_col[c]][-1] if c in pivot_of_col else None for c in range(ncols)]
     return solution, len(pivot_of_col) == ncols
+
+
+# -- the paper's expanded W_m formulas (m >= 5) ---------------------------------
+# Each formula is the term list of m * W_m: (coefficient, ad-operator indices
+# applied left to right, (m', k') of the family value they act on).
+# `(1, (3, 2, 2), (1, 4))` reads as  ad_{W3} ad_{W2}^2 f[1, 4].  W_5..W_10 are
+# displayed one by one down to f[1, .]; from m = 11 on, one formula per
+# residue class of m mod 6, starting from f[base, .] with base >= 2.
+
+_F = Fraction
+EXPANDED_W5_W10 = {
+    5: [(_F(1), (), (1, 4)), (_F(-1), (2,), (1, 2))],
+    6: [(_F(1), (), (1, 5)), (_F(-1), (2,), (1, 3))],
+    7: [
+        (_F(1), (), (1, 6)),
+        (_F(-1), (2,), (1, 4)),
+        (_F(1, 2), (2, 2), (1, 2)),
+        (_F(-1), (3,), (1, 3)),
+    ],
+    8: [
+        (_F(1), (), (1, 7)),
+        (_F(-1), (2,), (1, 5)),
+        (_F(1, 2), (2, 2), (1, 3)),
+        (_F(-1), (3,), (1, 4)),
+        (_F(1), (3, 2), (1, 2)),
+    ],
+    9: [
+        (_F(1), (), (1, 8)),
+        (_F(-1), (2,), (1, 6)),
+        (_F(1, 2), (2, 2), (1, 4)),
+        (_F(-1, 6), (2, 2, 2), (1, 2)),
+        (_F(-1), (3,), (1, 5)),
+        (_F(1), (3, 2), (1, 3)),
+        (_F(-1), (4,), (1, 4)),
+        (_F(1), (4, 2), (1, 2)),
+    ],
+    10: [
+        (_F(1), (), (1, 9)),
+        (_F(-1), (2,), (1, 7)),
+        (_F(1, 2), (2, 2), (1, 5)),
+        (_F(-1, 6), (2, 2, 2), (1, 3)),
+        (_F(-1), (3,), (1, 6)),
+        (_F(1), (3, 2), (1, 4)),
+        (_F(-1, 2), (3, 2, 2), (1, 2)),
+        (_F(1, 2), (3, 3), (1, 3)),
+        (_F(-1), (4,), (1, 5)),
+        (_F(1), (4, 2), (1, 3)),
+    ],
+}
+
+
+def expanded_formula(m):
+    """The paper's formula for m * W_m, m >= 5, as a term list."""
+    if m in EXPANDED_W5_W10:
+        return EXPANDED_W5_W10[m]
+    if m < 11:
+        raise ValueError(f"no expanded formula for m={m}")
+    # The residue-class formulas below are stated for k >= 2 except the
+    # 6k+5 class, whose k = 1 instance (m = 11) unrolls identically.
+    k, i = divmod(m, 6)
+    if i == 0:
+        base = 2 * k - 2
+        terms = [
+            (_F(1), (), (base, 6 * k - 1)),
+            (_F(-1), (2 * k - 1,), (base, 4 * k)),
+            (_F(1, 2), (2 * k - 1, 2 * k - 1), (base, 2 * k + 1)),
+            (_F(-1), (2 * k,), (base, 4 * k - 1)),
+            (_F(1), (2 * k, 2 * k - 1), (base, 2 * k)),
+            (_F(-1), (2 * k + 1,), (base, 4 * k - 2)),
+            (_F(1), (2 * k + 1, 2 * k - 1), (base, 2 * k - 1)),
+        ]
+        run = range(2 * k + 2, 3 * k)
+        top = 6 * k - 1
+    elif i == 1:
+        base = 2 * k - 1
+        terms = [
+            (_F(1), (), (base, 6 * k)),
+            (_F(-1), (2 * k,), (base, 4 * k)),
+            (_F(1, 2), (2 * k, 2 * k), (base, 2 * k)),
+        ]
+        run = range(2 * k + 1, 3 * k + 1)
+        top = 6 * k
+    elif i == 2:
+        base = 2 * k - 1
+        terms = [
+            (_F(1), (), (base, 6 * k + 1)),
+            (_F(-1), (2 * k,), (base, 4 * k + 1)),
+            (_F(1, 2), (2 * k, 2 * k), (base, 2 * k + 1)),
+            (_F(-1), (2 * k + 1,), (base, 4 * k)),
+            (_F(1), (2 * k + 1, 2 * k), (base, 2 * k)),
+        ]
+        run = range(2 * k + 2, 3 * k + 1)
+        top = 6 * k + 1
+    elif i == 3:
+        base = 2 * k - 1
+        terms = [
+            (_F(1), (), (base, 6 * k + 2)),
+            (_F(-1), (2 * k,), (base, 4 * k + 2)),
+            (_F(1, 2), (2 * k, 2 * k), (base, 2 * k + 2)),
+            (_F(-1), (2 * k + 1,), (base, 4 * k + 1)),
+            (_F(1), (2 * k + 1, 2 * k), (base, 2 * k + 1)),
+            (_F(-1), (2 * k + 2,), (base, 4 * k)),
+            (_F(1), (2 * k + 2, 2 * k), (base, 2 * k)),
+        ]
+        run = range(2 * k + 3, 3 * k + 2)
+        top = 6 * k + 2
+    elif i == 4:
+        base = 2 * k
+        terms = [
+            (_F(1), (), (base, 6 * k + 3)),
+            (_F(-1), (2 * k + 1,), (base, 4 * k + 2)),
+            (_F(1, 2), (2 * k + 1, 2 * k + 1), (base, 2 * k + 1)),
+        ]
+        run = range(2 * k + 2, 3 * k + 2)
+        top = 6 * k + 3
+    else:  # i == 5
+        base = 2 * k
+        terms = [
+            (_F(1), (), (base, 6 * k + 4)),
+            (_F(-1), (2 * k + 1,), (base, 4 * k + 3)),
+            (_F(1, 2), (2 * k + 1, 2 * k + 1), (base, 2 * k + 2)),
+            (_F(-1), (2 * k + 2,), (base, 4 * k + 2)),
+            (_F(1), (2 * k + 2, 2 * k + 1), (base, 2 * k + 1)),
+        ]
+        run = range(2 * k + 3, 3 * k + 3)
+        top = 6 * k + 4
+    for s in run:
+        terms.append((_F(-1), (s,), (base, top - s)))
+    return terms

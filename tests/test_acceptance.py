@@ -142,18 +142,18 @@ def test_09_numeric_order():
             assert abs(report.observed_order - target) <= 0.5
 
 
-def test_10_deterministic_output(cli, tmp_path):
+def test_10_deterministic_output(cli_process, tmp_path):
     with criterion(10, "byte-identical reruns and bit-exact cache round trip"):
-        first = cli("terms", "--n", 3, "--max-degree", 6, "--format", "json")
-        second = cli("terms", "--n", 3, "--max-degree", 6, "--format", "json")
+        first = cli_process("terms", "--n", 3, "--max-degree", 6, "--format", "json")
+        second = cli_process("terms", "--n", 3, "--max-degree", 6, "--format", "json")
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         json.loads(first.stdout)  # stays well-formed
 
         cache = tmp_path / "cache"
-        cold = cli("terms", "--n", 3, "--max-degree", 6, "--format", "json", "--cache", cache)
+        cold = cli_process("terms", "--n", 3, "--max-degree", 6, "--format", "json", "--cache", cache)
         snapshot = {p: p.read_bytes() for p in cache.rglob("*.json")}
         assert len(snapshot) == 5
-        warm = cli("terms", "--n", 3, "--max-degree", 6, "--format", "json", "--cache", cache)
+        warm = cli_process("terms", "--n", 3, "--max-degree", 6, "--format", "json", "--cache", cache)
         assert warm.stdout == cold.stdout == first.stdout
         assert {p: p.read_bytes() for p in cache.rglob("*.json")} == snapshot

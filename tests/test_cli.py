@@ -10,6 +10,7 @@ from zassenhaus.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    CacheAccessError,
     cache_load,
     cache_store,
 )
@@ -20,6 +21,13 @@ from golden import two_variable_ws
 
 
 class TestTerms:
+    def test_module_entry_point(self, cli, cli_process):
+        # A fresh `python -m zassenhaus` prints what the in-process runs print
+        # and passes main's exit code through.
+        r = cli_process("terms", "--max-degree", 4)
+        assert r.returncode == EXIT_OK and r.stdout == cli("terms", "--max-degree", 4).stdout
+        assert cli_process("f1k", "--k", 0).returncode == EXIT_USAGE
+
     def test_default_flags(self, cli):
         r = cli("terms")
         assert r.returncode == EXIT_OK
@@ -198,6 +206,16 @@ class TestTermsCache:
         assert r.returncode == EXIT_INTERNAL
         assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
+    def test_unusable_root_is_a_usage_error(self, cli, tmp_path):
+        root = tmp_path / "a-file"
+        root.write_text("")
+        for flags, env in ((("--cache", root), None), ((), {"ZASSENHAUS_CACHE_DIR": str(root)})):
+            r = cli("terms", "--max-degree", 3, *flags, extra_env=env)
+            assert r.returncode == EXIT_USAGE and r.stdout == ""
+            assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+        with pytest.raises(CacheAccessError):
+            cache_store(root, 2, 2, AssocPoly.monomial(AlgebraCtx(2, 2), (1, 2)))
+
     def test_store_replaces_entries_atomically(self, tmp_path):
         ctx = AlgebraCtx(2, 2)
         first, second = AssocPoly.monomial(ctx, (1, 2)), AssocPoly.monomial(ctx, (2, 1), Fraction(1, 3))
@@ -292,3 +310,5 @@ class TestF1k:
     def test_usage_errors(self, cli):
         assert cli("f1k", "--k", 0, "--n", 2).returncode == EXIT_USAGE
         assert cli("f1k").returncode == EXIT_USAGE
+        r = cli("f1k", "--k", -3)
+        assert r.returncode == EXIT_USAGE and r.stderr == "error: k must be >= 1, got -3\n"

@@ -5,6 +5,7 @@ import pytest
 from zassenhaus.engine import (
     EngineCtx,
     PathDisagreementError,
+    _expanded_formula,
     f1k_comm,
     f1k_comm_grouped,
     f1k_direct,
@@ -13,7 +14,7 @@ from zassenhaus.engine import (
 from zassenhaus.freealg import AlgebraCtx, AssocPoly, ad_pow, bracket
 from zassenhaus.lieform import CommTerm, LieExpr, dsw_project, expand
 
-from golden import nested
+from golden import expanded_formula, nested
 
 
 class TestF1kDirect:
@@ -182,6 +183,21 @@ class TestWTermExpanded:
         e = engine(2, 10)
         for m in range(5, 11):
             assert e.w_term_expanded(m) == e.w_term(m)
+
+    def test_unroll_rule_equals_the_paper_formulas(self):
+        # Both sides are formal sums of ad-words applied to f[m', k'], so equal
+        # term lists give equal W_m for every n, without polynomial arithmetic.
+        def as_dict(terms):
+            out = {(word, leaf): coeff for coeff, word, leaf in terms}
+            assert len(out) == len(terms)  # no repeated (ad-word, f[m', k']) key
+            return out
+
+        for m in range(5, 41):
+            rule = _expanded_formula(m)
+            assert all(coeff for coeff, _, _ in rule)
+            assert as_dict(rule) == as_dict(expanded_formula(m)), m
+        with pytest.raises(ValueError):
+            _expanded_formula(4)
 
     def test_errors(self):
         e = EngineCtx(AlgebraCtx(2, 6))
