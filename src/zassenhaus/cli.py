@@ -20,9 +20,18 @@ order is canonical everywhere.  The cache layout is
 where <root> comes from --cache, or else the ZASSENHAUS_CACHE_DIR
 environment variable.  W_m depends only on (n, m), so an entry serves
 every K and --path, and `--path both` still cross-checks a cached value.
-Every entry stores the canonical payload (context (n, m)) with its
-SHA-256 digest; a digest mismatch or a malformed entry on load is an
-integrity failure, never silently recomputed.
+An entry holds W_m in context (n, m) as it is held in memory, one line of
+compact JSON with sorted keys:
+
+    {"digest":<hex>,"key":{"format":3,"m":m,"n":n},"payload":{"den":q,
+     "maxDegree":m,"n":n,"nums":[p1,...],"words":[[i1,...],...]}}
+
+where the coefficient of words[j] is nums[j]/q, words are distinct and in
+canonical order, numerators are nonzero and q is positive and coprime to
+them.  The SHA-256 digest covers the payload bytes exactly as written, so
+a load hashes what it read.  A digest mismatch, or a payload that is not
+in this canonical form, is an integrity failure on load, never silently
+recomputed; an entry with another key is stale and is recomputed.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from .oracle import (
 )
 
 SCHEMA_VERSION = 1
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -85,20 +94,24 @@ def _cache_key(n: int, m: int) -> dict:
     return {"format": CACHE_VERSION, "n": n, "m": m}
 
 
+# An entry is _dumps({"digest", "key", "payload"}) + "\n": the payload comes
+# last, between this mark and the closing b"}\n", and the digest covers those bytes.
+_PAYLOAD_MARK = b',"payload":'
+
+
 def cache_store(root: Path, n: int, m: int, poly: AssocPoly) -> Path:
     """Write W_m (in context (n, m)) atomically: a killed run leaves no partial entry."""
-    payload = poly.to_json_dict()
-    entry = {
-        "digest": hashlib.sha256(_dumps(payload).encode()).hexdigest(),
-        "key": _cache_key(n, m),
-        "payload": payload,
-    }
+    words, nums, den = poly.numerators()
+    ctx = poly.ctx
+    payload = _dumps({"den": den, "maxDegree": ctx.max_degree, "n": ctx.n, "nums": nums, "words": words}).encode()
+    header = _dumps({"digest": hashlib.sha256(payload).hexdigest(), "key": _cache_key(n, m)}).encode()
+    entry = header[:-1] + _PAYLOAD_MARK + payload + b"}\n"
     target = _cache_file(root, n, m)
     tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         try:
-            tmp.write_text(_dumps(entry) + "\n")
+            tmp.write_bytes(entry)
             os.replace(tmp, target)
         finally:
             tmp.unlink(missing_ok=True)
@@ -111,28 +124,32 @@ def cache_load(root: Path, n: int, m: int) -> AssocPoly | None:
     """The cached W_m in context (n, m), or None on a clean miss; a bad entry raises."""
     target = _cache_file(root, n, m)
     try:
-        text = target.read_text()
+        data = target.read_bytes()
     except FileNotFoundError:
         return None
     except OSError as exc:
         raise CacheAccessError(f"cannot read cache entry {target}: {exc.strerror or exc}") from exc
+    head, mark, tail = data.partition(_PAYLOAD_MARK)
     try:
-        entry = json.loads(text)
-    except ValueError as exc:
+        header = json.loads(head + b"}")
+    except (RecursionError, ValueError) as exc:
         raise CacheCorruptionError(f"unreadable cache entry {target}: {exc}") from exc
-    if not isinstance(entry, dict):
-        raise CacheCorruptionError(f"cache entry {target} is not a JSON object")
-    if entry.get("key") != _cache_key(n, m):
+    if not mark or not isinstance(header, dict):
+        raise CacheCorruptionError(f"cache entry {target} is not a JSON object ending in its payload")
+    if header.get("key") != _cache_key(n, m):
         return None  # stale key (e.g. older format version): recompute
-    payload = entry.get("payload")
-    digest = hashlib.sha256(_dumps(payload).encode()).hexdigest()
-    if digest != entry.get("digest"):
+    payload_bytes = tail[:-2]
+    if tail[-2:] != b"}\n" or hashlib.sha256(payload_bytes).hexdigest() != header.get("digest"):
         raise CacheCorruptionError(f"digest mismatch in cache entry {target}")
     try:
-        poly = AssocPoly.from_json_dict(payload)
-        if poly.ctx != AlgebraCtx(n, m) or poly.degrees() - {m}:
-            raise ValueError(f"payload is not homogeneous of degree {m} in {n} generators")
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        payload = json.loads(payload_bytes)
+        ctx = AlgebraCtx(payload["n"], payload["maxDegree"])
+        if ctx != AlgebraCtx(n, m):
+            raise ValueError(f"payload context {ctx} is not {AlgebraCtx(n, m)}")
+        poly = AssocPoly.from_numerators(ctx, payload["words"], payload["nums"], payload["den"])
+        if poly.degrees() - {m}:
+            raise ValueError(f"payload is not homogeneous of degree {m}")
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
         raise CacheCorruptionError(f"malformed cache entry {target}: {exc!r}") from exc
     return poly
 

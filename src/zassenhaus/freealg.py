@@ -12,8 +12,11 @@ The form is canonical -- no zero numerators, gcd(_den, all numerators)
 structural and all arithmetic runs on Python ints.  `fractions.Fraction`
 appears only at the API boundary: constructors and `scaled` accept int or
 Fraction scalars, and `terms`, `coeff`, `constant_term` and
-`max_abs_coeff` return Fractions.  Everything is exact, and every
-equality test in this package is a zero-tolerance test.
+`max_abs_coeff` return Fractions.  `numerators` hands out the stored
+form itself (words in canonical order), and `from_numerators` takes it
+back after checking that it is canonical, without any Fraction.
+Everything is exact, and every equality test in this package is a
+zero-tolerance test.  Letters are ints in 1..n (not bools or floats).
 
 Lie elements are represented associatively via [A, B] = A*B - B*A; see
 `bracket` and `ad_pow`.  Exponentials and logarithms of elements without
@@ -37,6 +40,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -56,6 +60,8 @@ class AlgebraCtx:
     max_degree: int
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.max_degree) is not int:
+            raise ValueError(f"n and max_degree must be ints, got {self.n!r} and {self.max_degree!r}")
         if self.n < 1:
             raise ValueError(f"need at least one generator, got n={self.n}")
         if self.max_degree < 1:
@@ -67,8 +73,9 @@ class AlgebraCtx:
                 f"word {word!r} has degree {len(word)} > max_degree {self.max_degree}"
             )
         for letter in word:
-            if not 1 <= letter <= self.n:
-                raise ValueError(f"letter {letter} out of range 1..{self.n} in {word!r}")
+            # bool is an int subclass but no letter; floats such as 1.0 would render as "X1.0".
+            if type(letter) is not int or not 1 <= letter <= self.n:
+                raise ValueError(f"letter {letter!r} is not an int in 1..{self.n} in {word!r}")
 
 
 def word_key(word: Word) -> tuple[int, Word]:
@@ -144,8 +151,8 @@ class AssocPoly:
 
     @classmethod
     def generator(cls, ctx: AlgebraCtx, i: int) -> "AssocPoly":
-        if not 1 <= i <= ctx.n:
-            raise ValueError(f"generator index {i} out of range 1..{ctx.n}")
+        if type(i) is not int or not 1 <= i <= ctx.n:
+            raise ValueError(f"generator index {i!r} out of range 1..{ctx.n}")
         return cls._make(ctx, {(i,): 1})
 
     @classmethod
@@ -155,12 +162,46 @@ class AssocPoly:
         c = Fraction(coeff)
         return cls._make(ctx, {word: c.numerator}, c.denominator) if c else cls._make(ctx, {})
 
+    @classmethod
+    def from_numerators(cls, ctx: AlgebraCtx, words: Sequence[Word], nums: Sequence[int], den: int) -> "AssocPoly":
+        """sum(nums[i] / den * words[i]) from its canonical integer form; inverse of `numerators`.
+
+        The form must already be canonical: distinct words in canonical order,
+        every letter an int in 1..n, nonzero int numerators and a positive int
+        `den` sharing no factor with them.  Nothing is normalised, so each
+        polynomial has exactly one accepted form; anything else raises ValueError.
+        """
+        words = list(map(tuple, words))
+        letters = list(chain.from_iterable(words))
+        if type(den) is not int or den < 1:
+            raise ValueError(f"denominator must be a positive int, got {den!r}")
+        if len(words) != len(nums):
+            raise ValueError(f"{len(words)} words but {len(nums)} numerators")
+        if set(map(type, letters)) - {int} or not all(1 <= i <= ctx.n for i in set(letters)):
+            raise ValueError(f"every letter must be an int in 1..{ctx.n}")
+        if max(map(len, words), default=0) > ctx.max_degree:
+            raise ValueError(f"a word is longer than max_degree {ctx.max_degree}")
+        if set(map(type, nums)) - {int} or 0 in nums:
+            raise ValueError("every numerator must be a nonzero int")
+        if gcd(den, *nums) != 1:
+            raise ValueError("numerators and denominator share a common factor")
+        terms = dict(zip(words, nums))
+        if len(terms) != len(words) or canonical_words(terms) != words:
+            raise ValueError("words must be distinct and in canonical order")
+        return cls._make(ctx, terms, den)
+
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> list[tuple[Word, Fraction]]:
         """All (word, coeff) pairs in canonical order."""
         terms, den = self._terms, self._den
         return [(w, Fraction(terms[w], den)) for w in canonical_words(terms)]
+
+    def numerators(self) -> tuple[list[Word], list[int], int]:
+        """(words, numerators, denominator), words in canonical order; see `from_numerators`."""
+        terms = self._terms
+        words = canonical_words(terms)
+        return words, [terms[w] for w in words], self._den
 
     def _reduced_terms(self) -> Iterator[tuple[Word, int, int]]:
         """(word, p, q) in canonical order, p/q the coefficient in lowest terms."""
@@ -274,9 +315,10 @@ class AssocPoly:
         """Deterministic plain-text rendering, terms in canonical order."""
         if not self._terms:
             return "0"
+        name = [f"X{i}" for i in range(self.ctx.n + 1)]  # name[i] renders letter i
         parts: list[str] = []
         for word, p, q in self._reduced_terms():
-            mono = "1" if not word else "*".join(f"X{i}" for i in word)
+            mono = "*".join([name[i] for i in word]) if word else "1"
             mag = f"{abs(p)}" if q == 1 else f"{abs(p)}/{q}"
             body = mono if mag == "1" and word else (mag if not word else f"{mag}*{mono}")
             if not parts:
@@ -288,10 +330,11 @@ class AssocPoly:
     def latex(self) -> str:
         if not self._terms:
             return "0"
+        name = [f"X_{{{i}}}" for i in range(self.ctx.n + 1)]
         parts: list[str] = []
         for word, p, q in self._reduced_terms():
             coeff = _latex_signed_coeff(p, q, follows_term=bool(parts), omit_one=bool(word))
-            mono = "".join(f"X_{{{i}}}" for i in word)
+            mono = "".join([name[i] for i in word])
             parts.append(coeff + mono)
         return "".join(parts)
 

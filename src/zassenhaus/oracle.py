@@ -23,12 +23,10 @@ failure) when the residuals sit at round-off level.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
-from scipy.linalg import expm
+from typing import TYPE_CHECKING, Sequence
 
 from .freealg import (
     AlgebraCtx,
@@ -41,6 +39,12 @@ from .freealg import (
     log_trunc,
     poly_sum,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy and scipy.linalg are imported inside the numeric functions: they are
+# most of the import time of the package, and only the numeric check uses them.
 
 #: Residual norms below this multiple of machine epsilon carry no order
 #: information; the check reports inconclusive instead of pass/fail.
@@ -161,12 +165,16 @@ def oracle_equivalence_check(
 
 def random_matrices(n: int, dim: int, seed: int) -> list[np.ndarray]:
     """n deterministic dim x dim matrices with entries uniform in [-1/2, 1/2]."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return [rng.uniform(-0.5, 0.5, size=(dim, dim)) for _ in range(n)]
 
 
 def substitute(poly: AssocPoly, mats: Sequence[np.ndarray]) -> np.ndarray:
     """Evaluate a polynomial on concrete matrices (X_i -> mats[i-1])."""
+    import numpy as np
+
     if len(mats) != poly.ctx.n:
         raise ValueError(f"need {poly.ctx.n} matrices, got {len(mats)}")
     dim = mats[0].shape[0]
@@ -194,6 +202,9 @@ def splitting_residual(
     mats: Sequence[np.ndarray], t: float, ws: Sequence[AssocPoly]
 ) -> float:
     """Operator-norm distance between e^(t sum X) and the ordered product at t."""
+    import numpy as np
+    from scipy.linalg import expm
+
     dim = mats[0].shape[0]
     scaled = [t * m for m in mats]
     lhs = expm(sum(scaled, np.zeros((dim, dim))))
@@ -244,7 +255,7 @@ def numeric_order_check(
         mats = random_matrices(n, dim, seed)
     norms = [(float(t), splitting_residual(mats, t, ws)) for t in t_values]
     fine, coarse = sorted(norms)[:2]  # two smallest t, ascending
-    threshold = ROUNDOFF_FACTOR * np.finfo(float).eps
+    threshold = ROUNDOFF_FACTOR * sys.float_info.epsilon
     target = max_degree + 1
     if fine[1] < threshold or coarse[1] < threshold:
         return VerificationReport(

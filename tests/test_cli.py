@@ -1,8 +1,12 @@
 import hashlib
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zassenhaus.cli import (
     CACHE_VERSION,
@@ -115,9 +119,9 @@ class TestTermsCache:
         cold = cli("terms", "--n", 2, "--max-degree", 4, "--format", "json", "--cache", cache)
         files = sorted(p.relative_to(cache).as_posix() for p in cache.rglob("*.json"))
         assert files == [
-            "2/n2/W2.json",
-            "2/n2/W3.json",
-            "2/n2/W4.json",
+            "3/n2/W2.json",
+            "3/n2/W3.json",
+            "3/n2/W4.json",
         ]
         before = [(p.as_posix(), p.read_bytes()) for p in sorted(cache.rglob("*.json"))]
         warm = cli("terms", "--n", 2, "--max-degree", 4, "--format", "json", "--cache", cache)
@@ -128,18 +132,22 @@ class TestTermsCache:
     def test_entries_carry_valid_digests(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
-        entry = json.loads((cache / "2" / "n2" / "W2.json").read_text())
+        raw = (cache / "3" / "n2" / "W2.json").read_text()
+        entry = json.loads(raw)
         payload = json.dumps(entry["payload"], sort_keys=True, separators=(",", ":"))
         assert entry["digest"] == hashlib.sha256(payload.encode()).hexdigest()
-        assert entry["key"] == {"format": 2, "n": 2, "m": 2}
+        assert entry["key"] == {"format": 3, "n": 2, "m": 2}
+        # The digest covers the payload bytes as stored: the entry ends in them.
+        assert raw.endswith(f',"payload":{payload}}}\n')
+        assert entry["payload"] == {"den": 2, "maxDegree": 2, "n": 2, "nums": [-1, 1], "words": [[1, 2], [2, 1]]}
 
     def test_corrupted_digest_is_rejected(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
-        target = cache / "2" / "n2" / "W3.json"
+        target = cache / "3" / "n2" / "W3.json"
         entry = json.loads(target.read_text())
-        entry["payload"]["terms"][0]["coeff"] = "7/1"
-        target.write_text(json.dumps(entry))
+        entry["payload"]["nums"][0] = 7 * entry["payload"]["den"]
+        target.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
         r = cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
         assert r.returncode == EXIT_INTERNAL
         assert "digest mismatch" in r.stderr
@@ -147,7 +155,7 @@ class TestTermsCache:
     def test_stale_key_is_recomputed(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
-        target = cache / "2" / "n2" / "W3.json"
+        target = cache / "3" / "n2" / "W3.json"
         entry = json.loads(target.read_text())
         entry["key"]["format"] = 0  # pretend an older schema wrote it
         target.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")))
@@ -155,20 +163,49 @@ class TestTermsCache:
         assert r.returncode == EXIT_OK
         assert json.loads(target.read_text())["key"]["format"] == CACHE_VERSION
 
+    def test_version_2_tree_is_ignored(self, cli, tmp_path):
+        # A version-2 entry (per-term "p/q" strings) with a valid version-2 digest
+        # but a wrong value: the version-3 reader never looks at it.
+        cache = tmp_path / "c"
+        old = cache / "2" / "n2" / "W3.json"
+        old.parent.mkdir(parents=True)
+        payload = AssocPoly.monomial(AlgebraCtx(2, 3), (1, 1, 2), 7).to_json_dict()
+        dumped = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        entry = {"digest": hashlib.sha256(dumped.encode()).hexdigest(), "key": {"format": 2, "n": 2, "m": 3},
+                 "payload": payload}
+        old.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+        before = old.read_bytes()
+        r = cli("terms", "--n", 2, "--max-degree", 3, "--format", "json", "--cache", cache)
+        assert r.returncode == EXIT_OK
+        assert r.stdout == cli("terms", "--n", 2, "--max-degree", 3, "--format", "json").stdout
+        assert old.read_bytes() == before
+        assert sorted(_files(cache)) == ["2/n2/W3.json", "3/n2/W2.json", "3/n2/W3.json"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_store_load_round_trip(self, data):
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+        words = st.lists(st.integers(1, n), min_size=m, max_size=m).map(tuple)
+        coeffs = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**25))
+        poly = AssocPoly(AlgebraCtx(n, m), data.draw(st.dictionaries(words, coeffs, max_size=12)))
+        with tempfile.TemporaryDirectory() as root:
+            cache_store(Path(root), n, m, poly)
+            assert cache_load(Path(root), n, m) == poly
+
     def test_env_var_sets_root(self, cli, tmp_path):
         cache = tmp_path / "from-env"
         r = cli("terms", "--n", 2, "--max-degree", 3, extra_env={"ZASSENHAUS_CACHE_DIR": str(cache)})
         assert r.returncode == EXIT_OK
-        assert (cache / "2" / "n2" / "W2.json").exists()
+        assert (cache / "3" / "n2" / "W2.json").exists()
 
     def test_entries_do_not_depend_on_max_degree(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 6, "--format", "json", "--cache", cache)
         before = _files(cache)
-        assert sorted(before) == [f"2/n2/W{m}.json" for m in range(2, 7)]
+        assert sorted(before) == [f"3/n2/W{m}.json" for m in range(2, 7)]
         r = cli("terms", "--n", 2, "--max-degree", 8, "--format", "json", "--cache", cache)
         after = _files(cache)
-        assert sorted(after) == sorted([*before, "2/n2/W7.json", "2/n2/W8.json"])
+        assert sorted(after) == sorted([*before, "3/n2/W7.json", "3/n2/W8.json"])
         assert {name: after[name] for name in before} == before
         assert r.returncode == EXIT_OK
         assert r.stdout == cli("terms", "--n", 2, "--max-degree", 8, "--format", "json").stdout
@@ -176,7 +213,7 @@ class TestTermsCache:
     def test_warm_cache_cannot_bypass_path_both(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 6, "--cache", cache)
-        _rewrite_entry(cache / "2" / "n2" / "W6.json", lambda p: p["terms"][0].update(coeff="7/1"))
+        _rewrite_entry(cache / "3" / "n2" / "W6.json", lambda p: p["nums"].__setitem__(0, 7 * p["den"]))
         r = cli("terms", "--n", 2, "--max-degree", 6, "--path", "both", "--cache", cache)
         assert r.returncode == EXIT_INTERNAL
         assert "disagree" in r.stderr and r.stdout == ""
@@ -185,19 +222,38 @@ class TestTermsCache:
         "mutate",
         [
             "not-an-object",
-            lambda p: p.pop("terms"),
+            lambda p: p.pop("words"),
             lambda p: p.pop("n"),
             lambda p: p.update(n=3),
-            lambda p: p["terms"][0].update(word=[1, 3, 2]),
-            lambda p: p["terms"].append({"word": [1, 2], "coeff": "1/1"}),
+            lambda p: p["words"].__setitem__(0, [1, 3, 2]),
+            # In front, so the words stay in canonical order and only the degree is wrong.
+            lambda p: (p["words"].insert(0, [1, 2]), p["nums"].insert(0, 1)),
+            lambda p: p.pop("nums"),
+            lambda p: p.pop("den"),
+            lambda p: p.update(n=2.0),
+            lambda p: p["words"][0].__setitem__(0, 1.0),
+            lambda p: p["words"][0].__setitem__(0, True),
+            lambda p: p["nums"].__setitem__(0, True),
+            lambda p: p["nums"].__setitem__(0, float(p["nums"][0])),
+            lambda p: p["nums"].__setitem__(0, 0),
+            lambda p: p["words"].__setitem__(1, p["words"][0]),
+            lambda p: (p["words"].reverse(), p["nums"].reverse()),
+            lambda p: p.update(den=0),
+            lambda p: p.update(den=-p["den"], nums=[-c for c in p["nums"]]),
+            lambda p: p.update(den=2 * p["den"], nums=[2 * c for c in p["nums"]]),
+            lambda p: p["nums"].pop(),
+            lambda p: p["nums"].append(1),
         ],
         ids=["not-an-object", "missing-terms", "missing-n", "n-differs-from-key", "letter-out-of-range",
-             "not-homogeneous"],
+             "not-homogeneous", "missing-nums", "missing-den", "float-n", "float-letter", "bool-letter",
+             "bool-numerator", "float-numerator", "zero-numerator", "duplicate-word", "words-out-of-order",
+             "zero-denominator", "negative-denominator", "common-factor", "fewer-numerators",
+             "more-numerators"],
     )
     def test_malformed_entry_is_corruption(self, cli, tmp_path, mutate):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
-        target = cache / "2" / "n2" / "W3.json"
+        target = cache / "3" / "n2" / "W3.json"
         if mutate == "not-an-object":
             target.write_text("[1,2]")
         else:
@@ -237,7 +293,7 @@ def _rewrite_entry(target, mutate):
     mutate(entry["payload"])
     payload = json.dumps(entry["payload"], sort_keys=True, separators=(",", ":"))
     entry["digest"] = hashlib.sha256(payload.encode()).hexdigest()
-    target.write_text(json.dumps(entry))
+    target.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 class TestVerify:

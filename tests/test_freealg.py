@@ -49,17 +49,65 @@ class TestConstruction:
         with pytest.raises(ValueError):
             AssocPoly.monomial(ctx, (0,))
 
+    @pytest.mark.parametrize("letter", [1.5, 1.0, True, "1"])
+    def test_letters_must_be_ints(self, letter):
+        # Unchecked, 1.5 would render as X1.5, 1.0 as X1.0, and True would count as letter 1.
+        ctx = AlgebraCtx(2, 2)
+        with pytest.raises(ValueError):
+            AssocPoly(ctx, {(letter,): 1})
+        with pytest.raises(ValueError):
+            AssocPoly.monomial(ctx, (letter, 2))
+        with pytest.raises(ValueError):
+            AssocPoly.from_json_dict({"n": 2, "maxDegree": 2, "terms": [{"word": [letter, 2], "coeff": "5/6"}]})
+
     def test_ctx_validation(self):
         with pytest.raises(ValueError):
             AlgebraCtx(0, 5)
         with pytest.raises(ValueError):
             AlgebraCtx(2, 0)
+        with pytest.raises(ValueError):
+            AlgebraCtx(2.0, 3)
+        with pytest.raises(ValueError):
+            AlgebraCtx(2, True)
 
     def test_generator_range(self):
         ctx = AlgebraCtx(2, 3)
         assert AssocPoly.generator(ctx, 2).coeff((2,)) == 1
         with pytest.raises(ValueError):
             AssocPoly.generator(ctx, 3)
+        with pytest.raises(ValueError):
+            AssocPoly.generator(ctx, True)
+
+    def test_numerators_round_trip(self):
+        ctx = AlgebraCtx(2, 3)
+        p = AssocPoly(ctx, [((2, 1), Fraction(-1, 6)), ((1,), Fraction(3, 4)), ((1, 2), Fraction(1, 6))])
+        assert p.numerators() == ([(1,), (1, 2), (2, 1)], [9, 2, -2], 12)
+        assert AssocPoly.from_numerators(ctx, *p.numerators()) == p
+        assert AssocPoly.from_numerators(ctx, [], [], 1) == AssocPoly.zero(ctx)
+
+    @pytest.mark.parametrize(
+        "words, nums, den",
+        [
+            ([(1,), (1, 2)], [3, 2], 0),  # denominator not positive
+            ([(1,), (1, 2)], [-3, -2], -4),
+            ([(1,), (1, 2)], [3, 2], 4.0),
+            ([(1,), (1, 2)], [3, 2], True),
+            ([(1,), (1, 2)], [3, 0], 4),  # zero numerator
+            ([(1,), (1, 2)], [3, True], 4),
+            ([(1,), (1, 2)], [3, 2.0], 4),
+            ([(1,), (1, 2)], [6, 2], 4),  # common factor 2
+            ([(1,), (1, 2)], [3], 4),  # lengths differ
+            ([(1, 2), (1,)], [2, 3], 4),  # not in canonical order
+            ([(1, 2), (1, 2)], [3, 1], 4),  # repeated word
+            ([(1,), (1, 3)], [3, 2], 4),  # letter out of range
+            ([(1,), (1.0, 2)], [3, 2], 4),
+            ([(1,), (True, 2)], [3, 2], 4),
+            ([(1,), (1, 2, 1, 2)], [3, 2], 4),  # longer than max_degree
+        ],
+    )
+    def test_from_numerators_rejects_non_canonical_forms(self, words, nums, den):
+        with pytest.raises(ValueError):
+            AssocPoly.from_numerators(AlgebraCtx(2, 3), words, nums, den)
 
     def test_immutability(self):
         p = AssocPoly.one(AlgebraCtx(1, 1))

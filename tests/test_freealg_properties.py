@@ -188,4 +188,5 @@ def test_log_inverts_exp(a):
 def test_json_round_trip(a):
     (a,) = a
     assert AssocPoly.from_json_dict(a.to_json_dict()) == a
+    assert AssocPoly.from_numerators(a.ctx, *a.numerators()) == a
     assert_canonical(a)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -182,3 +184,10 @@ class TestDeterminism:
         mats = random_matrices(2, 4, 8)
         ws = peel_oracle(2, 3)
         assert splitting_residual(mats, 0.1, ws) == splitting_residual(mats, 0.1, ws)
+
+
+def test_cli_import_does_not_load_numpy_or_scipy():
+    # Only the numeric check needs them; they would be most of the start-up time.
+    code = "import sys, zassenhaus.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert r.stdout == "[]\n"
