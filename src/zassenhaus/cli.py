@@ -47,8 +47,9 @@ from typing import Sequence
 
 from .engine import EngineCtx, PathDisagreementError, f1k_comm, f1k_direct, series
 from .freealg import AlgebraCtx, AssocPoly
-from .lieform import expand, render
+from .lieform import LieExpr, expand, render
 from .oracle import (
+    MAX_DIM,
     exact_identity_check,
     numeric_order_check,
     oracle_equivalence_check,
@@ -154,6 +155,16 @@ def cache_load(root: Path, n: int, m: int) -> AssocPoly | None:
     return poly
 
 
+# -- rendering ----------------------------------------------------------------
+
+
+def _body(comm: LieExpr | None, poly: AssocPoly, format: str) -> str:
+    """The commutator form when there is one, else the polynomial, in text or LaTeX."""
+    if comm is not None:
+        return render(comm, format)
+    return poly.latex() if format == "latex" else poly.text()
+
+
 # -- terms --------------------------------------------------------------------
 
 
@@ -182,15 +193,8 @@ def _terms_lines(args: argparse.Namespace) -> str:
         }
         return _dumps(doc) + "\n"
 
-    lines = []
-    for m, poly, comm in rows:
-        if args.format == "latex":
-            body = render(comm, "latex") if comm is not None else poly.latex()
-            lines.append(f"W_{{{m}}} = {body}")
-        else:
-            body = render(comm, "text") if comm is not None else poly.text()
-            lines.append(f"W{m} = {body}")
-    return "\n".join(lines) + "\n"
+    head = "W_{{{}}} = " if args.format == "latex" else "W{} = "
+    return "".join(f"{head.format(m)}{_body(comm, poly, args.format)}\n" for m, poly, comm in rows)
 
 
 def cmd_terms(args: argparse.Namespace) -> int:
@@ -251,13 +255,8 @@ def cmd_f1k(args: argparse.Namespace) -> int:
             doc["poly"] = direct.to_json_dict()
         sys.stdout.write(_dumps(doc) + "\n")
         return EXIT_OK
-    fmt = args.format
-    if comm is not None:
-        body = render(comm, fmt)
-    else:
-        body = direct.latex() if fmt == "latex" else direct.text()
-    prefix = f"f_{{1,{k}}} = " if fmt == "latex" else f"f[1,{k}] = "
-    sys.stdout.write(prefix + body + "\n")
+    prefix = f"f_{{1,{k}}} = " if args.format == "latex" else f"f[1,{k}] = "
+    sys.stdout.write(prefix + _body(comm, direct, args.format) + "\n")
     return EXIT_OK
 
 
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=2)
     p_verify.add_argument("--max-degree", type=int, default=6)
     p_verify.add_argument("--mode", choices=("exact", "numeric", "oracle", "all"), default="all")
-    p_verify.add_argument("--dim", type=int, default=4, help="matrix dimension for numeric mode")
+    p_verify.add_argument("--dim", type=int, default=4, help=f"matrix dimension for numeric mode, 1..{MAX_DIM} (default 4)")
     p_verify.add_argument("--seed", type=int, default=42, help="RNG seed for numeric mode")
     p_verify.add_argument("--t", default="0.2,0.1", help="comma-separated step sizes for numeric mode")
     p_verify.set_defaults(func=cmd_verify)

@@ -23,6 +23,10 @@ Lie elements are represented associatively via [A, B] = A*B - B*A; see
 constant term (resp. with constant term 1) are finite sums here because
 of the truncation.
 
+`signed_sum` is the one writer of signed rational sums, in text and
+LaTeX: `AssocPoly.text` and `latex` hand it monomials, and
+`lieform.render` hands it commutators.
+
 Canonical term order is degree ascending, then lexicographic on the
 letters.  The canonical JSON form of a polynomial is
 
@@ -313,30 +317,14 @@ class AssocPoly:
 
     def text(self) -> str:
         """Deterministic plain-text rendering, terms in canonical order."""
-        if not self._terms:
-            return "0"
         name = [f"X{i}" for i in range(self.ctx.n + 1)]  # name[i] renders letter i
-        parts: list[str] = []
-        for word, p, q in self._reduced_terms():
-            mono = "*".join([name[i] for i in word]) if word else "1"
-            mag = f"{abs(p)}" if q == 1 else f"{abs(p)}/{q}"
-            body = mono if mag == "1" and word else (mag if not word else f"{mag}*{mono}")
-            if not parts:
-                parts.append(body if p > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if p > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_sum((p, q, "*".join([name[i] for i in w])) for w, p, q in self._reduced_terms())
 
     def latex(self) -> str:
-        if not self._terms:
-            return "0"
+        """LaTeX rendering, terms in canonical order and joined without spaces."""
         name = [f"X_{{{i}}}" for i in range(self.ctx.n + 1)]
-        parts: list[str] = []
-        for word, p, q in self._reduced_terms():
-            coeff = _latex_signed_coeff(p, q, follows_term=bool(parts), omit_one=bool(word))
-            mono = "".join([name[i] for i in word])
-            parts.append(coeff + mono)
-        return "".join(parts)
+        terms = ((p, q, "".join([name[i] for i in w])) for w, p, q in self._reduced_terms())
+        return signed_sum(terms, "latex", space="")
 
     def to_json_dict(self) -> dict:
         """Canonical JSON form; see the module docstring."""
@@ -357,15 +345,36 @@ def format_fraction(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _latex_signed_coeff(p: int, q: int, follows_term: bool, omit_one: bool) -> str:
-    """Sign and magnitude of the reduced coefficient p/q (q > 0) in LaTeX."""
-    sign = "-" if p < 0 else ("+" if follows_term else "")
-    mag = abs(p)
-    if mag == 1 and q == 1 and omit_one:
-        return sign
-    if q == 1:
-        return f"{sign}{mag}"
-    return f"{sign}\\frac{{{mag}}}{{{q}}}"
+def signed_sum(terms: Iterable[tuple[int, int, str]], format: str = "text", space: str = " ") -> str:
+    """The sum of p/q * body over (p, q, body) triples, p/q in lowest terms and q > 0.
+
+    A coefficient prints as "p/q*body" in text and "\\frac{p}{q}body" in
+    LaTeX.  A magnitude of 1 is omitted beside a nonempty body; an empty body
+    (the constant word) prints the bare magnitude.  Signs go into the
+    separators, `space` + "+" or "-" + `space`, and a leading term carries only
+    a minus.  The empty sum is "0".
+    """
+    if format == "text":
+        times, fraction = "*", "%d/%d"
+    elif format == "latex":
+        times, fraction = "", "\\frac{%d}{%d}"
+    else:
+        raise ValueError(f"unknown format {format!r}")
+    plus, minus = f"{space}+{space}", f"{space}-{space}"
+    pos, neg = "", "-"  # the separators of the leading term
+    parts: list[str] = []
+    for p, q, body in terms:
+        mag = abs(p)
+        if q != 1:
+            coeff = fraction % (mag, q)
+        elif mag != 1 or not body:
+            coeff = str(mag)
+        else:
+            coeff = ""
+        parts.append(neg if p < 0 else pos)
+        parts.append(f"{coeff}{times}{body}" if coeff and body else coeff or body)
+        pos, neg = plus, minus
+    return "".join(parts) or "0"
 
 
 # -- ring operations ---------------------------------------------------------

@@ -34,11 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .freealg import AlgebraCtx, AssocPoly, Scalar, bracket, generators, poly_sum
+from .freealg import AlgebraCtx, AssocPoly, Scalar, bracket, generators, poly_sum, signed_sum
 
 Composition = tuple[int, ...]
-
-_ZERO = Fraction(0)
 
 
 def compositions(k: int) -> list[Composition]:
@@ -207,16 +205,6 @@ def dsw_project(a: AssocPoly) -> AssocPoly:
 # -- rendering ---------------------------------------------------------------
 
 
-def _coeff_prefix(c: Fraction) -> str:
-    """Magnitude prefix for text terms ('' for 1, '5*', '1/3*', ...)."""
-    mag = abs(c)
-    if mag == 1:
-        return ""
-    if mag.denominator == 1:
-        return f"{mag.numerator}*"
-    return f"{mag.numerator}/{mag.denominator}*"
-
-
 def _term_body_text(t: CommTerm) -> str:
     factors = [f"X{t.head}"]
     for idx, mult in t.tail:
@@ -231,32 +219,10 @@ def _term_latex(t: CommTerm) -> str:
     return s
 
 
-def _latex_coeff_prefix(c: Fraction) -> str:
-    mag = abs(c)
-    if mag == 1:
-        return ""
-    if mag.denominator == 1:
-        return f"{mag.numerator}"
-    return f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-
-
 def render(e: LieExpr, format: str = "text") -> str:
     """Deterministic rendering of a LieExpr; `format` is "text" or "latex"."""
-    if format not in ("text", "latex"):
-        raise ValueError(f"unknown format {format!r}")
-    if not e.terms:
-        return "0"
-    parts: list[str] = []
-    for t in e.terms:
-        if format == "text":
-            body = _coeff_prefix(t.coeff) + _term_body_text(t)
-        else:
-            body = _latex_coeff_prefix(t.coeff) + _term_latex(t)
-        if not parts:
-            parts.append(body if t.coeff > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if t.coeff > 0 else f" - {body}")
-    return "".join(parts)
+    body = _term_body_text if format == "text" else _term_latex  # signed_sum rejects other formats
+    return signed_sum(((t.coeff.numerator, t.coeff.denominator, body(t)) for t in e.terms), format)
 
 
 # -- parsing (text format only) ----------------------------------------------

@@ -50,6 +50,10 @@ if TYPE_CHECKING:
 #: information; the check reports inconclusive instead of pass/fail.
 ROUNDOFF_FACTOR = 100.0
 
+#: Largest matrix dimension of the numeric check.  The order estimate needs
+#: no big matrices, and a huge one would only exhaust memory or CPU.
+MAX_DIM = 256
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -236,13 +240,14 @@ def numeric_order_check(
 
     Every t must lie in (0, 1]: the order is a statement about t -> 0, and
     a huge t (1e300, inf) would only overflow the matrix exponentials, as
-    nan would poison them.  These are rejected before any work is done.
+    nan would poison them.  These, and a `dim` outside 1..MAX_DIM, are
+    rejected before any work is done.
 
     `ws` defaults to the peel-off oracle output (keeping this check
     independent of the engine); `mats` defaults to `random_matrices`.
     """
-    if dim < 1:
-        raise ValueError(f"matrix dimension must be >= 1, got {dim}")
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"matrix dimension must lie in 1..{MAX_DIM}, got {dim}")
     if len(t_values) < 2:
         raise ValueError("need at least two t values to estimate an order")
     if not all(0 < t <= 1 for t in t_values):

@@ -323,12 +323,21 @@ class TestVerify:
         assert [c["mode"] for c in doc["checks"]] == ["exact", "oracle", "numeric"]
         assert doc["checks"][2]["inconclusive"] is True
 
-    def test_usage_errors(self, cli):
+    def test_usage_errors(self, cli, monkeypatch):
         assert cli("verify", "--mode", "fancy").returncode == EXIT_USAGE
         assert cli("verify", "--t", "0.1").returncode == EXIT_USAGE
         for dim in (0, -1):
             r = cli("verify", "--mode", "numeric", "--dim", dim)
             assert r.returncode == EXIT_USAGE and r.stdout == ""
+
+        def no_matrices(*args):
+            raise AssertionError("a matrix was allocated")
+
+        # A huge --dim is refused before numpy is asked for any matrix.
+        monkeypatch.setattr("zassenhaus.oracle.random_matrices", no_matrices)
+        r = cli("verify", "--dim", 100000, "--mode", "numeric", "--max-degree", 2)
+        assert r.returncode == EXIT_USAGE and r.stdout == ""
+        assert r.stderr == "error: matrix dimension must lie in 1..256, got 100000\n"
         for t in ("nan,0.1", "inf,0.1", "1e300,0.1"):
             r = cli("verify", "--mode", "numeric", "--t", t)
             assert r.returncode == EXIT_USAGE and r.stdout == "" and r.stderr.startswith("error: ")

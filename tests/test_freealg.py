@@ -277,9 +277,20 @@ class TestRendering:
 
     def test_latex(self):
         ctx = AlgebraCtx(2, 3)
-        p = AssocPoly(ctx, [((), Fraction(-1, 3)), ((2,), -1), ((1, 2), 2)])
-        assert p.latex() == "-\\frac{1}{3}-X_{2}+2X_{1}X_{2}"
-        assert AssocPoly.zero(ctx).latex() == "0"
+        table = [
+            ([((), Fraction(-1, 3)), ((2,), -1), ((1, 2), 2)], "-\\frac{1}{3}-X_{2}+2X_{1}X_{2}"),
+            ([], "0"),
+            ([((), 1)], "1"),
+            ([((), -1)], "-1"),
+            ([((), 5), ((1,), 1)], "5+X_{1}"),
+            ([((1,), 1), ((2,), -1)], "X_{1}-X_{2}"),
+            ([((1,), -1), ((1, 2), 1)], "-X_{1}+X_{1}X_{2}"),
+            ([((1,), -3), ((2, 1), Fraction(5, 7))], "-3X_{1}+\\frac{5}{7}X_{2}X_{1}"),
+            ([((), Fraction(1, 2)), ((1,), Fraction(-2, 3))], "\\frac{1}{2}-\\frac{2}{3}X_{1}"),
+            ([((1, 2), 4), ((2, 1), -4)], "4X_{1}X_{2}-4X_{2}X_{1}"),
+        ]
+        for terms, expected in table:
+            assert AssocPoly(ctx, terms).latex() == expected
 
     def test_json_round_trip(self):
         rng = random.Random(606)

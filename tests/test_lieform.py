@@ -160,6 +160,8 @@ class TestRenderParse:
         assert render(e, "latex") == "\\frac{1}{2}[X_{2}, X_{1}]"
         nested_e = LieExpr([CommTerm(Fraction(-1), 2, ((1, 2),))])
         assert render(nested_e, "latex") == "-[[X_{2}, X_{1}], X_{1}]"
+        signed_e = LieExpr([CommTerm(-3, 2, ((1, 1),)), CommTerm(1, 3, ((1, 1),)), CommTerm(Fraction(-5, 4), 3, ((2, 1),))])
+        assert render(signed_e, "latex") == "-3[X_{2}, X_{1}] + [X_{3}, X_{1}] - \\frac{5}{4}[X_{3}, X_{2}]"
 
     def test_render_empty_and_signs(self):
         assert render(LieExpr(), "text") == "0"

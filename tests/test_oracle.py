@@ -6,9 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zassenhaus import oracle
 from zassenhaus.freealg import AlgebraCtx, AssocPoly, generators
 from zassenhaus.lieform import dsw_project
 from zassenhaus.oracle import (
+    MAX_DIM,
     VerificationReport,
     exact_identity_check,
     numeric_order_check,
@@ -159,10 +161,16 @@ class TestNumericOrderCheck:
             with pytest.raises(ValueError):
                 numeric_order_check(2, 3, 4, 0, [bad, 0.1])
 
-    def test_rejects_empty_matrices(self):
-        # dim 0 would measure nothing and report a pass.
-        for dim in (0, -1):
-            with pytest.raises(ValueError):
+    def test_rejects_empty_matrices(self, monkeypatch):
+        # dim 0 would measure nothing and report a pass; a huge dim would
+        # exhaust memory.  Both are refused before any matrix is allocated.
+        def no_matrices(*args):
+            raise AssertionError("a matrix was allocated")
+
+        monkeypatch.setattr(oracle, "random_matrices", no_matrices)
+        monkeypatch.setattr(oracle, "splitting_residual", no_matrices)
+        for dim in (0, -1, MAX_DIM + 1, 100000):
+            with pytest.raises(ValueError, match="matrix dimension"):
                 numeric_order_check(2, 3, dim, 0, [0.2, 0.1])
 
     def test_json_schema(self):

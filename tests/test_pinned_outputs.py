@@ -4,6 +4,9 @@
 perfbench/digests.json (read only), for the labels that run in a few
 seconds.  `verify --mode all` stdout is pinned too: it includes the floats
 of the numeric check, so it guards the evaluation order of `substitute`.
+The commutator renderings, which the benchmark digests do not cover, are
+pinned as well, with digests recorded at commit 7183e64: `f1k` in every path
+and format, and `terms --form comm`.
 """
 
 import hashlib
@@ -45,5 +48,49 @@ def test_terms_match_benchmark_digests(cli, label):
 )
 def test_verify_all_report_is_pinned(cli, n, max_degree, digest):
     r = cli("verify", "--mode", "all", "--n", n, "--max-degree", max_degree)
+    assert r.returncode == EXIT_OK
+    assert sha256(r.stdout) == digest
+
+
+@pytest.mark.parametrize(
+    "path, format, digest",
+    [
+        ("comm", "text", "c574af677057a0815fcc07244237893a0f4346bd3fd7c254f5f3b1a0e2e18e4a"),
+        ("comm", "latex", "a8dc9271efd7d01435c1550f5379fd6fca4eada2591922cccafca50cfd1622b2"),
+        ("comm", "json", "07c8fd2921a82d81092efb6a1eaed2d84c280928776bb7fa8e7d1512c99d09f4"),
+        ("direct", "text", "359c740cc11cd5de7c7324f7203a3d412fbbc9ae5cee75899773b746a43e47b1"),
+        ("direct", "latex", "062aa6e6152d44f84fdf1c6e320a67b52f9520f9bb94aa7c82c969f4f6de8eda"),
+        ("direct", "json", "89f51f360146b0ac6c70c0f8a55295c2ac02c75a5485412f146ae4b5c872e8e5"),
+        ("both", "text", "c574af677057a0815fcc07244237893a0f4346bd3fd7c254f5f3b1a0e2e18e4a"),
+        ("both", "latex", "a8dc9271efd7d01435c1550f5379fd6fca4eada2591922cccafca50cfd1622b2"),
+        ("both", "json", "463e7bbddfe5f368dc298bc90819214a2ef6eb32ee3675b7697fdb346faa8662"),
+    ],
+)
+def test_f1k_outputs_are_pinned(cli, path, format, digest):
+    # One digest over the stdout of f1k for k = 1..6 (outer) and n = 1..3 (inner).
+    out = []
+    for k in range(1, 7):
+        for n in range(1, 4):
+            r = cli("f1k", "--k", k, "--n", n, "--path", path, "--format", format)
+            assert r.returncode == EXIT_OK
+            out.append(r.stdout)
+    assert sha256("".join(out)) == digest
+
+
+@pytest.mark.parametrize(
+    "n, format, digest",
+    [
+        (1, "text", "c43bd52e52ca70571c4ee4b7409dddfcea2b96c29114028cbd6f5e0af9d8a47f"),
+        (1, "latex", "bf9e0f67134d75397b1f3da39721fd101e9f323bc212464bcdc28b656a0c98cf"),
+        (2, "text", "d4f2383d8c079880965e1fde1079e09d904c8272365425f066bde45a98656b5a"),
+        (2, "latex", "f217c0c442ce85e00dc9682dce33ea325ce37abe4defc90e50e8a480b99ed169"),
+        (3, "text", "bda9eaf98beb8dcf3cc973514d9cb731a57535d8075588bea0154230de6a3890"),
+        (3, "latex", "ca979eadb726fb169ebadd756dec8e186242225757643d3476f53affcefaf0ee"),
+        (4, "text", "b202b88637ed583f5ce71d69404e6d3f12ff0f9fe4d121846687cc19da1f4c44"),
+        (4, "latex", "9e9f46c0a96045f437f3727b0d31cb60c1c093c52d1d9d947c44fc8cd2e0359c"),
+    ],
+)
+def test_commutator_form_is_pinned(cli, n, format, digest):
+    r = cli("terms", "--n", n, "--max-degree", 6, "--form", "comm", "--format", format)
     assert r.returncode == EXIT_OK
     assert sha256(r.stdout) == digest
