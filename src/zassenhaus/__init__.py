@@ -22,11 +22,10 @@ from .lieform import CommTerm, LieExpr, LieExprParseError, dsw_project
 from .engine import (
     EngineCtx,
     PathDisagreementError,
-    SeriesTerm,
-    ZassenhausSeries,
     f1k_comm,
     f1k_direct,
     series,
+    w_comm,
 )
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "LieExpr",
     "LieExprParseError",
     "PathDisagreementError",
-    "SeriesTerm",
-    "ZassenhausSeries",
     "ad_pow",
     "bracket",
     "dsw_project",
@@ -48,6 +45,7 @@ __all__ = [
     "f1k_direct",
     "log_trunc",
     "series",
+    "w_comm",
 ]
 
 __version__ = "0.1.0"

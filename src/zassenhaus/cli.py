@@ -1,4 +1,4 @@
-"""Command line front end: compute, render, cache, and verify the W_m.
+"""Command line front end: cache, render, and verify the W_m the engine computes.
 
 Three subcommands:
 
@@ -20,6 +20,13 @@ order is canonical everywhere.  The cache layout is
 where <root> comes from --cache, or else the ZASSENHAUS_CACHE_DIR
 environment variable.  W_m depends only on (n, m), so an entry serves
 every K and --path, and `--path both` still cross-checks a cached value.
+An entry only ever holds the generic recursion's W_m.  The engine does no
+I/O: `terms` reads the entries W_2..W_K first (W_2..W_4 under --path
+expanded, whose higher W_m come from the expanded formulas), hands the
+hits to `EngineCtx` as known values, and writes each of those W_m that
+was missing as soon as `series` yields it.  An interrupted run keeps
+every entry it finished, and a --path both run whose cross-check fails
+at W_m writes no W_m.
 An entry holds W_m in context (n, m) as it is held in memory, one line of
 compact JSON with sorted keys:
 
@@ -42,14 +49,14 @@ import json
 import os
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Sequence
 
-from .engine import EngineCtx, PathDisagreementError, f1k_comm, f1k_direct, series
+from .engine import EngineCtx, PathDisagreementError, f1k_comm, f1k_direct, series, w_comm
 from .freealg import AlgebraCtx, AssocPoly
 from .lieform import LieExpr, expand, render
 from .oracle import (
     MAX_DIM,
+    check_numeric_args,
     exact_identity_check,
     numeric_order_check,
     oracle_equivalence_check,
@@ -170,13 +177,19 @@ def _body(comm: LieExpr | None, poly: AssocPoly, format: str) -> str:
 
 def _terms_lines(args: argparse.Namespace) -> str:
     n, K, path = args.n, args.max_degree, args.path
+    alg = AlgebraCtx(n, K)  # refuses a bad n or K before any cache read
     root = cache_root(args.cache)
-    # The hook looks cache_load/cache_store up at call time, so rebinding them (to trace them) takes effect.
-    cache = SimpleNamespace(
-        load=lambda n, m: cache_load(root, n, m), store=lambda n, m, poly: cache_store(root, n, m, poly)
-    )
-    ectx = EngineCtx(AlgebraCtx(n, K), cache if root else None)
-    rows = [(t.m, t.poly, t.comm if args.form == "comm" else None) for t in series(n, K, path, ectx)]
+    # The cache holds only W_m of the generic recursion: under --path expanded
+    # the yielded W_m with m >= 5 come from the cross-check formula instead.
+    top = K if path != "expanded" else min(K, 4)
+    cached = range(2, top + 1) if root else range(0)
+    hits = {m: cache_load(root, n, m) for m in cached}
+    known = {m: w.restricted(K) for m, w in hits.items() if w is not None}
+    rows = []
+    for m, w in enumerate(series(EngineCtx(alg, known), path), start=2):
+        if m in cached and m not in known:
+            cache_store(root, n, m, w.restricted(m))  # as soon as W_m is final: a killed run keeps it
+        rows.append((m, w, w_comm(m, n) if args.form == "comm" else None))
 
     if args.format == "json":
         doc = {
@@ -216,7 +229,9 @@ def cmd_terms(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     n, K = args.n, args.max_degree
     t_values = [float(part) for part in args.t.split(",") if part.strip()]
-    ws = series(n, K).polys() if K >= 2 else []  # K = 1 verifies the bare splitting
+    if args.mode in ("numeric", "all"):
+        check_numeric_args(args.dim, t_values)  # a usage error costs no work
+    ws = list(series(EngineCtx(AlgebraCtx(n, K)))) if K >= 2 else []  # K = 1 verifies the bare splitting
     reports = []
     if args.mode in ("exact", "all"):
         reports.append(exact_identity_check(n, K, ws))

@@ -13,7 +13,9 @@ splitting, a homogeneous Lie polynomial of degree k + 1):
              compositions of k (`f1k_comm`);
     f[m, k]  = sum_{j=0}^{floor(k/m)-1} (-1)^j/j! * ad_{W_m}^j f[m-1, k-m*j]
              for m >= 2 (`EngineCtx.fmk`);
-    W_m      = f[max(1, floor((m-1)/2)), m-1] / m  (`EngineCtx.w_term`).
+    W_m      = f[max(1, floor((m-1)/2)), m-1] / m  (`EngineCtx.w_term`);
+             for m <= 4 this is f[1, m-1] / m, which `w_comm` gives in
+             commutator form.
 
 `EngineCtx.w_term_expanded` evaluates W_m (m >= 5) through the recursion
 unrolled down to f[base, .] (`_expanded_formula`), which reproduces the
@@ -21,19 +23,22 @@ paper's expanded formulas; tests/golden.py holds those and the tests
 compare them term by term for m <= 40.  It is a cross-check, not an
 independent derivation: each ad_{W_j} uses the generic `w_term`, and for
 m >= 11 the f[base, .] with base >= 2 come from the recursion.  `series`
-alone chooses the path; path="both" asserts that the two agree exactly.
+alone chooses the path and yields W_2..W_K one at a time; path="both"
+asserts that the two agree exactly before it yields a term.
 
-All values are exact; the memo caches inside `EngineCtx` are filled once
-per key and never mutated afterwards, so concurrent readers are safe.
+The engine is pure: W_m depends only on (n, m), and the engine does no
+I/O.  A caller that already holds some W_m (the CLI reads them from its
+on-disk cache) hands them to `EngineCtx` as `known`.  All values are
+exact; the memo caches inside `EngineCtx` are filled once per key and
+never mutated afterwards, so concurrent readers are safe.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping
 
 from .freealg import (
     AlgebraCtx,
@@ -43,7 +48,7 @@ from .freealg import (
     generators,
     poly_sum,
 )
-from .lieform import CommTerm, Composition, LieExpr, compositions
+from .lieform import CommTerm, LieExpr, compositions
 
 
 class PathDisagreementError(RuntimeError):
@@ -105,8 +110,8 @@ def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
     return poly_sum(ctx, pieces)
 
 
-def f1k_comm_grouped(k: int, n: int) -> list[tuple[Composition, LieExpr]]:
-    """f[1, k] in long-commutator form, grouped by composition.
+def f1k_comm(k: int, n: int) -> LieExpr:
+    """f[1, k] as a sum of long commutators, one group per composition of k.
 
     For each composition (k1..kl) of k, the group is
 
@@ -119,25 +124,22 @@ def f1k_comm_grouped(k: int, n: int) -> list[tuple[Composition, LieExpr]]:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    groups: list[tuple[Composition, LieExpr]] = []
+    terms: list[CommTerm] = []
     for comp in compositions(k):
-        l = len(comp)
         denom = 1
         for part in comp:
             denom *= factorial(part)
         coeff = Fraction(1, denom)
-        terms: list[CommTerm] = []
-        for idx_tuple in itertools.combinations(range(1, n + 1), l):
+        for idx_tuple in itertools.combinations(range(1, n + 1), len(comp)):
             i1 = idx_tuple[0]
             for j in range(i1 + 1, n + 1):
                 terms.append(CommTerm(coeff, j, tuple(zip(idx_tuple, comp))))
-        groups.append((comp, LieExpr(terms)))
-    return groups
+    return LieExpr(terms)
 
 
-def f1k_comm(k: int, n: int) -> LieExpr:
-    """f[1, k] as a single LieExpr (all composition groups combined)."""
-    return LieExpr(t for _, group in f1k_comm_grouped(k, n) for t in group)
+def w_comm(m: int, n: int) -> LieExpr | None:
+    """W_m in closed commutator form, f[1, m-1] / m, where the paper has one (m <= 4); else None."""
+    return f1k_comm(m - 1, n).scaled(Fraction(1, m)) if m <= 4 else None
 
 
 class EngineCtx:
@@ -147,15 +149,14 @@ class EngineCtx:
     caches are safe for concurrent readers; caches are never shared
     across different (n, max_degree) contexts.
 
-    `cache`, if given, backs `w_term`: `cache.load(n, m)` returns W_m in
-    context (n, m) or None, and `cache.store(n, m, poly)` saves it.
+    `known`, if given, maps m to a W_m already at hand (each in context
+    `alg`, e.g. read back from a cache) and seeds the W_m memo.
     """
 
-    def __init__(self, alg: AlgebraCtx, cache=None):
+    def __init__(self, alg: AlgebraCtx, known: Mapping[int, AssocPoly] | None = None):
         self.alg = alg
-        self.cache = cache
         self._f_memo: dict[tuple[int, int], AssocPoly] = {}
-        self._w_memo: dict[int, AssocPoly] = {}
+        self._w_memo: dict[int, AssocPoly] = dict(known or {})
 
     def fmk(self, m: int, k: int) -> AssocPoly:
         """f[m, k]; delegates to f1k_direct at m = 1, else applies the recursion."""
@@ -183,7 +184,7 @@ class EngineCtx:
         return self._f_memo.setdefault(key, value)
 
     def w_term(self, m: int) -> AssocPoly:
-        """W_m by the generic rule (memo, then cache, then compute); homogeneous of degree m."""
+        """W_m = f[max(1, floor((m-1)/2)), m-1] / m, from the memo if there; homogeneous of degree m."""
         if m < 2:
             raise ValueError(f"the splitting exponents start at W_2, got m={m}")
         if m > self.alg.max_degree:
@@ -191,14 +192,7 @@ class EngineCtx:
         cached = self._w_memo.get(m)
         if cached is not None:
             return cached
-        n, K = self.alg.n, self.alg.max_degree
-        value = self.cache.load(n, m) if self.cache is not None else None
-        if value is not None:
-            value = value.restricted(K)
-        else:
-            value = self.fmk(max(1, (m - 1) // 2), m - 1).scaled(Fraction(1, m))
-            if self.cache is not None:
-                self.cache.store(n, m, value.restricted(m))
+        value = self.fmk(max(1, (m - 1) // 2), m - 1).scaled(Fraction(1, m))
         return self._w_memo.setdefault(m, value)
 
     def w_term_expanded(self, m: int) -> AssocPoly:
@@ -246,61 +240,24 @@ def _expanded_formula(m: int) -> list[_FormulaTerm]:
     return terms
 
 
-@dataclass(frozen=True)
-class SeriesTerm:
-    """One exponent of the splitting, tagged with the path that computed it."""
-
-    m: int
-    poly: AssocPoly
-    path: str
-    comm: LieExpr | None = None
-
-
-@dataclass(frozen=True)
-class ZassenhausSeries:
-    """The exponents W_2 .. W_K for a fixed number of generators."""
-
-    n: int
-    max_degree: int
-    path: str
-    terms: tuple[SeriesTerm, ...] = field(default_factory=tuple)
-
-    def term(self, m: int) -> SeriesTerm:
-        if not 2 <= m <= self.max_degree:
-            raise ValueError(f"series holds W_2..W_{self.max_degree}, got m={m}")
-        return self.terms[m - 2]
-
-    def polys(self) -> list[AssocPoly]:
-        return [t.poly for t in self.terms]
-
-    def __iter__(self) -> Iterator[SeriesTerm]:
-        return iter(self.terms)
-
-
 _PATHS = ("generic", "expanded", "both")
 
 
-def series(n: int, max_degree: int, path: str = "generic", ectx: EngineCtx | None = None) -> ZassenhausSeries:
-    """Compute W_2 .. W_max_degree.
+def series(ectx: EngineCtx, path: str = "generic") -> Iterator[AssocPoly]:
+    """Yield W_2 .. W_K in order, K = ectx.alg.max_degree.
 
     path="generic" uses the recursion, path="expanded" the unrolled
     formulas (identical to generic below degree 5), and path="both"
-    computes both and raises PathDisagreementError if they ever differ.
-    Terms of degree <= 4 also carry their closed commutator form.
+    computes both and raises PathDisagreementError if they ever differ;
+    under "both" each W_m is yielded only after it has passed that check.
+    Bad arguments raise ValueError at the first step of the iteration.
     """
     if path not in _PATHS:
         raise ValueError(f"path must be one of {_PATHS}, got {path!r}")
-    if max_degree < 2:
-        raise ValueError(f"max_degree must be >= 2, got {max_degree}")
-    if ectx is None:
-        ectx = EngineCtx(AlgebraCtx(n, max_degree))
-    elif ectx.alg != AlgebraCtx(n, max_degree):
-        raise ValueError("engine context does not match requested (n, max_degree)")
-    out: list[SeriesTerm] = []
-    for m in range(2, max_degree + 1):
+    if ectx.alg.max_degree < 2:
+        raise ValueError(f"max_degree must be >= 2, got {ectx.alg.max_degree}")
+    for m in range(2, ectx.alg.max_degree + 1):
         poly = ectx.w_term_expanded(m) if path == "expanded" and m >= 5 else ectx.w_term(m)
         if path == "both" and m >= 5 and ectx.w_term_expanded(m) != poly:
             raise PathDisagreementError(f"W_{m}: generic recursion and expanded formula disagree")
-        comm = f1k_comm(m - 1, n).scaled(Fraction(1, m)) if m <= 4 else None
-        out.append(SeriesTerm(m=m, poly=poly, path=path, comm=comm))
-    return ZassenhausSeries(n=n, max_degree=max_degree, path=path, terms=tuple(out))
+        yield poly

@@ -167,12 +167,31 @@ def oracle_equivalence_check(
     )
 
 
+def check_numeric_args(dim: int, t_values: Sequence[float]) -> None:
+    """Raise ValueError unless `dim` lies in 1..MAX_DIM and `t_values` are two or more distinct t in (0, 1]."""
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"matrix dimension must lie in 1..{MAX_DIM}, got {dim}")
+    if len(t_values) < 2:
+        raise ValueError("need at least two t values to estimate an order")
+    if not all(0 < t <= 1 for t in t_values):
+        raise ValueError("t values must lie in (0, 1]")
+    if len(set(t_values)) != len(t_values):
+        raise ValueError("t values must be distinct")
+
+
 def random_matrices(n: int, dim: int, seed: int) -> list[np.ndarray]:
-    """n deterministic dim x dim matrices with entries uniform in [-1/2, 1/2]."""
+    """n deterministic dim x dim matrices with entries uniform in [-s/2, s/2], s = min(1, 2/sqrt(dim)).
+
+    Unscaled, the norm of such a matrix grows like sqrt(dim), and at large
+    dim the default step sizes leave the asymptotic regime of the order
+    estimate; the scale keeps the norm about that of dim = 4.  Up to dim 4
+    s is 1, so those matrices are the unscaled draws, bit for bit.
+    """
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    return [rng.uniform(-0.5, 0.5, size=(dim, dim)) for _ in range(n)]
+    scale = 2.0 / math.sqrt(max(dim, 4))
+    return [rng.uniform(-0.5, 0.5, size=(dim, dim)) * scale for _ in range(n)]
 
 
 def substitute(poly: AssocPoly, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -246,14 +265,7 @@ def numeric_order_check(
     `ws` defaults to the peel-off oracle output (keeping this check
     independent of the engine); `mats` defaults to `random_matrices`.
     """
-    if not 1 <= dim <= MAX_DIM:
-        raise ValueError(f"matrix dimension must lie in 1..{MAX_DIM}, got {dim}")
-    if len(t_values) < 2:
-        raise ValueError("need at least two t values to estimate an order")
-    if not all(0 < t <= 1 for t in t_values):
-        raise ValueError("t values must lie in (0, 1]")
-    if len(set(t_values)) != len(t_values):
-        raise ValueError("t values must be distinct")
+    check_numeric_args(dim, t_values)
     if ws is None:
         ws = peel_oracle(n, max_degree) if max_degree >= 2 else []
     if mats is None:

@@ -18,6 +18,7 @@ from zassenhaus.cli import (
     cache_load,
     cache_store,
 )
+from zassenhaus.engine import EngineCtx
 from zassenhaus.freealg import AlgebraCtx, AssocPoly
 from zassenhaus.lieform import expand, parse
 
@@ -218,6 +219,43 @@ class TestTermsCache:
         assert r.returncode == EXIT_INTERNAL
         assert "disagree" in r.stderr and r.stdout == ""
 
+    def test_path_both_writes_only_checked_terms(self, cli, tmp_path, monkeypatch):
+        # Each W_m is written once it has passed the cross-check, so an expanded
+        # value that is wrong at W_6 leaves W_2..W_5 in a cold cache and no W_6.
+        expanded = EngineCtx.w_term_expanded
+        monkeypatch.setattr(
+            EngineCtx, "w_term_expanded", lambda self, m: expanded(self, m).scaled(2 if m == 6 else 1)
+        )
+        cache = tmp_path / "c"
+        r = cli("terms", "--n", 2, "--max-degree", 7, "--path", "both", "--cache", cache)
+        assert r.returncode == EXIT_INTERNAL and "W_6" in r.stderr and r.stdout == ""
+        assert sorted(_files(cache)) == [f"3/n2/W{m}.json" for m in range(2, 6)]
+
+    def test_expanded_path_caches_only_recursion_terms(self, cli, tmp_path, monkeypatch):
+        # W_m with m >= 5 under --path expanded come from the cross-check formula:
+        # a wrong one must not reach the cache, or a warm --path both run would
+        # compare it with itself.
+        cache = tmp_path / "c"
+        with monkeypatch.context() as patch:
+            expanded = EngineCtx.w_term_expanded
+            patch.setattr(
+                EngineCtx, "w_term_expanded", lambda self, m: expanded(self, m).scaled(2 if m == 6 else 1)
+            )
+            r = cli("terms", "--n", 2, "--max-degree", 7, "--path", "expanded", "--cache", cache)
+        assert r.returncode == EXIT_OK
+        assert sorted(_files(cache)) == [f"3/n2/W{m}.json" for m in range(2, 5)]
+        both = cli("terms", "--n", 2, "--max-degree", 7, "--path", "both", "--cache", cache)
+        assert both.returncode == EXIT_OK
+        assert both.stdout == cli("terms", "--n", 2, "--max-degree", 7).stdout
+
+    def test_expanded_path_reads_no_entry_above_degree_4(self, cli, tmp_path):
+        cache = tmp_path / "c"
+        assert cli("terms", "--n", 2, "--max-degree", 6, "--cache", cache).returncode == EXIT_OK
+        (cache / "3" / "n2" / "W6.json").write_text("not json")
+        expanded = cli("terms", "--n", 2, "--max-degree", 6, "--path", "expanded", "--cache", cache)
+        assert expanded.returncode == EXIT_OK
+        assert expanded.stdout == cli("terms", "--n", 2, "--max-degree", 6).stdout
+
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -341,6 +379,20 @@ class TestVerify:
         for t in ("nan,0.1", "inf,0.1", "1e300,0.1"):
             r = cli("verify", "--mode", "numeric", "--t", t)
             assert r.returncode == EXIT_USAGE and r.stdout == "" and r.stderr.startswith("error: ")
+
+    def test_numeric_usage_errors_come_before_any_work(self, cli, monkeypatch):
+        def no_series(*args, **kwargs):
+            pytest.fail("series ran before the numeric arguments were checked")
+
+        monkeypatch.setattr("zassenhaus.cli.series", no_series)
+        for mode in ("numeric", "all"):
+            for flags in (("--dim", 0), ("--dim", 257), ("--t", "0.1"), ("--t", "nan,0.1"), ("--t", "0.1,0.1")):
+                r = cli("verify", "--mode", mode, "--n", 3, "--max-degree", 9, *flags)
+                assert r.returncode == EXIT_USAGE and r.stdout == "" and r.stderr.startswith("error: ")
+        monkeypatch.undo()
+        # The exact and oracle modes take no numeric arguments, so they do not judge them.
+        for mode in ("exact", "oracle"):
+            assert cli("verify", "--mode", mode, "--max-degree", 3, "--dim", 0).returncode == EXIT_OK
 
 
 class TestF1k:

@@ -7,9 +7,9 @@ from zassenhaus.engine import (
     PathDisagreementError,
     _expanded_formula,
     f1k_comm,
-    f1k_comm_grouped,
     f1k_direct,
     series,
+    w_comm,
 )
 from zassenhaus.freealg import AlgebraCtx, AssocPoly, ad_pow, bracket
 from zassenhaus.lieform import CommTerm, LieExpr, dsw_project, expand
@@ -64,13 +64,17 @@ class TestF1kComm:
         assert f1k_comm(3, 1) == LieExpr()
 
     def test_grouped_by_composition(self):
-        groups = f1k_comm_grouped(3, 3)
-        assert [comp for comp, _ in groups] == [(3,), (1, 2), (2, 1), (1, 1, 1)]
-        # Composition (k1..kl) group carries coefficient 1/(k1!...kl!).
-        by_comp = dict(groups)
-        assert all(t.coeff == Fraction(1, 6) for t in by_comp[(3,)])
-        assert all(t.coeff == Fraction(1, 2) for t in by_comp[(1, 2)])
-        assert all(t.coeff == 1 for t in by_comp[(1, 1, 1)])
+        # A term's tail multiplicities are its composition (k1..kl) of k, and
+        # its coefficient is 1/(k1!...kl!).
+        coeffs = {}
+        for t in f1k_comm(3, 3):
+            coeffs.setdefault(tuple(mult for _, mult in t.tail), set()).add(t.coeff)
+        assert coeffs == {
+            (3,): {Fraction(1, 6)},
+            (1, 2): {Fraction(1, 2)},
+            (2, 1): {Fraction(1, 2)},
+            (1, 1, 1): {1},
+        }
 
     def test_index_constraints(self):
         # i1 < j <= n and i1 < i2 < ... <= n; j unconstrained vs i2...
@@ -154,21 +158,14 @@ class TestWTerm:
         assert e.fmk(2, 4) is e.fmk(2, 4)
 
     def test_backing_cache(self):
-        class DictCache(dict):
-            def load(self, n, m):
-                return self.get((n, m))
-
-            def store(self, n, m, poly):
-                self[n, m] = poly
-
-        cache = DictCache()
-        cold = series(2, 6, ectx=EngineCtx(AlgebraCtx(2, 6), cache))
-        assert sorted(cache) == [(2, m) for m in range(2, 7)]
-        assert all(poly.ctx == AlgebraCtx(n, m) for (n, m), poly in cache.items())
-        warm = EngineCtx(AlgebraCtx(2, 8), cache)
+        # What a cache holds, W_m in context (n, m), seeds a deeper context as `known`.
+        cold = EngineCtx(AlgebraCtx(2, 6))
+        stored = {m: w.restricted(m) for m, w in enumerate(series(cold), start=2)}
+        assert all(w.ctx == AlgebraCtx(2, m) for m, w in stored.items())
+        warm = EngineCtx(AlgebraCtx(2, 8), {m: w.restricted(8) for m, w in stored.items()})
         for m in range(2, 7):
-            assert warm.w_term(m) == cold.term(m).poly.restricted(8)
-        assert not warm._f_memo  # every W_m came from the cache
+            assert warm.w_term(m) == cold.w_term(m).restricted(8)
+        assert not warm._f_memo  # every W_m came from `known`
 
     def test_errors(self):
         e = EngineCtx(AlgebraCtx(2, 4))
@@ -207,51 +204,62 @@ class TestWTermExpanded:
             e.w_term_expanded(7)
 
 
+def _series(n, max_degree, path="generic"):
+    return list(series(EngineCtx(AlgebraCtx(n, max_degree)), path))
+
+
 class TestSeries:
     def test_two_variable_values(self):
-        s = series(2, 4)
+        w2, w3, _ = _series(2, 4)
         ctx = AlgebraCtx(2, 4)
         x, y = AssocPoly.generator(ctx, 1), AssocPoly.generator(ctx, 2)
-        assert s.term(2).poly == bracket(x, y).scaled(Fraction(-1, 2))
-        assert s.term(3).poly == bracket(y, bracket(x, y)).scaled(
+        assert w2 == bracket(x, y).scaled(Fraction(-1, 2))
+        assert w3 == bracket(y, bracket(x, y)).scaled(
             Fraction(1, 3)
         ) + bracket(x, bracket(x, y)).scaled(Fraction(1, 6))
 
     def test_comm_display_expands_to_poly(self):
-        s = series(3, 6)
-        for term in s:
-            if term.comm is not None:
-                assert term.m <= 4
-                assert expand(term.comm, s.terms[0].poly.ctx) == term.poly
+        ctx = AlgebraCtx(3, 6)
+        for m, w in enumerate(series(EngineCtx(ctx)), start=2):
+            comm = w_comm(m, 3)
+            if m <= 4:
+                assert expand(comm, ctx) == w
             else:
-                assert term.m >= 5
+                assert comm is None
 
-    def test_both_paths_agree(self):
-        s = series(2, 9, path="both")
-        assert [t.m for t in s] == list(range(2, 10))
+    def test_both_paths_agree(self, engine):
+        assert _series(2, 9, path="both") == list(series(engine(2, 9)))
+
+    def test_both_yields_only_checked_terms(self, monkeypatch):
+        ectx = EngineCtx(AlgebraCtx(2, 7))
+        generic = ectx.w_term_expanded
+        monkeypatch.setattr(ectx, "w_term_expanded", lambda m: generic(m).scaled(2) if m == 6 else generic(m))
+        got = []
+        with pytest.raises(PathDisagreementError, match="W_6"):
+            for w in series(ectx, path="both"):
+                got.append(w)
+        assert got == [ectx.w_term(m) for m in range(2, 6)]
 
     def test_single_generator_all_zero(self):
-        assert all(t.poly.is_zero for t in series(1, 6))
+        assert all(w.is_zero for w in _series(1, 6))
 
     def test_monotone_consistency(self):
         # W_m does not depend on the truncation degree.
         for n, short_k, full_k in ((3, 4, 6), (2, 6, 9), (3, 4, 7)):
-            full = series(n, full_k)
-            short = series(n, short_k)
+            full = _series(n, full_k)
+            short = _series(n, short_k)
             for m in range(2, short_k + 1):
-                assert full.term(m).poly.restricted(short_k) == short.term(m).poly
+                assert full[m - 2].restricted(short_k) == short[m - 2]
 
     def test_reuses_engine_context(self, engine):
         e = engine(2, 6)
-        s = series(2, 6, ectx=e)
-        assert s.term(4).poly is e.w_term(4)
+        ws = list(series(e))
+        assert ws[2] is e.w_term(4)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            series(2, 6, path="sideways")
+            _series(2, 6, path="sideways")
         with pytest.raises(ValueError):
-            series(2, 1)
+            _series(2, 1)
         with pytest.raises(ValueError):
-            series(3, 6, ectx=EngineCtx(AlgebraCtx(2, 6)))
-        with pytest.raises(ValueError):
-            series(2, 6).term(7)
+            w_comm(1, 2)

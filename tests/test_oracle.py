@@ -173,6 +173,13 @@ class TestNumericOrderCheck:
             with pytest.raises(ValueError, match="matrix dimension"):
                 numeric_order_check(2, 3, dim, 0, [0.2, 0.1])
 
+    @pytest.mark.parametrize("n, max_degree, dim", [(2, 4, 256), (3, 3, 128), (3, 5, 64), (2, 6, 128)])
+    def test_order_holds_at_large_dim(self, n, max_degree, dim):
+        # Unscaled entries in [-1/2, 1/2] give matrices of norm ~ sqrt(dim), and
+        # these correct W_m then read orders off K + 1 by more than 0.5.
+        report = numeric_order_check(n, max_degree, dim, 42, [0.2, 0.1])
+        assert report.passed and not report.inconclusive, report.detail
+
     def test_json_schema(self):
         d = numeric_order_check(2, 2, 4, 1, [0.2, 0.1]).to_json_dict()
         assert d["mode"] == "numeric"
