@@ -230,7 +230,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n, K = args.n, args.max_degree
     t_values = [float(part) for part in args.t.split(",") if part.strip()]
     if args.mode in ("numeric", "all"):
-        check_numeric_args(args.dim, t_values)  # a usage error costs no work
+        check_numeric_args(args.dim, args.seed, t_values)  # a usage error costs no work
     ws = list(series(EngineCtx(AlgebraCtx(n, K)))) if K >= 2 else []  # K = 1 verifies the bare splitting
     reports = []
     if args.mode in ("exact", "all"):

@@ -4,10 +4,10 @@ Three checks, in increasing distance from the algebra:
 
 * `peel_oracle` re-derives W_2..W_K from scratch by peeling the ordered
   product: starting from R = e^(-Xn) ... e^(-X1) e^(X1+...+Xn), the
-  lowest-degree component of log R is exactly W_m, which is then divided
-  out and the process repeated.  It uses only the free-algebra kernel
-  (exp, log, multiplication) and never touches the engine's f/W
-  recursion, so agreement with the engine is genuine evidence.
+  degree-m component of R is exactly W_m, which is then divided out and
+  the process repeated.  It uses only the free-algebra kernel (exp and
+  multiplication) and never touches the engine's f/W recursion, so
+  agreement with the engine is genuine evidence.
 * `exact_identity_check` multiplies the whole truncated splitting back
   together and asserts the defect polynomial is identically zero.
 * `numeric_order_check` substitutes random matrices, compares matrix
@@ -18,6 +18,25 @@ Three checks, in increasing distance from the algebra:
 All exact checks are zero-tolerance; the numeric check accepts an
 observed order within +-0.5 of K + 1 and reports "inconclusive" (not
 failure) when the residuals sit at round-off level.
+
+Both exact checks skip the products that the truncation at degree K makes
+trivial.  Each rests on one fact about W_j homogeneous of degree j (W_j = 0
+included): a product of factors from W_m, W_(m+1), ... with two or more
+factors has degree at least 2m.  Hence
+
+1. e^(W_m) e^(W_(m+1)) ... = 1 + W_m + (degree > m), so once W_2..W_(m-1)
+   are peeled off, W_m is the degree-m component of the residue itself.
+   No logarithm is needed: in log R the terms (R-1)^p, p >= 2, start at
+   degree 2m > m.
+2. Once 2m > K the residue is 1 + W_m + ... + W_K modulo degree K + 1, so
+   the remaining W_j are read off it directly; the peel divides out only
+   W_2..W_(K//2).
+3. With h = K//2 + 1, e^(W_h) ... e^(W_K) = 1 + W_h + ... + W_K modulo
+   degree K + 1, so the exact check multiplies by e^(W_m) for m < h and
+   then once by that sum.
+
+These are identities of truncated polynomials, not approximations: the
+results equal those of the full products term for term.
 """
 
 from __future__ import annotations
@@ -36,7 +55,6 @@ from .freealg import (
     exp_trunc,
     format_fraction,
     generators,
-    log_trunc,
     poly_sum,
 )
 
@@ -92,8 +110,13 @@ def peel_oracle(n: int, max_degree: int) -> list[AssocPoly]:
     """W_2 .. W_max_degree extracted order by order from the product itself.
 
     R := e^(-Xn) ... e^(-X1) e^(X1+...+Xn) equals e^(W2) e^(W3) ...
-    through the truncation degree; the degree-m part of log R is W_m
-    because every later factor only contributes in higher degrees.
+    through the truncation degree.  With W_2..W_(m-1) divided out, the
+    residue is e^(W_m) e^(W_(m+1)) ... = 1 + W_m + (degree > m): every
+    product of two or more of its factors has degree >= 2m.  So W_m is the
+    residue's degree-m component, the one log R would give.  Once 2m > K
+    those products vanish in the truncation, the residue is
+    1 + W_m + ... + W_K, and W_m is not divided out: the later W_j are
+    read off the same residue.
     """
     ctx = AlgebraCtx(n, max_degree)
     gens = generators(ctx)
@@ -102,9 +125,10 @@ def peel_oracle(n: int, max_degree: int) -> list[AssocPoly]:
         residue = exp_trunc(-g) * residue
     out: list[AssocPoly] = []
     for m in range(2, max_degree + 1):
-        w_m = log_trunc(residue).degree_component(m)
+        w_m = residue.degree_component(m)
         out.append(w_m)
-        residue = exp_trunc(-w_m) * residue
+        if 2 * m <= max_degree:
+            residue = exp_trunc(-w_m) * residue
     return out
 
 
@@ -113,25 +137,36 @@ def exact_identity_check(
 ) -> VerificationReport:
     """Zero-tolerance check of e^(sum X) = e^(X1)...e^(Xn) e^(W2)...e^(WK).
 
-    `ws` must be W_2..W_max_degree in order (empty when max_degree < 2).
-    The defect is the difference of the two sides as truncated
+    `ws` must be W_2..W_max_degree in order (empty when max_degree < 2),
+    each in the context (n, max_degree) and homogeneous of its degree (or
+    zero).  The defect is the difference of the two sides as truncated
     polynomials; the check passes iff it is identically zero.
+
+    With h = K//2 + 1, every product of two of W_h..W_K has degree
+    >= 2h > K, so e^(W_h) ... e^(W_K) = 1 + W_h + ... + W_K in the
+    truncation, and the right side is multiplied by that sum once instead
+    of by K - h + 1 exponentials.  This holds for any homogeneous W_j,
+    right or wrong, so once the inputs are validated the defect equals
+    that of the full product term for term.
     """
     ctx = AlgebraCtx(n, max_degree)
     expected = max(0, max_degree - 1)
     if len(ws) != expected:
         raise ValueError(f"need W_2..W_{max_degree} ({expected} terms), got {len(ws)}")
-    gens = generators(ctx)
-    lhs = exp_trunc(poly_sum(ctx, gens))
-    rhs = AssocPoly.one(ctx)
-    for g in gens:
-        rhs = rhs * exp_trunc(g)
     for m, w in enumerate(ws, start=2):
         if w.ctx != ctx:
             raise ValueError(f"W_{m} belongs to context {w.ctx}, expected {ctx}")
         if not w.is_zero and w.homogeneous_degree() != m:
             raise ValueError(f"W_{m} is not homogeneous of degree {m}")
+    gens = generators(ctx)
+    lhs = exp_trunc(poly_sum(ctx, gens))
+    rhs = AssocPoly.one(ctx)
+    for g in gens:
+        rhs = rhs * exp_trunc(g)
+    split = max(0, max_degree // 2 - 1)  # W_2..W_(h-1) need their exponentials
+    for w in ws[:split]:
         rhs = rhs * exp_trunc(w)
+    rhs = rhs * poly_sum(ctx, [AssocPoly.one(ctx), *ws[split:]])
     defect = lhs - rhs
     worst = defect.max_abs_coeff()
     return VerificationReport(
@@ -154,11 +189,12 @@ def oracle_equivalence_check(
     worst = Fraction(0)
     for m in mismatches:
         worst = max(worst, (ws[m - 2] - reference[m - 2]).max_abs_coeff())
-    detail = (
-        f"all W_2..W_{max_degree} match the peel-off oracle at n={n}"
-        if not mismatches
-        else f"mismatch at m={mismatches} (n={n}, K={max_degree})"
-    )
+    if mismatches:
+        detail = f"mismatch at m={mismatches} (n={n}, K={max_degree})"
+    elif max_degree < 2:
+        detail = f"no W_m exists below K = 2, so nothing was compared (n={n}, K={max_degree})"
+    else:
+        detail = f"all W_2..W_{max_degree} match the peel-off oracle at n={n}"
     return VerificationReport(
         mode="oracle",
         passed=not mismatches,
@@ -167,10 +203,17 @@ def oracle_equivalence_check(
     )
 
 
-def check_numeric_args(dim: int, t_values: Sequence[float]) -> None:
-    """Raise ValueError unless `dim` lies in 1..MAX_DIM and `t_values` are two or more distinct t in (0, 1]."""
+def check_numeric_args(dim: int, seed: int, t_values: Sequence[float]) -> None:
+    """Raise ValueError unless the numeric check can run on these arguments.
+
+    `dim` must lie in 1..MAX_DIM, `seed` must be non-negative (numpy's
+    generators take no other seed) and `t_values` must be two or more
+    distinct t in (0, 1].
+    """
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"matrix dimension must lie in 1..{MAX_DIM}, got {dim}")
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
     if len(t_values) < 2:
         raise ValueError("need at least two t values to estimate an order")
     if not all(0 < t <= 1 for t in t_values):
@@ -259,13 +302,13 @@ def numeric_order_check(
 
     Every t must lie in (0, 1]: the order is a statement about t -> 0, and
     a huge t (1e300, inf) would only overflow the matrix exponentials, as
-    nan would poison them.  These, and a `dim` outside 1..MAX_DIM, are
-    rejected before any work is done.
+    nan would poison them.  These, a `dim` outside 1..MAX_DIM and a
+    negative `seed` are rejected before any work is done.
 
     `ws` defaults to the peel-off oracle output (keeping this check
     independent of the engine); `mats` defaults to `random_matrices`.
     """
-    check_numeric_args(dim, t_values)
+    check_numeric_args(dim, seed, t_values)
     if ws is None:
         ws = peel_oracle(n, max_degree) if max_degree >= 2 else []
     if mats is None:

@@ -353,6 +353,13 @@ class TestVerify:
         assert r.returncode == EXIT_OK
         assert json.loads(r.stdout)["pass"] is True
 
+    def test_oracle_mode_below_degree_two_compares_nothing(self, cli):
+        r = cli("verify", "--n", 2, "--max-degree", 1, "--mode", "oracle")
+        assert r.returncode == EXIT_OK
+        doc = json.loads(r.stdout)
+        assert doc["pass"] is True
+        assert doc["detail"] == "no W_m exists below K = 2, so nothing was compared (n=2, K=1)"
+
     def test_all_mode_single_generator(self, cli):
         r = cli("verify", "--n", 1, "--max-degree", 8, "--mode", "all")
         assert r.returncode == EXIT_OK
@@ -379,6 +386,16 @@ class TestVerify:
         for t in ("nan,0.1", "inf,0.1", "1e300,0.1"):
             r = cli("verify", "--mode", "numeric", "--t", t)
             assert r.returncode == EXIT_USAGE and r.stdout == "" and r.stderr.startswith("error: ")
+
+        def no_series(*args, **kwargs):
+            pytest.fail("series ran before --seed was checked")
+
+        # numpy refuses a negative seed too, but only after series and the exact checks.
+        monkeypatch.setattr("zassenhaus.cli.series", no_series)
+        for mode in ("numeric", "all"):
+            r = cli("verify", "--mode", mode, "--n", 3, "--max-degree", 8, "--seed", -1)
+            assert r.returncode == EXIT_USAGE and r.stdout == ""
+            assert r.stderr == "error: --seed must be a non-negative integer, got -1\n"
 
     def test_numeric_usage_errors_come_before_any_work(self, cli, monkeypatch):
         def no_series(*args, **kwargs):

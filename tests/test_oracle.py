@@ -1,13 +1,17 @@
 import math
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import shared_engine
 from zassenhaus import oracle
-from zassenhaus.freealg import AlgebraCtx, AssocPoly, generators
+from zassenhaus.freealg import AlgebraCtx, AssocPoly, exp_trunc, generators, log_trunc, poly_sum
 from zassenhaus.lieform import dsw_project
 from zassenhaus.oracle import (
     MAX_DIM,
@@ -22,7 +26,62 @@ from zassenhaus.oracle import (
 )
 
 
+def log_peel(n, K):
+    """The peel as first written: a logarithm and a division at every degree."""
+    ctx = AlgebraCtx(n, K)
+    residue = exp_trunc(poly_sum(ctx, generators(ctx)))
+    for g in generators(ctx):
+        residue = exp_trunc(-g) * residue
+    out = []
+    for m in range(2, K + 1):
+        out.append(log_trunc(residue).degree_component(m))
+        residue = exp_trunc(-out[-1]) * residue
+    return out
+
+
+def full_product_defect(n, K, ws):
+    """e^(sum X) - e^(X1)...e^(Xn) e^(W2)...e^(WK), one exponential per factor."""
+    ctx = AlgebraCtx(n, K)
+    gens = generators(ctx)
+    rhs = AssocPoly.one(ctx)
+    for factor in (*gens, *ws):
+        rhs = rhs * exp_trunc(factor)
+    return exp_trunc(poly_sum(ctx, gens)) - rhs
+
+
+def count_exp_trunc(monkeypatch):
+    """Route the oracle's exp_trunc through a counter and return the counter."""
+    calls = Counter()
+
+    def counted(a):
+        calls["exp_trunc"] += 1
+        return exp_trunc(a)
+
+    monkeypatch.setattr(oracle, "exp_trunc", counted)
+    return calls
+
+
+CALL_COUNT_CASES = [(1, 1), (2, 1), (3, 2), (2, 3), (3, 4), (2, 7), (3, 8), (2, 10)]
+
+
+def expected_exp_calls(n, K):
+    """sum X and each X_i, then W_2..W_(K//2): divided out by the peel,
+    exponentiated by the exact check; the later W_m are read off or summed."""
+    return 1 + n + max(0, K // 2 - 1)
+
+
 class TestPeelOracle:
+    def test_matches_log_peel(self):
+        for n in (1, 2, 3):
+            for K in range(1, 9):
+                assert peel_oracle(n, K) == log_peel(n, K), (n, K)
+
+    @pytest.mark.parametrize("n, K", CALL_COUNT_CASES)
+    def test_exp_trunc_calls(self, monkeypatch, n, K):
+        calls = count_exp_trunc(monkeypatch)
+        peel_oracle(n, K)
+        assert calls["exp_trunc"] == expected_exp_calls(n, K)
+
     def test_matches_engine(self, engine):
         for n, K in ((2, 6), (3, 5)):
             ws = peel_oracle(n, K)
@@ -57,6 +116,41 @@ class TestExactIdentityCheck:
         report = exact_identity_check(2, 4, ws)
         assert not report.passed
         assert report.residuals[0][1] > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_term_gives_the_full_product_defect(self, data):
+        # Any W_m, tail terms with 2m > K and W_K included, scaled by c != 1:
+        # the shortcut must report exactly the defect of the full product.
+        n = data.draw(st.integers(1, 3), label="n")
+        K = data.draw(st.integers(2, 7), label="K")
+        m = data.draw(st.integers(2, K), label="m")
+        c = data.draw(st.fractions(-3, 3, max_denominator=7).filter(lambda c: c not in (0, 1)), label="c")
+        e = shared_engine(n, K)
+        ws = [e.w_term(j) for j in range(2, K + 1)]
+        ws[m - 2] = ws[m - 2].scaled(c)
+        defects = []
+        original = AssocPoly.max_abs_coeff
+
+        def spy(poly):  # the check calls it once, on its defect polynomial
+            defects.append(poly)
+            return original(poly)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(AssocPoly, "max_abs_coeff", spy)
+            report = exact_identity_check(n, K, ws)
+        expected = full_product_defect(n, K, ws)
+        assert defects == [expected]
+        assert report.residuals == ((None, expected.max_abs_coeff()),)
+        # W_m is nonzero for n >= 2, so scaling it breaks the identity.
+        assert report.passed is expected.is_zero is (n == 1)
+
+    @pytest.mark.parametrize("n, K", CALL_COUNT_CASES)
+    def test_exp_trunc_calls(self, monkeypatch, n, K):
+        ws = peel_oracle(n, K)
+        calls = count_exp_trunc(monkeypatch)
+        assert exact_identity_check(n, K, ws).passed
+        assert calls["exp_trunc"] == expected_exp_calls(n, K)
 
     def test_trivial_degree_one(self):
         assert exact_identity_check(3, 1, []).passed
@@ -160,6 +254,14 @@ class TestNumericOrderCheck:
         for bad in (float("nan"), float("inf"), 1e300):
             with pytest.raises(ValueError):
                 numeric_order_check(2, 3, 4, 0, [bad, 0.1])
+
+    def test_rejects_negative_seed(self, monkeypatch):
+        def no_matrices(*args):
+            raise AssertionError("random matrices were drawn")
+
+        monkeypatch.setattr(oracle, "random_matrices", no_matrices)
+        with pytest.raises(ValueError, match="--seed must be a non-negative integer, got -1"):
+            numeric_order_check(2, 3, 4, -1, [0.2, 0.1])
 
     def test_rejects_empty_matrices(self, monkeypatch):
         # dim 0 would measure nothing and report a pass; a huge dim would
