@@ -155,7 +155,7 @@ def cache_load(root: Path, n: int, m: int) -> AssocPoly | None:
         if ctx != AlgebraCtx(n, m):
             raise ValueError(f"payload context {ctx} is not {AlgebraCtx(n, m)}")
         poly = AssocPoly.from_numerators(ctx, payload["words"], payload["nums"], payload["den"])
-        if poly.degrees() - {m}:
+        if poly and poly.homogeneous_degree() != m:
             raise ValueError(f"payload is not homogeneous of degree {m}")
     except (KeyError, RecursionError, TypeError, ValueError) as exc:
         raise CacheCorruptionError(f"malformed cache entry {target}: {exc!r}") from exc

@@ -92,6 +92,7 @@ def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
     gens = generators(ctx)
     sign = (-1) ** k
     pieces: list[AssocPoly] = []
+    scalars: list[Fraction] = []
     for jt in _weak_compositions(k, ctx.n):
         denom = 1
         for j in jt:
@@ -106,8 +107,9 @@ def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
                 if v.is_zero:
                     break
             if not v.is_zero:
-                pieces.append(v.scaled(Fraction(sign, denom)))
-    return poly_sum(ctx, pieces)
+                pieces.append(v)
+                scalars.append(Fraction(sign, denom))
+    return poly_sum(ctx, pieces, scalars)
 
 
 def f1k_comm(k: int, n: int) -> LieExpr:
@@ -176,11 +178,9 @@ class EngineCtx:
             value = f1k_direct(k, self.alg)
         else:
             w_m = self.w_term(m)
-            pieces = [self.fmk(m - 1, k)]
-            for j in range(1, k // m):
-                term = ad_pow(w_m, j, self.fmk(m - 1, k - m * j))
-                pieces.append(term.scaled(Fraction((-1) ** j, factorial(j))))
-            value = poly_sum(self.alg, pieces)
+            js = range(k // m)
+            pieces = [ad_pow(w_m, j, self.fmk(m - 1, k - m * j)) for j in js]
+            value = poly_sum(self.alg, pieces, [Fraction((-1) ** j, factorial(j)) for j in js])
         return self._f_memo.setdefault(key, value)
 
     def w_term(self, m: int) -> AssocPoly:
@@ -203,13 +203,14 @@ class EngineCtx:
         """
         if m > self.alg.max_degree:
             raise ValueError(f"W_{m} has degree {m} > max_degree {self.alg.max_degree}")
+        formula = _expanded_formula(m)
         pieces: list[AssocPoly] = []
-        for coeff, ad_ws, (mp, kp) in _expanded_formula(m):
+        for _, ad_ws, (mp, kp) in formula:
             v = self.fmk(mp, kp)
             for w_idx in reversed(ad_ws):
                 v = bracket(self.w_term(w_idx), v)
-            pieces.append(v.scaled(coeff))
-        return poly_sum(self.alg, pieces).scaled(Fraction(1, m))
+            pieces.append(v)
+        return poly_sum(self.alg, pieces, [coeff / m for coeff, _, _ in formula])
 
 
 # An unrolled formula: a list of (coefficient, ad-operator indices applied

@@ -2,21 +2,43 @@
 
 Elements live in Q<X1, ..., Xn> / (words of degree > K): noncommutative
 polynomials with rational coefficients, truncated so that every product
-drops words longer than the context's maximum degree.  A word is a tuple
-of generator indices (1-based); the empty tuple is the unit monomial.
+drops words longer than the context's maximum degree.  At the API a word
+is a tuple of generator indices (1-based); the empty tuple is the unit
+monomial.  Letters are ints in 1..n (not bools or floats).
+
+Canonical term order is degree ascending, then lexicographic on the
+letters.  Inside a polynomial each word is stored as its rank in that
+order, its code: the word l_1 ... l_d read as a bijective base-n numeral,
+
+    code(l_1 ... l_d) = l_1 n^(d-1) + ... + l_(d-1) n + l_d
+                      = off[d] + sum_i (l_i - 1) n^(d-i),   off[d] = n^0 + ... + n^(d-1).
+
+Two facts make it the kernel's representation:
+
+* integer order is canonical order, and the words of degree d fill the
+  range [off[d], off[d+1]);
+* concatenation is one multiply-add, code(u v) = code(u) n^|v| + code(v),
+  so with the codes of a degree-da block shifted once by n^db, the
+  product with a degree-db block takes one integer add per word pair.
+
+The codes depend on n alone, not on the truncation degree.  Words become
+tuples only at the boundary: the constructors, `coeff`, `terms`,
+`numerators` and `from_numerators`.  The renderers split each code into
+two half words and look each half up in a table built once per distinct
+half, so a word costs two lookups, not a pass over its letters.
 
 A polynomial stores integer numerators over one common denominator: the
-coefficient of word w is `_terms[w] / _den`, with `_den` a positive int.
-The form is canonical -- no zero numerators, gcd(_den, all numerators)
-== 1, and `_den == 1` for the zero polynomial -- so equality is
-structural and all arithmetic runs on Python ints.  `fractions.Fraction`
-appears only at the API boundary: constructors and `scaled` accept int or
-Fraction scalars, and `terms`, `coeff`, `constant_term` and
-`max_abs_coeff` return Fractions.  `numerators` hands out the stored
-form itself (words in canonical order), and `from_numerators` takes it
-back after checking that it is canonical, without any Fraction.
-Everything is exact, and every equality test in this package is a
-zero-tolerance test.  Letters are ints in 1..n (not bools or floats).
+coefficient of the word with code k is `_codes[k] / _den`, with `_den` a
+positive int.  The form is canonical -- no zero numerators,
+gcd(_den, all numerators) == 1, and `_den == 1` for the zero polynomial --
+so equality is structural and all arithmetic runs on Python ints.
+`fractions.Fraction` appears only at the API boundary: constructors and
+`scaled` accept int or Fraction scalars, and `terms`, `coeff`,
+`constant_term` and `max_abs_coeff` return Fractions.  `numerators` hands
+out the stored form itself (words in canonical order), and
+`from_numerators` takes it back after checking that it is canonical,
+without any Fraction.  Everything is exact, and every equality test in
+this package is a zero-tolerance test.
 
 Lie elements are represented associatively via [A, B] = A*B - B*A; see
 `bracket` and `ad_pow`.  Exponentials and logarithms of elements without
@@ -27,8 +49,7 @@ of the truncation.
 LaTeX: `AssocPoly.text` and `latex` hand it monomials, and
 `lieform.render` hands it commutators.
 
-Canonical term order is degree ascending, then lexicographic on the
-letters.  The canonical JSON form of a polynomial is
+The canonical JSON form of a polynomial is
 
     {"n": ..., "maxDegree": ..., "terms": [{"word": [i1, ...], "coeff": "p/q"}, ...]}
 
@@ -41,15 +62,18 @@ so values may be freely shared between threads.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 Word = tuple[int, ...]
 Scalar = Union[int, Fraction]
+T = TypeVar("T")
+C = TypeVar("C")
 
 
 class ContextMismatchError(ValueError):
@@ -71,6 +95,14 @@ class AlgebraCtx:
         if self.max_degree < 1:
             raise ValueError(f"truncation degree must be >= 1, got {self.max_degree}")
 
+    @cached_property
+    def _offsets(self) -> list[int]:
+        """off[0..max_degree+1]: off[d] is the code of the first word of degree d."""
+        off = [0]
+        for _ in range(self.max_degree + 1):
+            off.append(off[-1] * self.n + 1)
+        return off
+
     def check_word(self, word: Word) -> None:
         if len(word) > self.max_degree:
             raise ValueError(
@@ -87,9 +119,53 @@ def word_key(word: Word) -> tuple[int, Word]:
     return (len(word), word)
 
 
-def canonical_words(words: Iterable[Word]) -> list[Word]:
-    """`words` sorted by `word_key`: a stable sort by length of the lexicographic order."""
-    return sorted(sorted(words), key=len)
+def _code(n: int, word: Word) -> int:
+    """The code of a validated word; see the module docstring."""
+    k = 0
+    for letter in word:
+        k = k * n + letter
+    return k
+
+
+class _HalfTable(dict):
+    """code -> half(word of code), each entry made on first lookup."""
+
+    def __init__(self, n: int, half: Callable[[Word], object]):
+        self.n, self.half = n, half
+
+    def __missing__(self, c: int) -> object:
+        letters = []
+        rest = c
+        while rest:  # the digits of a bijective base-n numeral, last first
+            rest, r = divmod(rest - 1, self.n)
+            letters.append(r + 1)
+        self[c] = value = self.half(tuple(reversed(letters)))
+        return value
+
+
+def _halves(ctx: AlgebraCtx, codes: Iterable[int], half: Callable[[Word], T]) -> Iterator[tuple[T, T]]:
+    """(half(u), half(v)) for each code in ascending `codes`, its word split as u v with |v| = degree // 2.
+
+    `half` runs once per distinct half word: the words of degree d share at
+    most n^ceil(d/2) + n^floor(d/2) halves between them.
+    """
+    n, off = ctx.n, ctx._offsets
+    table = _HalfTable(n, half)
+    d = e = 0
+    base = end = 1
+    for k in codes:
+        while k >= end:
+            d += 1
+            end = off[d + 1]
+            e = d // 2
+            base = n**e
+        # code(u v) = code(u) n^e + code(v), and code(v) - off[e] lies in [0, n^e).
+        hi = (k - off[e]) // base
+        yield table[hi], table[k - hi * base]
+
+
+def _pair(p: int, q: int) -> tuple[int, int]:
+    return p, q
 
 
 def _require_same_ctx(a: "AssocPoly", b: "AssocPoly") -> None:
@@ -98,47 +174,53 @@ def _require_same_ctx(a: "AssocPoly", b: "AssocPoly") -> None:
 
 
 class AssocPoly:
-    """A truncated noncommutative polynomial: word -> int numerator over `_den`.
+    """A truncated noncommutative polynomial: word code -> int numerator over `_den`.
 
     Instances are immutable; arithmetic returns new values.  The stored
     form is canonical (see the module docstring).
     """
 
-    __slots__ = ("ctx", "_terms", "_den")
+    __slots__ = ("ctx", "_codes", "_den")
 
     def __init__(self, ctx: AlgebraCtx, terms: Mapping[Word, Scalar] | Iterable[tuple[Word, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Word, Fraction] = {}
+        acc: dict[int, Fraction] = {}
         for word, coeff in items:
             word = tuple(word)
             ctx.check_word(word)
+            k = _code(ctx.n, word)
             c = Fraction(coeff)
-            acc[word] = acc[word] + c if word in acc else c
+            acc[k] = acc[k] + c if k in acc else c
         # Over the lcm of the reduced denominators the form is already canonical.
         den = lcm(*(c.denominator for c in acc.values()))
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "_terms", {w: c.numerator * (den // c.denominator) for w, c in acc.items() if c})
+        object.__setattr__(self, "_codes", {k: c.numerator * (den // c.denominator) for k, c in acc.items() if c})
         object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _make(cls, ctx: AlgebraCtx, terms: dict[Word, int], den: int = 1) -> "AssocPoly":
-        # Trusted constructor: (terms, den) already canonical, words validated.
+    def _make(cls, ctx: AlgebraCtx, codes: dict[int, int], den: int = 1) -> "AssocPoly":
+        # Trusted constructor: (codes, den) already canonical, codes of words in ctx.
         self = object.__new__(cls)
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_codes", codes)
         object.__setattr__(self, "_den", den)
         return self
 
     @classmethod
-    def _reduce(cls, ctx: AlgebraCtx, terms: dict[Word, int], den: int) -> "AssocPoly":
-        """Canonical form of sum(terms[w] / den * w): zeros dropped, common factor cancelled."""
-        g = gcd(den, *terms.values())  # zeros leave the gcd unchanged
+    def _reduce(cls, ctx: AlgebraCtx, codes: dict[int, int], den: int) -> "AssocPoly":
+        """Canonical form of sum(codes[k] / den * word(k)): zeros dropped, common factor cancelled.
+
+        Takes `codes`, a fresh dict, over: the zeros, a few per cent of a
+        bracket's words, are deleted in place.
+        """
+        g = gcd(den, *codes.values())  # zeros leave the gcd unchanged
         if g != 1:
             den //= g
-            terms = {w: c // g for w, c in terms.items() if c}
-        elif 0 in terms.values():
-            terms = {w: c for w, c in terms.items() if c}
-        return cls._make(ctx, terms, den)
+            codes = {k: c // g for k, c in codes.items() if c}
+        elif 0 in codes.values():
+            for k in [k for k, c in codes.items() if not c]:
+                del codes[k]
+        return cls._make(ctx, codes, den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("AssocPoly is immutable")
@@ -151,20 +233,20 @@ class AssocPoly:
 
     @classmethod
     def one(cls, ctx: AlgebraCtx) -> "AssocPoly":
-        return cls._make(ctx, {(): 1})
+        return cls._make(ctx, {0: 1})
 
     @classmethod
     def generator(cls, ctx: AlgebraCtx, i: int) -> "AssocPoly":
         if type(i) is not int or not 1 <= i <= ctx.n:
             raise ValueError(f"generator index {i!r} out of range 1..{ctx.n}")
-        return cls._make(ctx, {(i,): 1})
+        return cls._make(ctx, {i: 1})  # a one-letter word is its own code
 
     @classmethod
     def monomial(cls, ctx: AlgebraCtx, word: Word, coeff: Scalar = 1) -> "AssocPoly":
         word = tuple(word)
         ctx.check_word(word)
         c = Fraction(coeff)
-        return cls._make(ctx, {word: c.numerator}, c.denominator) if c else cls._make(ctx, {})
+        return cls._make(ctx, {_code(ctx.n, word): c.numerator}, c.denominator) if c else cls._make(ctx, {})
 
     @classmethod
     def from_numerators(cls, ctx: AlgebraCtx, words: Sequence[Word], nums: Sequence[int], den: int) -> "AssocPoly":
@@ -181,6 +263,7 @@ class AssocPoly:
             raise ValueError(f"denominator must be a positive int, got {den!r}")
         if len(words) != len(nums):
             raise ValueError(f"{len(words)} words but {len(nums)} numerators")
+        # Type first: True == 1 would pass a range test (and hash like 1).
         if set(map(type, letters)) - {int} or not all(1 <= i <= ctx.n for i in set(letters)):
             raise ValueError(f"every letter must be an int in 1..{ctx.n}")
         if max(map(len, words), default=0) > ctx.max_degree:
@@ -189,67 +272,90 @@ class AssocPoly:
             raise ValueError("every numerator must be a nonzero int")
         if gcd(den, *nums) != 1:
             raise ValueError("numerators and denominator share a common factor")
-        terms = dict(zip(words, nums))
-        if len(terms) != len(words) or canonical_words(terms) != words:
+        n = ctx.n
+        codes = [_code(n, w) for w in words]
+        if any(a >= b for a, b in zip(codes, codes[1:])):  # code order is canonical order
             raise ValueError("words must be distinct and in canonical order")
-        return cls._make(ctx, terms, den)
+        return cls._make(ctx, dict(zip(codes, nums)), den)
 
     # -- inspection --------------------------------------------------------
 
+    def _words(self, codes: Iterable[int]) -> Iterator[Word]:
+        """The words of ascending `codes`, as tuples."""
+        return (u + v for u, v in _halves(self.ctx, codes, tuple))
+
     def terms(self) -> list[tuple[Word, Fraction]]:
         """All (word, coeff) pairs in canonical order."""
-        terms, den = self._terms, self._den
-        return [(w, Fraction(terms[w], den)) for w in canonical_words(terms)]
+        codes, den = self._codes, self._den
+        ks = sorted(codes)
+        return [(w, Fraction(codes[k], den)) for k, w in zip(ks, self._words(ks))]
 
     def numerators(self) -> tuple[list[Word], list[int], int]:
         """(words, numerators, denominator), words in canonical order; see `from_numerators`."""
-        terms = self._terms
-        words = canonical_words(terms)
-        return words, [terms[w] for w in words], self._den
+        codes = self._codes
+        ks = sorted(codes)
+        return list(self._words(ks)), [codes[k] for k in ks], self._den
 
-    def _reduced_terms(self) -> Iterator[tuple[Word, int, int]]:
-        """(word, p, q) in canonical order, p/q the coefficient in lowest terms."""
-        terms, den = self._terms, self._den
-        for w in canonical_words(terms):
-            c = terms[w]
-            g = gcd(c, den)
-            yield w, c // g, den // g
+    def _reduced_terms(self, half: Callable[[Word], T], coeff: Callable[[int, int], C]) -> Iterator[tuple[T, T, C]]:
+        """(half(u), half(v), coeff(p, q)) in canonical order: the word is u v and p/q its coefficient in lowest terms.
+
+        `coeff` runs once per distinct numerator: the W_m share few coefficient values.
+        """
+        codes, den = self._codes, self._den
+        ks = sorted(codes)
+        coeffs: dict[int, C] = {}
+        for k, (u, v) in zip(ks, _halves(self.ctx, ks, half)):
+            c = codes[k]
+            f = coeffs.get(c)
+            if f is None:
+                g = gcd(c, den)
+                coeffs[c] = f = coeff(c // g, den // g)
+            yield u, v, f
 
     def coeff(self, word: Word) -> Fraction:
-        return Fraction(self._terms.get(tuple(word), 0), self._den)
+        """The coefficient of `word`; 0 for a word that is not in this algebra."""
+        word = tuple(word)
+        try:
+            self.ctx.check_word(word)
+        except ValueError:
+            return Fraction(0)
+        return Fraction(self._codes.get(_code(self.ctx.n, word), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return Fraction(self._terms.get((), 0), self._den)
+        return Fraction(self._codes.get(0, 0), self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._codes
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._codes)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._codes)
 
     def degrees(self) -> set[int]:
-        return set(map(len, self._terms))
+        off = self.ctx._offsets
+        return {bisect_right(off, k) - 1 for k in self._codes}
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all words, or None if mixed or zero."""
-        degs = self.degrees()
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        codes = self._codes
+        if not codes:
+            return None
+        off = self.ctx._offsets
+        d = bisect_right(off, min(codes)) - 1
+        return d if max(codes) < off[d + 1] else None
 
     def max_abs_coeff(self) -> Fraction:
-        return Fraction(max(map(abs, self._terms.values()), default=0), self._den)
+        return Fraction(max(map(abs, self._codes.values()), default=0), self._den)
 
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AssocPoly):
             return NotImplemented
-        return self.ctx == other.ctx and self._den == other._den and self._terms == other._terms
+        return self.ctx == other.ctx and self._den == other._den and self._codes == other._codes
 
     __hash__ = None  # mutable-dict backed; identity hashing would be a trap
 
@@ -263,10 +369,10 @@ class AssocPoly:
         if not isinstance(other, AssocPoly):
             return NotImplemented
         _require_same_ctx(self, other)
-        return _sum(self.ctx, (self, -other))
+        return _sum(self.ctx, (self, other), (1, -1))
 
     def __neg__(self) -> "AssocPoly":
-        return AssocPoly._make(self.ctx, {w: -c for w, c in self._terms.items()}, self._den)
+        return AssocPoly._make(self.ctx, {k: -c for k, c in self._codes.items()}, self._den)
 
     def scaled(self, scalar: Scalar) -> "AssocPoly":
         s = Fraction(scalar)
@@ -274,14 +380,14 @@ class AssocPoly:
             return AssocPoly.zero(self.ctx)
         if s == 1:
             return self
-        terms, den = self._terms, self._den
+        codes, den = self._codes, self._den
         # p cancels against the denominator, q against the numerators; both stay coprime after.
         g = gcd(s.numerator, den)
-        h = gcd(s.denominator, *terms.values())
+        h = gcd(s.denominator, *codes.values())
         p, q = s.numerator // g, s.denominator // h
         if h != 1 or p != 1:
-            terms = {w: c // h * p for w, c in terms.items()}
-        return AssocPoly._make(self.ctx, terms, den // g * q)
+            codes = {k: c // h * p for k, c in codes.items()}
+        return AssocPoly._make(self.ctx, codes, den // g * q)
 
     def __mul__(self, other: "AssocPoly | Scalar") -> "AssocPoly":
         if isinstance(other, AssocPoly):
@@ -301,14 +407,21 @@ class AssocPoly:
         """Restriction to words of degree exactly d."""
         if d < 0 or d > self.ctx.max_degree:
             raise ValueError(f"degree {d} outside 0..{self.ctx.max_degree}")
-        return AssocPoly._reduce(self.ctx, {w: c for w, c in self._terms.items() if len(w) == d}, self._den)
+        lo, hi = self.ctx._offsets[d : d + 2]
+        return AssocPoly._reduce(self.ctx, {k: c for k, c in self._codes.items() if lo <= k < hi}, self._den)
 
     def restricted(self, max_degree: int) -> "AssocPoly":
-        """The same polynomial in the shallower context (n, max_degree)."""
+        """The same polynomial in the shallower context (n, max_degree).
+
+        When no word is longer than `max_degree` the value shares its term
+        map: the codes do not depend on the truncation degree.
+        """
         new_ctx = AlgebraCtx(self.ctx.n, max_degree)
-        return AssocPoly._reduce(
-            new_ctx, {w: c for w, c in self._terms.items() if len(w) <= max_degree}, self._den
-        )
+        codes = self._codes
+        end = new_ctx._offsets[max_degree + 1]
+        if not codes or max(codes) < end:
+            return AssocPoly._make(new_ctx, codes, self._den)
+        return AssocPoly._reduce(new_ctx, {k: c for k, c in codes.items() if k < end}, self._den)
 
     # -- rendering / serialization ------------------------------------------
 
@@ -318,20 +431,28 @@ class AssocPoly:
     def text(self) -> str:
         """Deterministic plain-text rendering, terms in canonical order."""
         name = [f"X{i}" for i in range(self.ctx.n + 1)]  # name[i] renders letter i
-        return signed_sum((p, q, "*".join([name[i] for i in w])) for w, p, q in self._reduced_terms())
+
+        def half(w: Word) -> str:
+            return "*".join([name[i] for i in w])
+
+        # v is empty only for words of degree <= 1.
+        return signed_sum((p, q, f"{u}*{v}" if v else u) for u, v, (p, q) in self._reduced_terms(half, _pair))
 
     def latex(self) -> str:
         """LaTeX rendering, terms in canonical order and joined without spaces."""
         name = [f"X_{{{i}}}" for i in range(self.ctx.n + 1)]
-        terms = ((p, q, "".join([name[i] for i in w])) for w, p, q in self._reduced_terms())
-        return signed_sum(terms, "latex", space="")
+
+        def half(w: Word) -> str:
+            return "".join([name[i] for i in w])
+
+        return signed_sum(((p, q, u + v) for u, v, (p, q) in self._reduced_terms(half, _pair)), "latex", space="")
 
     def to_json_dict(self) -> dict:
         """Canonical JSON form; see the module docstring."""
         return {
             "n": self.ctx.n,
             "maxDegree": self.ctx.max_degree,
-            "terms": [{"word": list(word), "coeff": f"{p}/{q}"} for word, p, q in self._reduced_terms()],
+            "terms": [{"word": [*u, *v], "coeff": c} for u, v, c in self._reduced_terms(tuple, "{}/{}".format)],
         }
 
     @classmethod
@@ -380,47 +501,57 @@ def signed_sum(terms: Iterable[tuple[int, int, str]], format: str = "text", spac
 # -- ring operations ---------------------------------------------------------
 
 
-def _blocks(a: AssocPoly, b: AssocPoly) -> Iterable[tuple[Iterable, Iterable]]:
-    """(a-items, b-items) blocks whose word pairs are exactly those of degree <= max_degree."""
-    ta, tb = a._terms, b._terms
-    if not ta or not tb:
-        return ()
-    cap = a.ctx.max_degree
-    degs_a, degs_b = set(map(len, ta)), set(map(len, tb))
-    if max(degs_a) + max(degs_b) <= cap:
-        # No pair truncates: one degree check for homogeneous operands.
-        return ((ta.items(), tb.items()),)
-    if min(degs_a) + min(degs_b) > cap:
-        return ()
-    # Truncating product of mixed degrees (exp_trunc, log_trunc): one block per degree d
-    # of a, against the words of b, sorted by degree, that fit beside it.
-    words_a, words_b = sorted(ta, key=len), sorted(tb, key=len)
-    lens_a, lens_b = list(map(len, words_a)), list(map(len, words_b))
-    items_b = [(w, tb[w]) for w in words_b]
-    blocks = []
-    lo = 0
-    while lo < len(words_a):
-        d = lens_a[lo]
-        hi = bisect_right(lens_a, d, lo)
-        blocks.append(([(w, ta[w]) for w in words_a[lo:hi]], items_b[: bisect_right(lens_b, cap - d)]))
-        lo = hi
-    return blocks
+def _by_degree(p: AssocPoly) -> list[tuple[int, Iterable[int], Iterable[int]]]:
+    """(d, codes, numerators) of the words of each degree d of a nonzero p, d ascending."""
+    codes = p._codes
+    off = p.ctx._offsets
+    d = bisect_right(off, min(codes)) - 1
+    if max(codes) < off[d + 1]:  # homogeneous: no sort, no copy
+        return [(d, codes.keys(), codes.values())]
+    ks = sorted(codes)
+    groups = []
+    i = 0
+    while i < len(ks):
+        j = bisect_left(ks, off[d + 1], i)
+        if j > i:
+            groups.append((d, ks[i:j], [codes[k] for k in ks[i:j]]))
+        i = j
+        d += 1
+    return groups
 
 
 def _product(a: AssocPoly, b: AssocPoly, commutator: bool) -> AssocPoly:
-    """a*b, or [a, b] = a*b - b*a when `commutator`, on the integer numerators."""
+    """a*b, or [a, b] = a*b - b*a when `commutator`, on the integer numerators.
+
+    Words are multiplied block by block, one block per pair of degrees
+    (da, db) with da + db <= max_degree: code(u v) = code(u) n^db + code(v).
+    """
     _require_same_ctx(a, b)
-    out: dict[Word, int] = {}
+    out: dict[int, int] = {}
     get = out.get
-    for items_a, items_b in _blocks(a, b):
-        for wa, ca in items_a:
-            for wb, cb in items_b:
-                c = ca * cb
-                w = wa + wb
-                out[w] = get(w, 0) + c
+    if a._codes and b._codes:
+        n, cap = a.ctx.n, a.ctx.max_degree
+        blocks_b = _by_degree(b)
+        for da, codes_a, nums_a in _by_degree(a):
+            for db, codes_b, nums_b in blocks_b:
+                if da + db > cap:
+                    break
+                shifted_a = [k * n**db for k in codes_a]
                 if commutator:
-                    w = wb + wa
-                    out[w] = get(w, 0) - c
+                    items_b = list(zip(codes_b, [k * n**da for k in codes_b], nums_b))
+                    for sa, ka, ca in zip(shifted_a, codes_a, nums_a):
+                        for kb, sb, cb in items_b:
+                            c = ca * cb
+                            k = sa + kb
+                            out[k] = get(k, 0) + c
+                            k = sb + ka
+                            out[k] = get(k, 0) - c
+                else:
+                    items_b = list(zip(codes_b, nums_b))
+                    for sa, ca in zip(shifted_a, nums_a):
+                        for kb, cb in items_b:
+                            k = sa + kb
+                            out[k] = get(k, 0) + ca * cb
     return AssocPoly._reduce(a.ctx, out, a._den * b._den)
 
 
@@ -476,25 +607,35 @@ def log_trunc(a: AssocPoly) -> AssocPoly:
     return acc
 
 
-def _sum(ctx: AlgebraCtx, polys: Sequence[AssocPoly]) -> AssocPoly:
-    # Each numerator is lifted to the lcm of the denominators.
-    den = lcm(*(p._den for p in polys))
-    out: dict[Word, int] = {}
+def _sum(ctx: AlgebraCtx, polys: Sequence[AssocPoly], scalars: Sequence[Scalar] | None = None) -> AssocPoly:
+    # Each numerator is lifted to the lcm of the denominators, a scalar's included.
+    if scalars is None:
+        lifts = [(p, 1, p._den) for p in polys]
+    else:
+        lifts = [(p, s.numerator, p._den * s.denominator) for p, s in zip(polys, map(Fraction, scalars))]
+    den = lcm(*(d for _, _, d in lifts))
+    # The largest term map is copied and the others are added into the copy.
+    lifts = sorted(((p._codes, den // d * s) for p, s, d in lifts if p and s), key=lambda t: -len(t[0]))
+    if not lifts:
+        return AssocPoly.zero(ctx)
+    (first, f), *rest = lifts
+    out = dict(first) if f == 1 else {k: c * f for k, c in first.items()}
     get = out.get
-    for p in polys:
-        f = den // p._den
-        for w, c in p._terms.items():
-            out[w] = get(w, 0) + c * f
+    for codes, f in rest:
+        for k, c in codes.items():
+            out[k] = get(k, 0) + c * f
     return AssocPoly._reduce(ctx, out, den)
 
 
-def poly_sum(ctx: AlgebraCtx, polys: Iterable[AssocPoly]) -> AssocPoly:
-    """Sum of many polynomials in one pass."""
+def poly_sum(ctx: AlgebraCtx, polys: Iterable[AssocPoly], scalars: Sequence[Scalar] | None = None) -> AssocPoly:
+    """Sum of many polynomials in one pass: of scalars[i] * polys[i] when `scalars` is given."""
     polys = list(polys)
     for p in polys:
         if p.ctx != ctx:
             raise ContextMismatchError(f"context mismatch: {p.ctx} vs {ctx}")
-    return _sum(ctx, polys)
+    if scalars is not None and len(scalars) != len(polys):
+        raise ValueError(f"{len(polys)} polynomials but {len(scalars)} scalars")
+    return _sum(ctx, polys, scalars)
 
 
 def generators(ctx: AlgebraCtx) -> list[AssocPoly]:

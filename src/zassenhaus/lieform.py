@@ -193,13 +193,14 @@ def dsw_project(a: AssocPoly) -> AssocPoly:
     if d == 0:
         raise ValueError("dsw_project is undefined in degree 0")
     gens = generators(a.ctx)
+    words, nums, den = a.numerators()
     pieces: list[AssocPoly] = []
-    for word, c in a._terms.items():  # integer numerators over the common denominator a._den
+    for word in words:
         nested = gens[word[0] - 1]
         for letter in word[1:]:
             nested = bracket(nested, gens[letter - 1])
-        pieces.append(nested.scaled(c))
-    return poly_sum(a.ctx, pieces).scaled(Fraction(1, d * a._den))
+        pieces.append(nested)
+    return poly_sum(a.ctx, pieces, [Fraction(c, d * den) for c in nums])
 
 
 # -- rendering ---------------------------------------------------------------

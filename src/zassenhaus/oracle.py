@@ -51,7 +51,6 @@ from .freealg import (
     AlgebraCtx,
     AssocPoly,
     Word,
-    canonical_words,
     exp_trunc,
     format_fraction,
     generators,
@@ -120,9 +119,12 @@ def peel_oracle(n: int, max_degree: int) -> list[AssocPoly]:
     """
     ctx = AlgebraCtx(n, max_degree)
     gens = generators(ctx)
-    residue = exp_trunc(poly_sum(ctx, gens))
+    dense = exp_trunc(poly_sum(ctx, gens))
+    # The sparse e^(-Xn) ... e^(-X1) first (its words are Xn^a ... X1^b), then one dense product.
+    peel = AssocPoly.one(ctx)
     for g in gens:
-        residue = exp_trunc(-g) * residue
+        peel = exp_trunc(-g) * peel
+    residue = peel * dense
     out: list[AssocPoly] = []
     for m in range(2, max_degree + 1):
         w_m = residue.degree_component(m)
@@ -245,12 +247,12 @@ def substitute(poly: AssocPoly, mats: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError(f"need {poly.ctx.n} matrices, got {len(mats)}")
     dim = mats[0].shape[0]
     out = np.zeros((dim, dim))
-    terms, den = poly._terms, poly._den
+    words, nums, den = poly.numerators()
     # prefix[k] = I @ M[w1] @ ... @ M[wk] for the previous word; in canonical
     # order neighbouring words share long prefixes, whose products are reused.
     prefix = [np.eye(dim)]
     prev: Word = ()
-    for word in canonical_words(terms):
+    for word, num in zip(words, nums):
         k = 0
         for x, y in zip(prev, word):
             if x != y:
@@ -259,7 +261,7 @@ def substitute(poly: AssocPoly, mats: Sequence[np.ndarray]) -> np.ndarray:
         del prefix[k + 1 :]
         for letter in word[k:]:
             prefix.append(prefix[-1] @ mats[letter - 1])
-        out += (terms[word] / den) * prefix[len(word)]
+        out += (num / den) * prefix[len(word)]
         prev = word
     return out
 

@@ -164,6 +164,14 @@ class TestArithmetic:
         with pytest.raises(ContextMismatchError):
             poly_sum(AlgebraCtx(2, 3), [b])
 
+    def test_poly_sum_with_scalars(self):
+        ctx = AlgebraCtx(2, 3)
+        x, y = generators(ctx)
+        assert poly_sum(ctx, [x, y, x], [Fraction(1, 2), -3, Fraction(1, 2)]) == x - y.scaled(3)
+        assert poly_sum(ctx, [x, y], [0, 0]).is_zero
+        with pytest.raises(ValueError):
+            poly_sum(ctx, [x, y], [1])
+
 
 class TestBracket:
     def test_antisymmetry_and_jacobi_randomized(self):
@@ -253,6 +261,33 @@ class TestGradingAndInspection:
         q = p.restricted(2)
         assert q.ctx.max_degree == 2
         assert q.coeff((1, 2)) == 1 and q.coeff((1, 2, 1, 2)) == 0
+
+    @pytest.mark.parametrize("kind", ["homogeneous", "mixed"])
+    def test_restricted_without_dropped_words_equals_the_copy(self, kind):
+        # No word is dropped, so the term map is shared, not copied; the value
+        # must still equal the polynomial rebuilt word by word in the new context.
+        ctx = AlgebraCtx(2, 5)
+        x, y = generators(ctx)
+        if kind == "homogeneous":
+            p = bracket(x, bracket(x, y)).scaled(Fraction(2, 3))
+        else:
+            p = AssocPoly.one(ctx) + x.scaled(Fraction(-1, 2)) + (x * y * x).scaled(3)
+        for k in (3, 4, 5, 8):
+            q = p.restricted(k)
+            copy = AssocPoly(AlgebraCtx(2, k), p.terms())
+            assert q == copy and q.ctx == AlgebraCtx(2, k)
+            assert q.numerators() == copy.numerators() and q.text() == copy.text()
+            x_k = AssocPoly.generator(q.ctx, 1)
+            assert q * q * x_k == copy * copy * x_k  # products truncate at the new degree
+        assert p.restricted(2) == AssocPoly(AlgebraCtx(2, 2), [(w, c) for w, c in p.terms() if len(w) <= 2])
+
+    def test_coeff_of_a_foreign_word_is_zero(self):
+        # (3,) is no word at n = 2; as a base-2 numeral it would read like (1, 1).
+        ctx = AlgebraCtx(2, 3)
+        p = AssocPoly(ctx, {(1, 1): 5, (2,): 1})
+        assert p.coeff((1, 1)) == 5
+        for word in [(3,), (0, 1), (1, 1, 1, 1), (True, 1), (1.0, 1), ("1",)]:
+            assert p.coeff(word) == 0
 
     def test_max_abs_coeff(self):
         ctx = AlgebraCtx(1, 2)

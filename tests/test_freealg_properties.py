@@ -9,7 +9,7 @@ from collections import defaultdict
 from fractions import Fraction
 from math import factorial, gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zassenhaus.freealg import (
@@ -17,9 +17,11 @@ from zassenhaus.freealg import (
     AssocPoly,
     bracket,
     exp_trunc,
+    generators,
     log_trunc,
     mul,
     poly_sum,
+    word_key,
 )
 
 kernel_settings = settings(max_examples=60, deadline=None)
@@ -79,11 +81,11 @@ def model(p):
 
 
 def assert_canonical(p):
-    nums = list(p._terms.values())
-    assert p._den > 0
+    _, nums, den = p.numerators()
+    assert den > 0
     assert 0 not in nums
-    assert gcd(p._den, *nums) == 1
-    assert p._den == 1 or nums
+    assert gcd(den, *nums) == 1
+    assert den == 1 or nums
 
 
 # -- strategies ---------------------------------------------------------------
@@ -190,3 +192,74 @@ def test_json_round_trip(a):
     assert AssocPoly.from_json_dict(a.to_json_dict()) == a
     assert AssocPoly.from_numerators(a.ctx, *a.numerators()) == a
     assert_canonical(a)
+
+
+# -- the coded kernel -------------------------------------------------------------
+#
+# Words are stored as integer codes; these tests feed the kernel tuple-keyed
+# dicts and compare with the tuple reference above, computed on those dicts
+# themselves, so a wrong encoding cannot cancel against a wrong decoding.
+
+wide_contexts = st.builds(AlgebraCtx, n=st.integers(1, 4), max_degree=st.integers(2, 7))
+
+
+@st.composite
+def raw_pairs(draw):
+    """(ctx, a, b): two word -> Fraction dicts of mixed degree, words up to max_degree long."""
+    ctx = draw(wide_contexts)
+    words = st.lists(st.integers(1, ctx.n), max_size=ctx.max_degree).map(tuple)
+    a, b = (draw(st.dictionaries(words, coefficients, max_size=10)) for _ in range(2))
+    return ctx, a, b
+
+
+n1_example = (
+    AlgebraCtx(1, 4),
+    {(): Fraction(1), (1,): Fraction(2), (1, 1, 1): Fraction(-1)},
+    {(1,): Fraction(3), (1, 1): Fraction(1, 2)},
+)
+
+
+@kernel_settings
+@given(raw_pairs())
+@example(n1_example)
+def test_coded_products_match_tuple_reference(ctx_ab):
+    ctx, a, b = ctx_ab
+    cap = ctx.max_degree
+    pa, pb = AssocPoly(ctx, a), AssocPoly(ctx, b)
+    assert model(mul(pa, pb)) == ref_mul(a, b, cap)
+    assert model(bracket(pa, pb)) == ref_bracket(a, b, cap)
+    assert model(mul(pb, pa)) == ref_mul(b, a, cap)
+
+
+@kernel_settings
+@given(raw_pairs())
+@example(n1_example)
+def test_numerators_and_terms_in_canonical_order(ctx_ab):
+    ctx, a, _ = ctx_ab
+    p = AssocPoly(ctx, a)
+    expected = sorted((w for w, c in a.items() if c), key=word_key)
+    assert [w for w, _ in p.terms()] == expected
+    assert dict(p.terms()) == ref_clean(a)
+    words, nums, den = p.numerators()
+    assert words == expected and all(type(w) is tuple for w in words)
+    assert [Fraction(c, den) for c in nums] == [a[w] for w in words]
+    assert AssocPoly.from_numerators(ctx, words, nums, den) == p
+
+
+@kernel_settings
+@given(raw_pairs(), st.lists(scalars, min_size=2, max_size=2))
+def test_weighted_sum_matches_model(ctx_ab, s):
+    ctx, a, b = ctx_ab
+    total = poly_sum(ctx, [AssocPoly(ctx, a), AssocPoly(ctx, b)], s)
+    assert model(total) == ref_add(ref_scaled(a, s[0]), ref_scaled(b, s[1]))
+    assert_canonical(total)
+
+
+def test_single_generator():
+    ctx = AlgebraCtx(1, 5)
+    (x,) = generators(ctx)
+    p = AssocPoly(ctx, {(1, 1): 2, (): Fraction(1, 3)})
+    assert mul(p, x).terms() == [((1,), Fraction(1, 3)), ((1, 1, 1), Fraction(2))]
+    assert bracket(p, x).is_zero
+    assert exp_trunc(x).terms() == [((1,) * d, Fraction(1, factorial(d))) for d in range(6)]
+    assert p.text() == "1/3 + 2*X1*X1" and p.latex() == "\\frac{1}{3}+2X_{1}X_{1}"
