@@ -12,8 +12,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (including an
 (path disagreement, corrupted cache entry).
 
 All output is deterministic for fixed flags (and seed, where one
-applies): JSON is dumped with sorted keys and fixed separators, and term
-order is canonical everywhere.  The cache layout is
+applies): JSON has sorted keys and fixed separators, byte for byte as
+`json.dumps(doc, sort_keys=True, separators=(",", ":"))` writes it, and
+term order is canonical everywhere.  The `terms` and `f1k` JSON documents
+are written as text around `AssocPoly.to_json`, and the cache payload is
+`AssocPoly.numerators_json`: no W_m goes through a dict or `json.dumps`.
+`terms` writes its output in chunks, one W_m each, rendered only when
+written, so that one rendering at a time is alive.  The cache layout is
 
     <root>/<cache-version>/n<n>/W<m>.json
 
@@ -49,7 +54,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .engine import EngineCtx, PathDisagreementError, f1k_comm, f1k_direct, series, w_comm
 from .freealg import AlgebraCtx, AssocPoly
@@ -109,9 +114,7 @@ _PAYLOAD_MARK = b',"payload":'
 
 def cache_store(root: Path, n: int, m: int, poly: AssocPoly) -> Path:
     """Write W_m (in context (n, m)) atomically: a killed run leaves no partial entry."""
-    words, nums, den = poly.numerators()
-    ctx = poly.ctx
-    payload = _dumps({"den": den, "maxDegree": ctx.max_degree, "n": ctx.n, "nums": nums, "words": words}).encode()
+    payload = poly.numerators_json().encode()
     header = _dumps({"digest": hashlib.sha256(payload).hexdigest(), "key": _cache_key(n, m)}).encode()
     entry = header[:-1] + _PAYLOAD_MARK + payload + b"}\n"
     target = _cache_file(root, n, m)
@@ -175,7 +178,12 @@ def _body(comm: LieExpr | None, poly: AssocPoly, format: str) -> str:
 # -- terms --------------------------------------------------------------------
 
 
-def _terms_lines(args: argparse.Namespace) -> str:
+def _terms_lines(args: argparse.Namespace) -> Iterator[str]:
+    """W_2..W_K, read from and written to the cache, as output chunks rendered when they are consumed.
+
+    All of the computing and caching is done before the first chunk, and
+    only one W_m's rendering is alive at a time.
+    """
     n, K, path = args.n, args.max_degree, args.path
     alg = AlgebraCtx(n, K)  # refuses a bad n or K before any cache read
     root = cache_root(args.cache)
@@ -192,34 +200,40 @@ def _terms_lines(args: argparse.Namespace) -> str:
         rows.append((m, w, w_comm(m, n) if args.form == "comm" else None))
 
     if args.format == "json":
-        doc = {
-            "version": SCHEMA_VERSION,
-            "n": n,
-            "maxDegree": K,
-            "path": path,
-            "form": args.form,
-            "terms": [
-                {"m": m, "poly": poly.to_json_dict()}
-                | ({"comm": render(comm, "text")} if comm is not None else {})
-                for m, poly, comm in rows
-            ],
-        }
-        return _dumps(doc) + "\n"
-
+        return _terms_json(args, rows)
     head = "W_{{{}}} = " if args.format == "latex" else "W{} = "
-    return "".join(f"{head.format(m)}{_body(comm, poly, args.format)}\n" for m, poly, comm in rows)
+    return (f"{head.format(m)}{_body(comm, poly, args.format)}\n" for m, poly, comm in rows)
+
+
+def _terms_json(args: argparse.Namespace, rows: list[tuple[int, AssocPoly, LieExpr | None]]) -> Iterator[str]:
+    # The document as `_dumps` would write it, keys sorted; each W_m is written as its own chunk.
+    form, path = _dumps(args.form), _dumps(args.path)
+    yield f'{{"form":{form},"maxDegree":{args.max_degree},"n":{args.n},"path":{path},"terms":['
+    sep = ""
+    for m, poly, comm in rows:
+        yield f'{sep}{{{_comm_member(comm)}"m":{m},"poly":'
+        yield poly.to_json()
+        yield "}"
+        sep = ","
+    yield f'],"version":{SCHEMA_VERSION}}}\n'
+
+
+def _comm_member(comm: LieExpr | None) -> str:
+    """The "comm" member of a JSON object and its comma, or nothing without a commutator form."""
+    return "" if comm is None else f'"comm":{_dumps(render(comm, "text"))},'
 
 
 def cmd_terms(args: argparse.Namespace) -> int:
-    text = _terms_lines(args)
+    chunks = _terms_lines(args)
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as out:
+                out.writelines(chunks)
         except OSError as exc:
             print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return EXIT_OK
 
 
@@ -263,12 +277,9 @@ def cmd_f1k(args: argparse.Namespace) -> int:
             f"f[1,{k}]: commutator form and nested-ad form disagree at n={n}"
         )
     if args.format == "json":
-        doc = {"version": SCHEMA_VERSION, "k": k, "n": n, "path": args.path}
-        if comm is not None:
-            doc["comm"] = render(comm, "text")
-        if direct is not None:
-            doc["poly"] = direct.to_json_dict()
-        sys.stdout.write(_dumps(doc) + "\n")
+        # The document as `_dumps` would write it, keys sorted.
+        path, poly = _dumps(args.path), "" if direct is None else f'"poly":{direct.to_json()},'
+        sys.stdout.write(f'{{{_comm_member(comm)}"k":{k},"n":{n},"path":{path},{poly}"version":{SCHEMA_VERSION}}}\n')
         return EXIT_OK
     prefix = f"f_{{1,{k}}} = " if args.format == "latex" else f"f[1,{k}] = "
     sys.stdout.write(prefix + _body(comm, direct, args.format) + "\n")

@@ -23,17 +23,16 @@ Two facts make it the kernel's representation:
 
 The codes depend on n alone, not on the truncation degree.  Words become
 tuples only at the boundary: the constructors, `coeff`, `terms`,
-`numerators` and `from_numerators`.  The renderers split each code into
-two half words and look each half up in a table built once per distinct
-half, so a word costs two lookups, not a pass over its letters.
+`numerators` and `from_numerators`.
 
 A polynomial stores integer numerators over one common denominator: the
 coefficient of the word with code k is `_codes[k] / _den`, with `_den` a
 positive int.  The form is canonical -- no zero numerators,
 gcd(_den, all numerators) == 1, and `_den == 1` for the zero polynomial --
 so equality is structural and all arithmetic runs on Python ints.
-`fractions.Fraction` appears only at the API boundary: constructors and
-`scaled` accept int or Fraction scalars, and `terms`, `coeff`,
+`fractions.Fraction` appears only at the API boundary: constructors,
+`scaled` and `poly_sum` accept int or Fraction scalars (a float or a bool
+raises ValueError, as it does as a letter), and `terms`, `coeff`,
 `constant_term` and `max_abs_coeff` return Fractions.  `numerators` hands
 out the stored form itself (words in canonical order), and
 `from_numerators` takes it back after checking that it is canonical,
@@ -45,16 +44,28 @@ Lie elements are represented associatively via [A, B] = A*B - B*A; see
 constant term (resp. with constant term 1) are finite sums here because
 of the truncation.
 
-`signed_sum` is the one writer of signed rational sums, in text and
-LaTeX: `AssocPoly.text` and `latex` hand it monomials, and
-`lieform.render` hands it commutators.
+Every writer of a polynomial -- `text`, `latex`, `to_json` and
+`numerators_json` -- is one pass of `_halves` over the sorted codes with
+tables of ready strings: one per distinct half word (a code splits into
+two half words, so a word costs two lookups, not a pass over its
+letters) and one per distinct numerator, the term's prefix.  A term adds
+three shared strings to one list, which is joined once: a term makes no
+dict and no string of its own.  In a signed sum the prefix is
+the separator, sign and coefficient, " + 2/3*"; in JSON it is the comma
+and the coefficient, ',{"coeff":"2/3","word":['; the leading term drops
+its separator.  The sign and coefficient rules live in `_sum_prefix`
+alone, which also serves `signed_sum`, the writer `lieform.render`
+hands its commutators to.
 
 The canonical JSON form of a polynomial is
 
-    {"n": ..., "maxDegree": ..., "terms": [{"word": [i1, ...], "coeff": "p/q"}, ...]}
+    {"maxDegree": ..., "n": ..., "terms": [{"coeff": "p/q", "word": [i1, ...]}, ...]}
 
 with terms in canonical order and coefficients as reduced fractions with
-positive denominator.
+positive denominator.  `to_json` writes it as compact text with sorted
+keys, byte for byte what `json.dumps(form, sort_keys=True,
+separators=(",", ":"))` would write; `to_json_dict` reads that text back,
+and `from_json_dict` accepts this form and nothing else.
 
 All values are immutable after construction and all operations are pure,
 so values may be freely shared between threads.
@@ -62,6 +73,8 @@ so values may be freely shared between threads.
 
 from __future__ import annotations
 
+import json
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,7 +86,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Uni
 Word = tuple[int, ...]
 Scalar = Union[int, Fraction]
 T = TypeVar("T")
-C = TypeVar("C")
 
 
 class ContextMismatchError(ValueError):
@@ -127,30 +139,38 @@ def _code(n: int, word: Word) -> int:
     return k
 
 
-class _HalfTable(dict):
-    """code -> half(word of code), each entry made on first lookup."""
+class _Table(dict):
+    """key -> make(key), each entry made on first lookup."""
 
-    def __init__(self, n: int, half: Callable[[Word], object]):
-        self.n, self.half = n, half
+    def __init__(self, make: Callable[[int], object]):
+        self.make = make
 
-    def __missing__(self, c: int) -> object:
-        letters = []
-        rest = c
-        while rest:  # the digits of a bijective base-n numeral, last first
-            rest, r = divmod(rest - 1, self.n)
-            letters.append(r + 1)
-        self[c] = value = self.half(tuple(reversed(letters)))
+    def __missing__(self, key: int) -> object:
+        self[key] = value = self.make(key)
         return value
 
 
-def _halves(ctx: AlgebraCtx, codes: Iterable[int], half: Callable[[Word], T]) -> Iterator[tuple[T, T]]:
-    """(half(u), half(v)) for each code in ascending `codes`, its word split as u v with |v| = degree // 2.
+def _word(n: int, c: int) -> Word:
+    """The word of code c."""
+    letters = []
+    while c:  # the digits of a bijective base-n numeral, last first
+        c, r = divmod(c - 1, n)
+        letters.append(r + 1)
+    return tuple(reversed(letters))
 
-    `half` runs once per distinct half word: the words of degree d share at
-    most n^ceil(d/2) + n^floor(d/2) halves between them.
+
+def _halves(
+    ctx: AlgebraCtx, codes: Iterable[int], head: Callable[[Word], T], tail: Callable[[Word], T]
+) -> Iterator[tuple[T, T]]:
+    """(head(u), tail(v)) for each code in ascending `codes`, its word split as u v with |v| = degree // 2.
+
+    The one loop behind `terms`, `numerators` and every writer.  `head` and
+    `tail` run once per distinct half word: the words of degree d share at
+    most n^ceil(d/2) + n^floor(d/2) halves between them.  v is empty for the
+    words of degree <= 1, and u only for the constant word.
     """
     n, off = ctx.n, ctx._offsets
-    table = _HalfTable(n, half)
+    heads, tails = _Table(lambda c: head(_word(n, c))), _Table(lambda c: tail(_word(n, c)))
     d = e = 0
     base = end = 1
     for k in codes:
@@ -161,11 +181,31 @@ def _halves(ctx: AlgebraCtx, codes: Iterable[int], half: Callable[[Word], T]) ->
             base = n**e
         # code(u v) = code(u) n^e + code(v), and code(v) - off[e] lies in [0, n^e).
         hi = (k - off[e]) // base
-        yield table[hi], table[k - hi * base]
+        yield heads[hi], tails[k - hi * base]
 
 
-def _pair(p: int, q: int) -> tuple[int, int]:
-    return p, q
+def _digits(w: Word) -> str:
+    return ",".join(map(str, w))
+
+
+def _comma_digits(w: Word) -> str:
+    return "".join([f",{i}" for i in w])
+
+
+def _json_array(head: str, items: list[str], tail: str) -> str:
+    """head + the items of a JSON array, each written after a comma that the first one drops, + tail."""
+    if items:
+        items[0] = items[0][1:]
+    items.insert(0, head)
+    items.append(tail)
+    return "".join(items)
+
+
+def _exact(scalar: object) -> Fraction:
+    """An int (not a bool) or Fraction scalar as a Fraction; a float would bring its binary approximation."""
+    if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):
+        raise ValueError(f"scalar {scalar!r} is not an int or a Fraction")
+    return Fraction(scalar)
 
 
 def _require_same_ctx(a: "AssocPoly", b: "AssocPoly") -> None:
@@ -189,7 +229,7 @@ class AssocPoly:
             word = tuple(word)
             ctx.check_word(word)
             k = _code(ctx.n, word)
-            c = Fraction(coeff)
+            c = _exact(coeff)
             acc[k] = acc[k] + c if k in acc else c
         # Over the lcm of the reduced denominators the form is already canonical.
         den = lcm(*(c.denominator for c in acc.values()))
@@ -245,7 +285,7 @@ class AssocPoly:
     def monomial(cls, ctx: AlgebraCtx, word: Word, coeff: Scalar = 1) -> "AssocPoly":
         word = tuple(word)
         ctx.check_word(word)
-        c = Fraction(coeff)
+        c = _exact(coeff)
         return cls._make(ctx, {_code(ctx.n, word): c.numerator}, c.denominator) if c else cls._make(ctx, {})
 
     @classmethod
@@ -282,7 +322,7 @@ class AssocPoly:
 
     def _words(self, codes: Iterable[int]) -> Iterator[Word]:
         """The words of ascending `codes`, as tuples."""
-        return (u + v for u, v in _halves(self.ctx, codes, tuple))
+        return (u + v for u, v in _halves(self.ctx, codes, tuple, tuple))
 
     def terms(self) -> list[tuple[Word, Fraction]]:
         """All (word, coeff) pairs in canonical order."""
@@ -296,21 +336,28 @@ class AssocPoly:
         ks = sorted(codes)
         return list(self._words(ks)), [codes[k] for k in ks], self._den
 
-    def _reduced_terms(self, half: Callable[[Word], T], coeff: Callable[[int, int], C]) -> Iterator[tuple[T, T, C]]:
-        """(half(u), half(v), coeff(p, q)) in canonical order: the word is u v and p/q its coefficient in lowest terms.
+    def _written(
+        self, prefix: Callable[[int, int], str], head: Callable[[Word], str], tail: Callable[[Word], str]
+    ) -> list[str]:
+        """[prefix(p, q), head(u), tail(v), ...] over the terms p/q * u v in canonical order, p/q in lowest terms.
 
-        `coeff` runs once per distinct numerator: the W_m share few coefficient values.
+        Every piece is a string shared through a table, so the join of the
+        list is the one copy a writer makes of a term.
         """
         codes, den = self._codes, self._den
         ks = sorted(codes)
-        coeffs: dict[int, C] = {}
-        for k, (u, v) in zip(ks, _halves(self.ctx, ks, half)):
-            c = codes[k]
-            f = coeffs.get(c)
-            if f is None:
-                g = gcd(c, den)
-                coeffs[c] = f = coeff(c // g, den // g)
-            yield u, v, f
+
+        def reduced(c: int) -> str:
+            g = gcd(c, den)
+            return prefix(c // g, den // g)
+
+        pre = _Table(reduced)  # one gcd per distinct numerator: the W_m share few coefficient values
+        parts: list[str] = []
+        append = parts.append
+        for c, uv in zip(map(codes.__getitem__, ks), _halves(self.ctx, ks, head, tail)):
+            append(pre[c])
+            parts += uv
+        return parts
 
     def coeff(self, word: Word) -> Fraction:
         """The coefficient of `word`; 0 for a word that is not in this algebra."""
@@ -375,7 +422,7 @@ class AssocPoly:
         return AssocPoly._make(self.ctx, {k: -c for k, c in self._codes.items()}, self._den)
 
     def scaled(self, scalar: Scalar) -> "AssocPoly":
-        s = Fraction(scalar)
+        s = _exact(scalar)
         if not s:
             return AssocPoly.zero(self.ctx)
         if s == 1:
@@ -428,15 +475,22 @@ class AssocPoly:
     def __repr__(self) -> str:
         return f"AssocPoly(n={self.ctx.n}, K={self.ctx.max_degree}, {self.text()})"
 
+    def _signed(self, format: str, space: str, head: Callable[[Word], str], tail: Callable[[Word], str]) -> str:
+        """The terms as a signed sum, the word u v written head(u) + tail(v); see `signed_sum`."""
+        prefix = _sum_prefix(format, space)
+        parts = self._written(prefix, head, tail)
+        c, den = self._codes.get(0), self._den
+        if c:  # the constant word has code 0, so it leads; its magnitude prints bare
+            g = gcd(c, den)
+            parts[0] = prefix(c // g, den // g, False)
+        return _signed_join(parts, space)
+
     def text(self) -> str:
         """Deterministic plain-text rendering, terms in canonical order."""
         name = [f"X{i}" for i in range(self.ctx.n + 1)]  # name[i] renders letter i
-
-        def half(w: Word) -> str:
-            return "*".join([name[i] for i in w])
-
-        # v is empty only for words of degree <= 1.
-        return signed_sum((p, q, f"{u}*{v}" if v else u) for u, v, (p, q) in self._reduced_terms(half, _pair))
+        return self._signed(
+            "text", " ", lambda w: "*".join([name[i] for i in w]), lambda w: "".join(["*" + name[i] for i in w])
+        )
 
     def latex(self) -> str:
         """LaTeX rendering, terms in canonical order and joined without spaces."""
@@ -445,20 +499,63 @@ class AssocPoly:
         def half(w: Word) -> str:
             return "".join([name[i] for i in w])
 
-        return signed_sum(((p, q, u + v) for u, v, (p, q) in self._reduced_terms(half, _pair)), "latex", space="")
+        return self._signed("latex", "", half, half)
+
+    def to_json(self) -> str:
+        """The canonical JSON form as compact text with sorted keys; see the module docstring."""
+        ctx = self.ctx
+        terms = self._written(
+            lambda p, q: f',{{"coeff":"{p}/{q}","word":[', _digits, lambda w: _comma_digits(w) + "]}"
+        )
+        return _json_array(f'{{"maxDegree":{ctx.max_degree},"n":{ctx.n},"terms":[', terms, "]}")
 
     def to_json_dict(self) -> dict:
-        """Canonical JSON form; see the module docstring."""
-        return {
-            "n": self.ctx.n,
-            "maxDegree": self.ctx.max_degree,
-            "terms": [{"word": [*u, *v], "coeff": c} for u, v, c in self._reduced_terms(tuple, "{}/{}".format)],
-        }
+        """The canonical JSON form as a dict: `to_json` read back."""
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "AssocPoly":
-        ctx = AlgebraCtx(int(payload["n"]), int(payload["maxDegree"]))
-        return cls(ctx, [(t["word"], t["coeff"]) for t in payload["terms"]])  # the constructor parses "p/q"
+        """The polynomial of a canonical JSON form, exactly as `to_json_dict` writes it.
+
+        `n` and `maxDegree` must be ints, each coefficient a reduced "p/q"
+        string with p != 0 and q > 0, and the words distinct and in canonical
+        order; anything else raises ValueError.
+        """
+        try:
+            terms = payload["terms"]
+            if set(payload) != {"n", "maxDegree", "terms"} or any(set(t) != {"word", "coeff"} for t in terms):
+                raise ValueError('the form has keys other than "n", "maxDegree" and "terms": [{"word", "coeff"}]')
+            ctx = AlgebraCtx(payload["n"], payload["maxDegree"])
+            fractions = [re.fullmatch(_COEFF, t["coeff"]) for t in terms]
+            if None in fractions:
+                raise ValueError('every coefficient must be a "p/q" string with p != 0 and q > 0')
+            pqs = [(int(f[1]), int(f[2])) for f in fractions]
+            if any(gcd(p, q) != 1 for p, q in pqs):
+                raise ValueError("every coefficient must be in lowest terms")
+            # Over the lcm of reduced denominators the numerators share no factor with it.
+            den = lcm(*(q for _, q in pqs))
+            return cls.from_numerators(ctx, [t["word"] for t in terms], [p * (den // q) for p, q in pqs], den)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"not a canonical JSON form: {exc!r}") from exc
+
+    def numerators_json(self) -> str:
+        """`numerators` and the context as compact JSON text with sorted keys.
+
+        The object is {"den": q, "maxDegree": K, "n": n, "nums": [p, ...],
+        "words": [[i1, ...], ...]}; its fields read back with `from_numerators`.
+        """
+        codes, ctx = self._codes, self.ctx
+        ks = sorted(codes)
+        nums = ",".join(map(str, map(codes.__getitem__, ks)))
+        halves = _halves(ctx, ks, lambda w: ",[" + _digits(w), lambda w: _comma_digits(w) + "]")
+        words = list(chain.from_iterable(halves))
+        head = f'{{"den":{self._den},"maxDegree":{ctx.max_degree},"n":{ctx.n},"nums":[{nums}],"words":['
+        return _json_array(head, words, "]}")
+
+
+# A coefficient of the canonical JSON form: p/q with p != 0 and q > 0 ([0-9] is ASCII only).
+# `re` compiles it on first use, which keeps it out of the import time.
+_COEFF = r"(-?[1-9][0-9]*)/([1-9][0-9]*)"
 
 
 def format_fraction(c: Fraction) -> str:
@@ -466,14 +563,14 @@ def format_fraction(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def signed_sum(terms: Iterable[tuple[int, int, str]], format: str = "text", space: str = " ") -> str:
-    """The sum of p/q * body over (p, q, body) triples, p/q in lowest terms and q > 0.
+def _sum_prefix(format: str, space: str) -> Callable[..., str]:
+    """prefix(p, q, body=True): what precedes the body of the term p/q * body in a signed sum.
 
-    A coefficient prints as "p/q*body" in text and "\\frac{p}{q}body" in
-    LaTeX.  A magnitude of 1 is omitted beside a nonempty body; an empty body
-    (the constant word) prints the bare magnitude.  Signs go into the
-    separators, `space` + "+" or "-" + `space`, and a leading term carries only
-    a minus.  The empty sum is "0".
+    The one place of the sign and coefficient rules.  A coefficient prints
+    as "p/q*body" in text and "\\frac{p}{q}body" in LaTeX.  A magnitude of 1
+    is omitted beside a nonempty body; an empty body (the constant word)
+    takes the bare magnitude.  The sign goes into the separator, `space` +
+    "+" or "-" + `space`, which `_signed_join` trims on the leading term.
     """
     if format == "text":
         times, fraction = "*", "%d/%d"
@@ -481,10 +578,9 @@ def signed_sum(terms: Iterable[tuple[int, int, str]], format: str = "text", spac
         times, fraction = "", "\\frac{%d}{%d}"
     else:
         raise ValueError(f"unknown format {format!r}")
-    plus, minus = f"{space}+{space}", f"{space}-{space}"
-    pos, neg = "", "-"  # the separators of the leading term
-    parts: list[str] = []
-    for p, q, body in terms:
+    signs = (f"{space}+{space}", f"{space}-{space}")
+
+    def prefix(p: int, q: int, body: bool = True) -> str:
         mag = abs(p)
         if q != 1:
             coeff = fraction % (mag, q)
@@ -492,10 +588,27 @@ def signed_sum(terms: Iterable[tuple[int, int, str]], format: str = "text", spac
             coeff = str(mag)
         else:
             coeff = ""
-        parts.append(neg if p < 0 else pos)
-        parts.append(f"{coeff}{times}{body}" if coeff and body else coeff or body)
-        pos, neg = plus, minus
-    return "".join(parts) or "0"
+        return signs[p < 0] + (coeff + times if coeff and body else coeff)
+
+    return prefix
+
+
+def _signed_join(parts: list[str], space: str) -> str:
+    """Join terms each written after its `_sum_prefix`: the leading term keeps only a minus; the empty sum is "0"."""
+    if not parts:
+        return "0"
+    lead = parts[0]
+    parts[0] = ("-" if lead[len(space)] == "-" else "") + lead[2 * len(space) + 1 :]
+    return "".join(parts)
+
+
+def signed_sum(terms: Iterable[tuple[int, int, str]], format: str = "text", space: str = " ") -> str:
+    """The sum of p/q * body over (p, q, body) triples, p/q in lowest terms and q > 0, in text or LaTeX.
+
+    The rules are those of `_sum_prefix`; the empty sum is "0".
+    """
+    prefix = _sum_prefix(format, space)
+    return _signed_join([prefix(p, q, bool(body)) + body for p, q, body in terms], space)
 
 
 # -- ring operations ---------------------------------------------------------
@@ -612,7 +725,7 @@ def _sum(ctx: AlgebraCtx, polys: Sequence[AssocPoly], scalars: Sequence[Scalar] 
     if scalars is None:
         lifts = [(p, 1, p._den) for p in polys]
     else:
-        lifts = [(p, s.numerator, p._den * s.denominator) for p, s in zip(polys, map(Fraction, scalars))]
+        lifts = [(p, s.numerator, p._den * s.denominator) for p, s in zip(polys, map(_exact, scalars))]
     den = lcm(*(d for _, _, d in lifts))
     # The largest term map is copied and the others are added into the copy.
     lifts = sorted(((p._codes, den // d * s) for p, s, d in lifts if p and s), key=lambda t: -len(t[0]))

@@ -109,6 +109,84 @@ class TestConstruction:
         with pytest.raises(ValueError):
             AssocPoly.from_numerators(AlgebraCtx(2, 3), words, nums, den)
 
+    @pytest.mark.parametrize("scalar", [0.1, 0.5, 1.0, float("nan"), True, False, "1/2", None])
+    def test_scalars_must_be_exact(self, scalar):
+        # Unchecked, 0.1 would become 3602879701896397/36028797018963968 and True would count as 1.
+        ctx = AlgebraCtx(2, 2)
+        x = AssocPoly.generator(ctx, 1)
+        with pytest.raises(ValueError):
+            AssocPoly(ctx, {(1, 2): scalar})
+        with pytest.raises(ValueError):
+            AssocPoly(ctx, [((1, 2), 1), ((2,), scalar)])
+        with pytest.raises(ValueError):
+            AssocPoly.monomial(ctx, (1, 2), scalar)
+        with pytest.raises(ValueError):
+            x.scaled(scalar)
+        with pytest.raises(ValueError):
+            poly_sum(ctx, [x], [scalar])
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n": "2"},
+            {"n": 2.9},
+            {"n": 2.0},
+            {"n": True},
+            {"maxDegree": "3"},
+            {"maxDegree": 3.0},
+            {"maxDegree": False},
+            {"coeff": 0.1},
+            {"coeff": 1},
+            {"coeff": True},
+            {"coeff": None},
+            {"coeff": "0.5"},
+            {"coeff": "1e-3"},
+            {"coeff": " 1/2 "},
+            {"coeff": "1/2 "},
+            {"coeff": "1"},
+            {"coeff": "2/4"},  # not reduced
+            {"coeff": "-1/-2"},
+            {"coeff": "1/-2"},
+            {"coeff": "0/1"},  # zero
+            {"coeff": "-0/1"},
+            {"coeff": "01/2"},
+            {"coeff": "1/02"},
+            {"coeff": "+1/2"},
+            {"coeff": "1_0/3"},
+            {"coeff": "\u0661/2"},  # a non-ASCII digit
+            {"coeff": ["1/2"]},
+            {"word": [1]},  # the word of the term before
+            {"word": []},  # out of canonical order
+            {"word": [1, 3]},
+            {"word": [1, 2, 1, 2]},
+            {"word": [1.0, 2]},
+            {"word": [True, 2]},
+            {"word": "12"},
+            {"word": 12},
+            {"extra": 1},
+            {"drop": "coeff"},
+            {"drop": "n"},
+            {"drop": "terms"},
+            {"terms": None},
+            {"terms": {"word": [1], "coeff": "1/2"}},
+            {"terms": ["1/2"]},
+        ],
+    )
+    def test_from_json_dict_rejects_non_canonical_forms(self, change):
+        form = {"n": 2, "maxDegree": 3, "terms": [{"word": [1], "coeff": "1/3"}, {"word": [2, 1], "coeff": "-5/2"}]}
+        valid = AssocPoly(AlgebraCtx(2, 3), {(1,): Fraction(1, 3), (2, 1): Fraction(-5, 2)})
+        assert AssocPoly.from_json_dict(form) == valid  # the form before the change reads back
+        last = form["terms"][-1]
+        for key, value in change.items():
+            if key == "drop":
+                (last if value in last else form).pop(value)
+            elif key in last or key == "extra":
+                last[key] = value
+            else:
+                form[key] = value
+        with pytest.raises(ValueError):
+            AssocPoly.from_json_dict(form)
+
     def test_immutability(self):
         p = AssocPoly.one(AlgebraCtx(1, 1))
         with pytest.raises(AttributeError):

@@ -1,19 +1,28 @@
-"""Property tests of the text writer: a printed sum reads back as the value printed.
+"""Property tests of the writers: a printed sum reads back as the value printed,
+and every writer of a polynomial matches a plain reference encoder byte for byte.
 
 `lieform.parse` is the package's reader of the commutator form.  The
 associative form has no reader in the package, so `read_text` below takes
 `AssocPoly.text()` back to `terms()`; it also insists on the canonical
 printed form: reduced fractions, no magnitude 1 beside a word, and a
 constant printed as its bare magnitude.
+
+The reference encoders at the end of this file build each output from
+`terms()` or `numerators()` one term at a time, with `json.dumps` for JSON.
 """
 
+import hashlib
+import json
 import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zassenhaus.cli import CACHE_VERSION, cache_store
 from zassenhaus.freealg import AlgebraCtx, AssocPoly
 from zassenhaus.lieform import CommTerm, LieExpr, parse, render
 
@@ -93,3 +102,85 @@ def test_lie_text_parses_back(e):
 def test_reader_rejects_non_canonical_text(bad):
     with pytest.raises((AssertionError, ValueError)):
         read_text(bad)
+
+
+# -- reference encoders -------------------------------------------------------
+
+
+def ref_signed_sum(terms, times, fraction, space):
+    """Sum of p/q * body over (p, q, body), term by term, as the package printed it before its prefix tables."""
+    parts = []
+    for i, (p, q, body) in enumerate(terms):
+        mag = abs(p)
+        if q != 1:
+            coeff = fraction % (mag, q)
+        elif mag != 1 or not body:
+            coeff = str(mag)
+        else:
+            coeff = ""
+        if i == 0:
+            parts.append("-" if p < 0 else "")
+        else:
+            parts.append(f"{space}{'-' if p < 0 else '+'}{space}")
+        parts.append(f"{coeff}{times}{body}" if coeff and body else coeff or body)
+    return "".join(parts) or "0"
+
+
+def ref_text(p):
+    bodies = [(c.numerator, c.denominator, "*".join(f"X{i}" for i in w)) for w, c in p.terms()]
+    return ref_signed_sum(bodies, "*", "%d/%d", " ")
+
+
+def ref_latex(p):
+    bodies = [(c.numerator, c.denominator, "".join(f"X_{{{i}}}" for i in w)) for w, c in p.terms()]
+    return ref_signed_sum(bodies, "", "\\frac{%d}{%d}", "")
+
+
+def ref_json_dict(p):
+    terms = [{"word": list(w), "coeff": f"{c.numerator}/{c.denominator}"} for w, c in p.terms()]
+    return {"n": p.ctx.n, "maxDegree": p.ctx.max_degree, "terms": terms}
+
+
+def dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def ref_cache_entry(p, m):
+    """The version-3 cache entry of W_m = p, built with `json.dumps` from `numerators()`."""
+    words, nums, den = p.numerators()
+    payload = {"den": den, "maxDegree": p.ctx.max_degree, "n": p.ctx.n, "nums": nums, "words": words}
+    digest = hashlib.sha256(dumps(payload).encode()).hexdigest()
+    key = {"format": CACHE_VERSION, "m": m, "n": p.ctx.n}
+    return (dumps({"digest": digest, "key": key, "payload": payload}) + "\n").encode()
+
+
+@st.composite
+def mixed_polys(draw):
+    """Polynomials of mixed degree over up to 12 letters, constant word included."""
+    ctx = AlgebraCtx(draw(st.integers(1, 12)), draw(st.integers(1, 5)))
+    words = st.lists(st.integers(1, ctx.n), max_size=ctx.max_degree).map(tuple)
+    return AssocPoly(ctx, draw(st.dictionaries(words, coefficients, max_size=12)))
+
+
+def _wide(*terms):
+    return AssocPoly(AlgebraCtx(12, 4), terms)
+
+
+@render_settings
+@given(mixed_polys())
+@example(_wide())  # the zero polynomial
+@example(_wide(((), 1)))  # the constant word alone, magnitude 1
+@example(_wide(((), -1), ((3,), 1), ((12,), -1)))  # |p| = 1, q = 1 beside degree-1 words
+@example(_wide(((), Fraction(-7, 3)), ((10, 11), Fraction(1, 6)), ((12, 1, 12, 1), -2)))  # den > 1
+@example(AssocPoly(AlgebraCtx(1, 5), [((1,) * d, Fraction(1, d + 1)) for d in range(6)]))
+def test_writers_match_reference_encoders(p):
+    assert p.text() == ref_text(p)
+    assert p.latex() == ref_latex(p)
+    form = ref_json_dict(p)
+    assert p.to_json() == dumps(form)
+    assert p.to_json_dict() == form
+    assert AssocPoly.from_json_dict(form) == p
+    with tempfile.TemporaryDirectory() as root:
+        m = p.ctx.max_degree
+        entry = cache_store(Path(root), p.ctx.n, m, p)
+        assert entry.read_bytes() == ref_cache_entry(p, m)
