@@ -17,6 +17,14 @@ splitting, a homogeneous Lie polynomial of degree k + 1):
              for m <= 4 this is f[1, m-1] / m, which `w_comm` gives in
              commutator form.
 
+Neither sum repeats a bracket.  The nested-ad sum of f[1, k] is
+one graded pass: each X_i goes once through the operators
+E_l = sum_j ad_{Xl}^j / j!, l = 1..n, held as one polynomial per added
+degree, so a single pass gives every f[1, k] up to a top degree.  The
+sum over j of the recursion is taken in Horner form,
+acc <- f[m-1, k-m*j] - [W_m, acc] / (j+1) from the last j down to 0, one
+bracket per term instead of recomputing ad_{W_m}^j for each j.
+
 `EngineCtx.w_term_expanded` evaluates W_m (m >= 5) through the recursion
 unrolled down to f[base, .] (`_expanded_formula`), which reproduces the
 paper's expanded formulas; tests/golden.py holds those and the tests
@@ -43,7 +51,6 @@ from typing import Iterator, Mapping
 from .freealg import (
     AlgebraCtx,
     AssocPoly,
-    ad_pow,
     bracket,
     generators,
     poly_sum,
@@ -59,20 +66,38 @@ class PathDisagreementError(RuntimeError):
     """
 
 
-def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for cuts in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        comp = []
-        for c in cuts:
-            comp.append(c - prev - 1)
-            prev = c
-        comp.append(total + parts - 2 - prev)
-        yield tuple(comp)
+def _exp_ad(x: AssocPoly, parts: list[AssocPoly]) -> list[AssocPoly]:
+    """E_x = sum_j ad_x^j / j! on a polynomial held as parts[d] of added degree d.
+
+    ad_x^j raises the added degree by j; parts above len(parts) - 1 are cut.
+    """
+    top = len(parts) - 1
+    pieces: list[list[AssocPoly]] = [[p] for p in parts]
+    scalars: list[list[Fraction]] = [[Fraction(1)] for _ in parts]
+    for d, v in enumerate(parts):
+        for j in range(1, top - d + 1):
+            if v.is_zero:
+                break
+            v = bracket(x, v)
+            pieces[d + j].append(v)
+            scalars[d + j].append(Fraction(1, factorial(j)))
+    return [poly_sum(x.ctx, ps, ss) for ps, ss in zip(pieces, scalars)]
+
+
+def _f1_pass(ctx: AlgebraCtx, top: int) -> list[AssocPoly]:
+    """[f[1, 1], ..., f[1, top]] from one graded pass (see `f1k_direct`)."""
+    gens = generators(ctx)
+    zero = AssocPoly.zero(ctx)
+    added: list[list[AssocPoly]] = [[] for _ in range(top + 1)]
+    for i in range(2, ctx.n + 1):
+        parts = [gens[i - 1]] + [zero] * top
+        for l, x in enumerate(gens, start=1):
+            parts = _exp_ad(x, parts)
+            if l == i - 1:
+                parts[0] = zero  # j1 + ... + j(i-1) >= 1
+        for d in range(1, top + 1):
+            added[d].append(parts[d])
+    return [poly_sum(ctx, added[k], [(-1) ** k] * len(added[k])) for k in range(1, top + 1)]
 
 
 def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
@@ -80,6 +105,13 @@ def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
 
     (-1)^k * sum over i in 2..n and over (j1..jn) >= 0 with j1+...+jn = k
     and j1+...+j(i-1) >= 1 of  ad_{Xn}^{jn} ... ad_{X1}^{j1} X_i / (j1! ... jn!).
+
+    The sum is evaluated as one graded pass, not chain by chain: for each
+    i, X_i goes through E_1, ..., E_n with E_l = sum_j ad_{Xl}^j / j!,
+    kept as one polynomial per added degree j1+...+jl <= k; after E_(i-1)
+    the part of added degree 0 is dropped.  f[1, k] is (-1)^k times the
+    sum over i of the parts of added degree k, and the lower parts of the
+    same pass are f[1, 1], ..., f[1, k-1] (`EngineCtx` keeps them all).
 
     Homogeneous of degree k + 1; identically zero when n = 1.
     """
@@ -89,27 +121,7 @@ def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
         raise ValueError(
             f"f[1,{k}] has degree {k + 1} > max_degree {ctx.max_degree}"
         )
-    gens = generators(ctx)
-    sign = (-1) ** k
-    pieces: list[AssocPoly] = []
-    scalars: list[Fraction] = []
-    for jt in _weak_compositions(k, ctx.n):
-        denom = 1
-        for j in jt:
-            denom *= factorial(j)
-        # Apply ad_{X1}^{j1} innermost, then ad_{X2}^{j2}, etc.
-        for i in range(2, ctx.n + 1):
-            if sum(jt[: i - 1]) < 1:
-                continue
-            v = gens[i - 1]
-            for letter_idx, power in enumerate(jt):
-                v = ad_pow(gens[letter_idx], power, v)
-                if v.is_zero:
-                    break
-            if not v.is_zero:
-                pieces.append(v)
-                scalars.append(Fraction(sign, denom))
-    return poly_sum(ctx, pieces, scalars)
+    return _f1_pass(ctx, k)[-1]
 
 
 def f1k_comm(k: int, n: int) -> LieExpr:
@@ -161,7 +173,17 @@ class EngineCtx:
         self._w_memo: dict[int, AssocPoly] = dict(known or {})
 
     def fmk(self, m: int, k: int) -> AssocPoly:
-        """f[m, k]; delegates to f1k_direct at m = 1, else applies the recursion."""
+        """f[m, k]; every f[1, .] comes from one graded pass, m >= 2 applies the recursion.
+
+        The first f[1, k] asked for fills f[1, 1..K-1] from one pass to
+        K - 1 (see `f1k_direct`).  For m >= 2 the sum over j = 0..J,
+        J = k // m - 1, is evaluated in Horner form with J brackets:
+
+            acc = f[m-1, k-mJ];  acc = f[m-1, k-mj] - [W_m, acc] / (j+1)  for j = J-1 .. 0,
+
+        which unrolls to sum_j (-1)^j/j! ad_{W_m}^j f[m-1, k-mj]: the term
+        of index j passes j brackets, with factors -1/1, -1/2, ..., -1/j.
+        """
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         if k < m:
@@ -175,12 +197,16 @@ class EngineCtx:
         if cached is not None:
             return cached
         if m == 1:
-            value = f1k_direct(k, self.alg)
-        else:
-            w_m = self.w_term(m)
-            js = range(k // m)
-            pieces = [ad_pow(w_m, j, self.fmk(m - 1, k - m * j)) for j in js]
-            value = poly_sum(self.alg, pieces, [Fraction((-1) ** j, factorial(j)) for j in js])
+            for kk, value in enumerate(_f1_pass(self.alg, self.alg.max_degree - 1), start=1):
+                self._f_memo.setdefault((1, kk), value)
+            return self._f_memo[key]
+        w_m = self.w_term(m)
+        J = k // m - 1
+        value = self.fmk(m - 1, k - m * J)
+        for j in range(J - 1, -1, -1):
+            value = poly_sum(
+                self.alg, [self.fmk(m - 1, k - m * j), bracket(w_m, value)], [1, Fraction(-1, j + 1)]
+            )
         return self._f_memo.setdefault(key, value)
 
     def w_term(self, m: int) -> AssocPoly:

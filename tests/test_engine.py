@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -11,10 +13,56 @@ from zassenhaus.engine import (
     series,
     w_comm,
 )
-from zassenhaus.freealg import AlgebraCtx, AssocPoly, ad_pow, bracket
+from zassenhaus.freealg import AlgebraCtx, AssocPoly, ad_pow, bracket, generators, poly_sum
 from zassenhaus.lieform import CommTerm, LieExpr, dsw_project, expand
 
 from golden import expanded_formula, nested
+
+
+def f1k_by_compositions(k, ctx):
+    """f[1, k] as first written: one nested-ad chain per weak composition and i.
+
+    (-1)^k * sum over i in 2..n and (j1..jn) >= 0 with j1+...+jn = k and
+    j1+...+j(i-1) >= 1 of ad_{Xn}^{jn} ... ad_{X1}^{j1} X_i / (j1! ... jn!).
+    """
+    gens = generators(ctx)
+    n = ctx.n
+    pieces, scalars = [], []
+    for cuts in itertools.combinations(range(k + n - 1), n - 1):
+        bounds = (-1, *cuts, k + n - 1)
+        jt = [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
+        denom = 1
+        for j in jt:
+            denom *= factorial(j)
+        for i in range(2, n + 1):
+            if sum(jt[: i - 1]) < 1:
+                continue
+            v = gens[i - 1]
+            for x, power in zip(gens, jt):
+                v = ad_pow(x, power, v)
+            pieces.append(v)
+            scalars.append(Fraction((-1) ** k, denom))
+    return poly_sum(ctx, pieces, scalars)
+
+
+class TestF1kReference:
+    """The graded pass equals the composition-by-composition formula."""
+
+    @pytest.mark.parametrize("n, top", [(1, 12), (2, 12), (3, 12), (4, 6), (5, 6), (6, 6)])
+    def test_direct_and_engine_match_compositions(self, n, top):
+        ctx = AlgebraCtx(n, top + 1)
+        e = EngineCtx(ctx)
+        for k in range(1, top + 1):
+            expected = f1k_by_compositions(k, ctx)
+            assert f1k_direct(k, ctx) == expected, (n, k)
+            assert e.fmk(1, k) == expected, (n, k)
+            assert expected.is_zero == (n == 1)
+
+    def test_engine_fills_every_f1_at_once(self):
+        e = EngineCtx(AlgebraCtx(3, 7))
+        first = e.fmk(1, 2)
+        assert set(e._f_memo) == {(1, k) for k in range(1, 7)}
+        assert e.fmk(1, 2) is first
 
 
 class TestF1kDirect:
@@ -97,6 +145,17 @@ class TestFmk:
             e = engine(n, 5)
             expected = e.fmk(1, 4) - ad_pow(e.w_term(2), 1, e.fmk(1, 2))
             assert e.fmk(2, 4) == expected
+
+    @pytest.mark.parametrize("n, K", [(2, 12), (3, 8), (4, 6), (1, 5)])
+    def test_horner_matches_the_sum(self, n, K):
+        # f[m, k] = sum_j (-1)^j/j! ad_{W_m}^j f[m-1, k-mj], each power built afresh.
+        e = EngineCtx(AlgebraCtx(n, K))
+        for m in range(2, K):
+            for k in range(m, K):
+                js = range(k // m)
+                terms = [ad_pow(e.w_term(m), j, e.fmk(m - 1, k - m * j)) for j in js]
+                expected = poly_sum(e.alg, terms, [Fraction((-1) ** j, factorial(j)) for j in js])
+                assert e.fmk(m, k) == expected, (n, m, k)
 
     def test_fmm_gives_next_w(self, engine):
         for n in (2, 3):

@@ -6,7 +6,8 @@ seconds.  `verify --mode all` stdout is pinned too: it includes the floats
 of the numeric check, so it guards the evaluation order of `substitute`.
 The commutator renderings, which the benchmark digests do not cover, are
 pinned as well, with digests recorded at commit 7183e64: `f1k` in every path
-and format, and `terms --form comm`.
+and format, and `terms --form comm`.  The large-n pins (n = 6 and n = 10, where
+the f[1, k] sum has the most terms) were recorded at commit d060f6a.
 """
 
 import hashlib
@@ -92,5 +93,19 @@ def test_f1k_outputs_are_pinned(cli, path, format, digest):
 )
 def test_commutator_form_is_pinned(cli, n, format, digest):
     r = cli("terms", "--n", n, "--max-degree", 6, "--form", "comm", "--format", format)
+    assert r.returncode == EXIT_OK
+    assert sha256(r.stdout) == digest
+
+
+@pytest.mark.parametrize(
+    "label, digest",
+    [
+        ("terms --n 6 --max-degree 6 --format json", "c5b0060e7009fce4378df12a35ad8b646bd2cd3c8d8d7aab7cd3febdeac16312"),
+        ("terms --n 10 --max-degree 4 --format json", "e81ad4af37f0dd21a1debc9ad029897d055078abd74661364bd278779616318c"),
+        ("f1k --k 4 --n 6 --path direct --format json", "8c19ea1ee837f3ae2a9335b63daea4d5025e7a675db9f9548915d0ad3cac5824"),
+    ],
+)
+def test_large_n_outputs_are_pinned(cli, label, digest):
+    r = cli(*label.split())
     assert r.returncode == EXIT_OK
     assert sha256(r.stdout) == digest
