@@ -25,6 +25,17 @@ sum over j of the recursion is taken in Horner form,
 acc <- f[m-1, k-m*j] - [W_m, acc] / (j+1) from the last j down to 0, one
 bracket per term instead of recomputing ad_{W_m}^j for each j.
 
+Each Horner step is one call of `bracket_add`, which adds the bracket
+into f[m-1, k-m*j] on dense degree blocks: W_m, acc and f[m, k] are
+homogeneous and nearly dense, so the step is a few C-level list passes
+per word of W_m, with no term map for the bracket alone and no separate
+sum.  The graded f[1, .] pass keeps the dict `bracket`: its left operand
+is one letter and its right one often sparse, so a dense block would be
+mostly zeros.  With `bracket_add` there, `series` over (2,12), (3,9) and
+(4,7) took 0.43 s against 0.08 s (best of 5, 2 CPUs, Python 3.11.7).
+`w_term_expanded` keeps the dict `bracket` too, as the oracles do, so
+that `--path both` checks the dense kernel against the dict kernel.
+
 `EngineCtx.w_term_expanded` evaluates W_m (m >= 5) through the recursion
 unrolled down to f[base, .] (`_expanded_formula`), which reproduces the
 paper's expanded formulas; tests/golden.py holds those and the tests
@@ -52,6 +63,7 @@ from .freealg import (
     AlgebraCtx,
     AssocPoly,
     bracket,
+    bracket_add,
     generators,
     poly_sum,
 )
@@ -183,6 +195,8 @@ class EngineCtx:
 
         which unrolls to sum_j (-1)^j/j! ad_{W_m}^j f[m-1, k-mj]: the term
         of index j passes j brackets, with factors -1/1, -1/2, ..., -1/j.
+        Each step is one `bracket_add` on dense degree blocks (see the
+        module docstring); the f[1, .] pass keeps the dict `bracket`.
         """
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
@@ -204,9 +218,7 @@ class EngineCtx:
         J = k // m - 1
         value = self.fmk(m - 1, k - m * J)
         for j in range(J - 1, -1, -1):
-            value = poly_sum(
-                self.alg, [self.fmk(m - 1, k - m * j), bracket(w_m, value)], [1, Fraction(-1, j + 1)]
-            )
+            value = bracket_add(self.fmk(m - 1, k - m * j), w_m, value, Fraction(-1, j + 1))
         return self._f_memo.setdefault(key, value)
 
     def w_term(self, m: int) -> AssocPoly:

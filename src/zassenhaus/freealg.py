@@ -21,6 +21,18 @@ Two facts make it the kernel's representation:
   so with the codes of a degree-da block shifted once by n^db, the
   product with a degree-db block takes one integer add per word pair.
 
+The words of degree d are numbered 0..n^d - 1 inside their block by
+code - off[d].  With A = n^da and B = n^db, the product of the i-th word
+u of degree da and the j-th word v of degree db sits at
+
+    uv:  i*B + j,      vu:  j*A + i
+
+of the degree-(da+db) block, so u times the whole block of v is the
+contiguous slice [i*B, (i+1)*B) and the whole block of v times u is the
+stride-A slice i::A.  `bracket_add` adds r*[a, b] into f on these dense
+blocks with list slices, for homogeneous operands; `mul` and `bracket`
+stay sparse dict kernels.
+
 The codes depend on n alone, not on the truncation degree.  Words become
 tuples only at the boundary: the constructors, `coeff`, `terms`,
 `numerators` and `from_numerators`.
@@ -79,8 +91,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import gcd, lcm
+from operator import add, floordiv, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 Word = tuple[int, ...]
@@ -114,6 +127,12 @@ class AlgebraCtx:
         for _ in range(self.max_degree + 1):
             off.append(off[-1] * self.n + 1)
         return off
+
+    @cached_property
+    def _blocks(self) -> "_Table":
+        """d -> the codes of the words of degree d as a list, made once so that term maps share the int keys."""
+        off = self._offsets
+        return _Table(lambda d: list(range(off[d], off[d + 1])))
 
     def check_word(self, word: Word) -> None:
         if len(word) > self.max_degree:
@@ -676,6 +695,56 @@ def mul(a: AssocPoly, b: AssocPoly) -> AssocPoly:
 def bracket(a: AssocPoly, b: AssocPoly) -> AssocPoly:
     """Commutator [a, b] = a*b - b*a."""
     return _product(a, b, True)
+
+
+def bracket_add(f: AssocPoly | None, a: AssocPoly, b: AssocPoly, r: Scalar) -> AssocPoly:
+    """f + r*[a, b] for homogeneous a and b, on dense degree blocks; f is None, zero or of degree deg a + deg b.
+
+    With A = n^da and B = n^db, the product uv of the i-th word of degree da
+    and the j-th of degree db sits at i*B + j of the degree-(da+db) block,
+    vu at j*A + i (see the module docstring).  Each nonzero a_i makes one
+    row a_i * r * b of B products, added into out[i*B : (i+1)*B] and
+    subtracted from out[i::A]; out starts as f's block, all numerators over
+    one denominator, and is reduced once at the end.  Returns f (zero for
+    None) when the bracket vanishes or its degree exceeds max_degree.
+    """
+    ctx = a.ctx
+    _require_same_ctx(a, b)
+    if f is None:
+        f = AssocPoly.zero(ctx)
+    _require_same_ctx(f, a)
+    s = _exact(r)
+    if not (s and a._codes and b._codes):
+        return f
+    da, db = a.homogeneous_degree(), b.homogeneous_degree()
+    if da is None or db is None:
+        raise ValueError("the operands of bracket_add must be homogeneous")
+    d = da + db
+    if d > ctx.max_degree:
+        return f
+    if f._codes and f.homogeneous_degree() != d:
+        raise ValueError(f"f must be homogeneous of degree {d}, the degree of [a, b]")
+    n, off = ctx.n, ctx._offsets
+    A, B = n**da, n**db
+    words = ctx._blocks[d]
+    scale = a._den * b._den * s.denominator
+    den = lcm(f._den, scale)
+    out = list(map(f._codes.get, words, repeat(0)))
+    if den != f._den:
+        out = list(map((den // f._den).__mul__, out))
+    b_block = map(b._codes.get, range(off[db], off[db] + B), repeat(0))
+    b_block = list(map((den // scale * s.numerator).__mul__, b_block))
+    lo_a = off[da]
+    for ka, ca in a._codes.items():
+        i = ka - lo_a
+        row = list(map(ca.__mul__, b_block))
+        out[i * B : (i + 1) * B] = map(add, out[i * B : (i + 1) * B], row)
+        out[i::A] = map(sub, out[i::A], row)
+    g = gcd(den, *out)
+    if g != 1:
+        den //= g
+        out = list(map(floordiv, out, repeat(g)))
+    return AssocPoly._make(ctx, dict(compress(zip(words, out), out)), den)
 
 
 def ad_pow(a: AssocPoly, p: int, b: AssocPoly) -> AssocPoly:

@@ -7,8 +7,10 @@ degree grouping and no shared loop; the kernel must agree with it exactly.
 
 from collections import defaultdict
 from fractions import Fraction
+from itertools import product
 from math import factorial, gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from zassenhaus.freealg import (
     AlgebraCtx,
     AssocPoly,
     bracket,
+    bracket_add,
     exp_trunc,
     generators,
     log_trunc,
@@ -263,3 +266,86 @@ def test_single_generator():
     assert bracket(p, x).is_zero
     assert exp_trunc(x).terms() == [((1,) * d, Fraction(1, factorial(d))) for d in range(6)]
     assert p.text() == "1/3 + 2*X1*X1" and p.latex() == "\\frac{1}{3}+2X_{1}X_{1}"
+
+
+# -- the dense bracket-and-add kernel -------------------------------------------------
+#
+# bracket_add(f, a, b, r) must equal f + r*[a, b] as the dict kernel computes it.
+# Operands are homogeneous: one word, a dense block (every word of the degree,
+# numerators from a drawn pattern), a few words, or zero.
+
+
+def homogeneous(ctx, d):
+    words = list(product(range(1, ctx.n + 1), repeat=d))
+    one_word = st.builds(lambda w, c: AssocPoly(ctx, {w: c}), st.sampled_from(words), coefficients)
+    dense = st.builds(
+        lambda s, q: AssocPoly(ctx, {w: Fraction((s * (i + 1)) % 11 - 5, q) for i, w in enumerate(words)}),
+        st.integers(1, 10**6),
+        st.integers(1, 6),
+    )
+    few = st.dictionaries(st.sampled_from(words), coefficients, max_size=5).map(lambda t: AssocPoly(ctx, t))
+    return st.one_of(one_word, dense, few, st.just(AssocPoly.zero(ctx)))
+
+
+@st.composite
+def bracket_add_cases(draw):
+    """(f, a, b, r): deg a and deg b in 1..K-1, so that the bracket is often cut by the truncation."""
+    n = draw(st.integers(1, 4))
+    ctx = AlgebraCtx(n, draw(st.integers(2, {1: 9, 2: 8, 3: 6, 4: 5}[n])))
+    cap = ctx.max_degree
+    da, db = draw(st.integers(1, cap - 1)), draw(st.integers(1, cap - 1))
+    a, b = draw(homogeneous(ctx, da)), draw(homogeneous(ctx, db))
+    r = draw(scalars)
+    d = min(da + db, cap)
+    kind = draw(st.sampled_from(["none", "zero", "any", "cancel"]))
+    if kind == "none":
+        f = None
+    elif kind == "zero":
+        f = AssocPoly.zero(ctx)
+    else:
+        f = draw(homogeneous(ctx, d))
+        if kind == "cancel":  # most of r*[a, b] cancels: the result has few words and a gcd to take out
+            f = f - bracket(a, b).scaled(r)
+    return f, a, b, r
+
+
+@kernel_settings
+@given(bracket_add_cases())
+@example((None, AssocPoly(AlgebraCtx(2, 4), {(1,): Fraction(1, 3)}), AssocPoly(AlgebraCtx(2, 4), {(2,): 3}), -1))
+@example(
+    (
+        AssocPoly(AlgebraCtx(3, 5), {(1, 2, 3): Fraction(2, 5), (3, 2, 1): Fraction(-7, 10)}),
+        AssocPoly(AlgebraCtx(3, 5), {(1, 2): Fraction(-2, 5), (2, 1): Fraction(4, 15)}),
+        AssocPoly(AlgebraCtx(3, 5), {(3,): Fraction(5, 6)}),
+        Fraction(-9, 4),
+    )
+)
+@example((None, AssocPoly(AlgebraCtx(2, 3), {(1, 1): 1}), AssocPoly(AlgebraCtx(2, 3), {(2, 2): 1}), 1))
+def test_bracket_add_matches_dict_kernel(case):
+    f, a, b, r = case
+    ctx = a.ctx
+    base = AssocPoly.zero(ctx) if f is None else f
+    got = bracket_add(f, a, b, r)
+    assert got == base + bracket(a, b).scaled(r)
+    assert model(got) == ref_add(model(base), ref_scaled(ref_bracket(model(a), model(b), ctx.max_degree), r))
+    assert_canonical(got)
+
+
+def test_bracket_add_takes_out_the_common_factor():
+    ctx = AlgebraCtx(2, 4)
+    a = AssocPoly(ctx, {(1,): Fraction(1, 3)})
+    b = AssocPoly(ctx, {(2,): 3})
+    # [a, b] = [X1, X2] over the lifted denominator 3 has numerators 3 and -3.
+    assert bracket_add(None, a, b, 1).numerators() == ([(1, 2), (2, 1)], [1, -1], 1)
+    f = AssocPoly(ctx, {(1, 2): 1, (2, 1): Fraction(1, 2)})
+    assert bracket_add(f, a, b, Fraction(-1, 2)).numerators() == ([(1, 2), (2, 1)], [1, 2], 2)
+    assert bracket_add(f, a, b, -1).numerators() == ([(2, 1)], [3], 2)
+
+
+def test_bracket_add_refuses_mixed_or_wrong_degrees():
+    ctx = AlgebraCtx(2, 5)
+    x1, x2 = generators(ctx)
+    mixed = x1 + mul(x1, x2)
+    for f, a, b in ((None, mixed, x2), (None, x1, mixed), (mixed, x1, x2), (mul(x1, mul(x1, x2)), x1, x2)):
+        with pytest.raises(ValueError):
+            bracket_add(f, a, b, 1)

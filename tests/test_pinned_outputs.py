@@ -7,7 +7,9 @@ of the numeric check, so it guards the evaluation order of `substitute`.
 The commutator renderings, which the benchmark digests do not cover, are
 pinned as well, with digests recorded at commit 7183e64: `f1k` in every path
 and format, and `terms --form comm`.  The large-n pins (n = 6 and n = 10, where
-the f[1, k] sum has the most terms) were recorded at commit d060f6a.
+the f[1, k] sum has the most terms) were recorded at commit d060f6a, and the
+frontier pins at (2,14) and (3,10), whose f[m, k] sums take longer Horner
+chains than the benchmark labels, at commit 01a98fe.
 """
 
 import hashlib
@@ -103,6 +105,8 @@ def test_commutator_form_is_pinned(cli, n, format, digest):
         ("terms --n 6 --max-degree 6 --format json", "c5b0060e7009fce4378df12a35ad8b646bd2cd3c8d8d7aab7cd3febdeac16312"),
         ("terms --n 10 --max-degree 4 --format json", "e81ad4af37f0dd21a1debc9ad029897d055078abd74661364bd278779616318c"),
         ("f1k --k 4 --n 6 --path direct --format json", "8c19ea1ee837f3ae2a9335b63daea4d5025e7a675db9f9548915d0ad3cac5824"),
+        ("terms --n 2 --max-degree 14 --format json", "0355b4da8b01aac8d887e6afe34c9c29b6752682e706fa34b99644cf2978b1c3"),
+        ("terms --n 3 --max-degree 10 --format json", "43296c48dfb3870cfd03a939060e45e16d3102ade822259f8bec9eecbe251902"),
     ],
 )
 def test_large_n_outputs_are_pinned(cli, label, digest):
