@@ -17,24 +17,27 @@ splitting, a homogeneous Lie polynomial of degree k + 1):
              for m <= 4 this is f[1, m-1] / m, which `w_comm` gives in
              commutator form.
 
-Neither sum repeats a bracket.  The nested-ad sum of f[1, k] is
-one graded pass: each X_i goes once through the operators
-E_l = sum_j ad_{Xl}^j / j!, l = 1..n, held as one polynomial per added
-degree, so a single pass gives every f[1, k] up to a top degree.  The
-sum over j of the recursion is taken in Horner form,
-acc <- f[m-1, k-m*j] - [W_m, acc] / (j+1) from the last j down to 0, one
-bracket per term instead of recomputing ad_{W_m}^j for each j.
+Neither sum repeats a bracket.  The nested-ad sum of f[1, k] is one
+graded pass: X_2 + ... + X_n goes once through the operators
+E_l = sum_j ad_{Xl}^j / j!, l = 1..n, held as one integer term map per
+added degree D and scaled by D!, which makes it integral (D!/(j1!...jl!)
+is a multinomial coefficient, see `f1k_direct`); one pass gives every
+f[1, k] up to a top degree.  The sum over j of the recursion is taken in
+Horner form, acc <- f[m-1, k-m*j] - [W_m, acc] / (j+1) from the last j
+down to 0, one bracket per term instead of recomputing ad_{W_m}^j.
 
-Each Horner step is one call of `bracket_add`, which adds the bracket
-into f[m-1, k-m*j] on dense degree blocks: W_m, acc and f[m, k] are
-homogeneous and nearly dense, so the step is a few C-level list passes
-per word of W_m, with no term map for the bracket alone and no separate
-sum.  The graded f[1, .] pass keeps the dict `bracket`: its left operand
-is one letter and its right one often sparse, so a dense block would be
-mostly zeros.  With `bracket_add` there, `series` over (2,12), (3,9) and
-(4,7) took 0.43 s against 0.08 s (best of 5, 2 CPUs, Python 3.11.7).
-`w_term_expanded` keeps the dict `bracket` too, as the oracles do, so
-that `--path both` checks the dense kernel against the dict kernel.
+The memo holds every f[m, k] as a dense degree block (den, nums), the
+numerators of all n^(k+1) words of its degree in code order, reduced once
+as it enters the memo and never changed after.  Each Horner step is one
+`bracket_add` from blocks to a block: W_m, acc and f[m, k] are
+homogeneous and nearly dense, so a step is a few C-level list passes per
+distinct |coefficient| and per word of W_m, grouped once per m
+(`block_rows`).  A dict is made only for each W_m and for an f[m, k] a
+caller asks `fmk` for.  The graded pass stays sparse: its operator is one
+letter and its early parts are mostly zeros; dense blocks there took the
+(3, 9) pass from 6.5 ms to 87 ms (2 CPUs, Python 3.11.7).
+`w_term_expanded` keeps the dict `bracket`, as the oracles do, so that
+`--path both` checks the block kernel against the dict kernel.
 
 `EngineCtx.w_term_expanded` evaluates W_m (m >= 5) through the recursion
 unrolled down to f[base, .] (`_expanded_formula`), which reproduces the
@@ -56,16 +59,21 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from operator import neg
 from typing import Iterator, Mapping
 
 from .freealg import (
     AlgebraCtx,
     AssocPoly,
+    Block,
+    Rows,
+    block_rows,
     bracket,
     bracket_add,
-    generators,
+    from_block,
     poly_sum,
+    reduce_block,
 )
 from .lieform import CommTerm, LieExpr, compositions
 
@@ -78,38 +86,46 @@ class PathDisagreementError(RuntimeError):
     """
 
 
-def _exp_ad(x: AssocPoly, parts: list[AssocPoly]) -> list[AssocPoly]:
-    """E_x = sum_j ad_x^j / j! on a polynomial held as parts[d] of added degree d.
+def _exp_ad(n: int, l: int, parts: list[dict[int, int]]) -> None:
+    """parts <- E_l parts, E_l = sum_j ad_{Xl}^j / j!, for parts[D] = D! * (the part of added degree D).
 
-    ad_x^j raises the added degree by j; parts above len(parts) - 1 are cut.
+    The words of parts[D] have degree D + 1.  With that scaling
+    E_l parts[D] = sum_j C(D, j) ad_{Xl}^j parts[D-j] is integral, and
+    [Xl, v] on words u of degree e is two passes over v's term map:
+    code(Xl u) = l n^e + code(u) and code(u Xl) = code(u) n + l.  Parts
+    above len(parts) - 1 are cut.  D runs downwards, so each source part
+    is read before anything is added into it.
     """
     top = len(parts) - 1
-    pieces: list[list[AssocPoly]] = [[p] for p in parts]
-    scalars: list[list[Fraction]] = [[Fraction(1)] for _ in parts]
-    for d, v in enumerate(parts):
+    for d in range(top, -1, -1):
+        v = parts[d]
         for j in range(1, top - d + 1):
-            if v.is_zero:
+            if not v:
                 break
-            v = bracket(x, v)
-            pieces[d + j].append(v)
-            scalars[d + j].append(Fraction(1, factorial(j)))
-    return [poly_sum(x.ctx, ps, ss) for ps, ss in zip(pieces, scalars)]
+            shift = l * n ** (d + j)
+            w = dict(zip(map(shift.__add__, v), v.values()))
+            get = w.get
+            for k, c in v.items():
+                k = k * n + l
+                w[k] = get(k, 0) - c
+            v = {k: c for k, c in w.items() if c} if 0 in w.values() else w
+            acc, scale = parts[d + j], comb(d + j, j)
+            get = acc.get
+            for k, c in v.items():
+                acc[k] = get(k, 0) + scale * c
 
 
-def _f1_pass(ctx: AlgebraCtx, top: int) -> list[AssocPoly]:
-    """[f[1, 1], ..., f[1, top]] from one graded pass (see `f1k_direct`)."""
-    gens = generators(ctx)
-    zero = AssocPoly.zero(ctx)
-    added: list[list[AssocPoly]] = [[] for _ in range(top + 1)]
-    for i in range(2, ctx.n + 1):
-        parts = [gens[i - 1]] + [zero] * top
-        for l, x in enumerate(gens, start=1):
-            parts = _exp_ad(x, parts)
-            if l == i - 1:
-                parts[0] = zero  # j1 + ... + j(i-1) >= 1
-        for d in range(1, top + 1):
-            added[d].append(parts[d])
-    return [poly_sum(ctx, added[k], [(-1) ** k] * len(added[k])) for k in range(1, top + 1)]
+def _f1_pass(ctx: AlgebraCtx, top: int) -> list[dict[int, int]]:
+    """parts[k] = (-1)^k k! f[1, k] as a term map for k = 1..top (parts[0] is empty), from one graded pass.
+
+    See `f1k_direct`.
+    """
+    n = ctx.n
+    parts = [dict.fromkeys(range(2, n + 1), 1)] + [{} for _ in range(top)]
+    for l in range(1, n + 1):
+        _exp_ad(n, l, parts)
+        parts[0].pop(l + 1, None)  # X_(l+1) has passed E_1..E_l: its chains need j1 + ... + jl >= 1
+    return parts
 
 
 def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
@@ -118,12 +134,16 @@ def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
     (-1)^k * sum over i in 2..n and over (j1..jn) >= 0 with j1+...+jn = k
     and j1+...+j(i-1) >= 1 of  ad_{Xn}^{jn} ... ad_{X1}^{j1} X_i / (j1! ... jn!).
 
-    The sum is evaluated as one graded pass, not chain by chain: for each
-    i, X_i goes through E_1, ..., E_n with E_l = sum_j ad_{Xl}^j / j!,
-    kept as one polynomial per added degree j1+...+jl <= k; after E_(i-1)
-    the part of added degree 0 is dropped.  f[1, k] is (-1)^k times the
-    sum over i of the parts of added degree k, and the lower parts of the
-    same pass are f[1, 1], ..., f[1, k-1] (`EngineCtx` keeps them all).
+    The sum is evaluated as one graded pass, not chain by chain: by
+    linearity all i go together, X_2 + ... + X_n through E_1, ..., E_n with
+    E_l = sum_j ad_{Xl}^j / j!, kept as one integer term map per added
+    degree D = j1+...+jl <= k and scaled by D!; after E_(i-1) the word X_i,
+    the part of added degree 0 of the chains of i, is dropped.  The
+    scaling is exact: D! / (j1! ... jl!) is a multinomial coefficient, so
+    E_l maps scaled parts to scaled parts through the binomials C(D, j)
+    alone, with no Fraction and no lcm.  f[1, k] is (-1)^k / k! times the
+    part of added degree k, reduced once, and the lower parts of the same
+    pass are f[1, 1], ..., f[1, k-1] (`EngineCtx` keeps them all).
 
     Homogeneous of degree k + 1; identically zero when n = 1.
     """
@@ -133,7 +153,8 @@ def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
         raise ValueError(
             f"f[1,{k}] has degree {k + 1} > max_degree {ctx.max_degree}"
         )
-    return _f1_pass(ctx, k)[-1]
+    poly = AssocPoly._reduce(ctx, _f1_pass(ctx, k)[k], factorial(k))
+    return -poly if k % 2 else poly
 
 
 def f1k_comm(k: int, n: int) -> LieExpr:
@@ -181,8 +202,10 @@ class EngineCtx:
 
     def __init__(self, alg: AlgebraCtx, known: Mapping[int, AssocPoly] | None = None):
         self.alg = alg
-        self._f_memo: dict[tuple[int, int], AssocPoly] = {}
+        self._f_memo: dict[tuple[int, int], Block] = {}
+        self._f_polys: dict[tuple[int, int], AssocPoly] = {}
         self._w_memo: dict[int, AssocPoly] = dict(known or {})
+        self._w_rows: dict[int, Rows] = {}
 
     def fmk(self, m: int, k: int) -> AssocPoly:
         """f[m, k]; every f[1, .] comes from one graded pass, m >= 2 applies the recursion.
@@ -195,8 +218,9 @@ class EngineCtx:
 
         which unrolls to sum_j (-1)^j/j! ad_{W_m}^j f[m-1, k-mj]: the term
         of index j passes j brackets, with factors -1/1, -1/2, ..., -1/j.
-        Each step is one `bracket_add` on dense degree blocks (see the
-        module docstring); the f[1, .] pass keeps the dict `bracket`.
+        The memo holds every f[m, k] as a reduced dense block (see the
+        module docstring); the polynomial is made from it on the first call
+        for (m, k), and later calls return that same object.
         """
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
@@ -206,20 +230,32 @@ class EngineCtx:
             raise ValueError(
                 f"f[{m},{k}] has degree {k + 1} > max_degree {self.alg.max_degree}"
             )
+        poly = self._f_polys.get((m, k))
+        if poly is None:
+            poly = self._f_polys.setdefault((m, k), from_block(self.alg, k + 1, *self._block(m, k)))
+        return poly
+
+    def _block(self, m: int, k: int) -> Block:
+        """The memo block of f[m, k], computed on first use; see `fmk`."""
         key = (m, k)
         cached = self._f_memo.get(key)
         if cached is not None:
             return cached
         if m == 1:
-            for kk, value in enumerate(_f1_pass(self.alg, self.alg.max_degree - 1), start=1):
-                self._f_memo.setdefault((1, kk), value)
+            parts = _f1_pass(self.alg, self.alg.max_degree - 1)
+            for kk in range(len(parts) - 1, 0, -1):  # each term map is dropped once its block is made
+                nums = map(parts.pop().get, self.alg._blocks[kk + 1], itertools.repeat(0))
+                nums = list(map(neg, nums) if kk % 2 else nums)
+                self._f_memo.setdefault((1, kk), reduce_block(factorial(kk), nums))
             return self._f_memo[key]
-        w_m = self.w_term(m)
+        rows = self._w_rows.get(m)
+        if rows is None:
+            rows = self._w_rows.setdefault(m, block_rows(self.w_term(m), m))
         J = k // m - 1
-        value = self.fmk(m - 1, k - m * J)
+        value = self._block(m - 1, k - m * J)
         for j in range(J - 1, -1, -1):
-            value = bracket_add(self.fmk(m - 1, k - m * j), w_m, value, Fraction(-1, j + 1))
-        return self._f_memo.setdefault(key, value)
+            value = bracket_add(self._block(m - 1, k - m * j), rows, value, Fraction(-1, j + 1))
+        return self._f_memo.setdefault(key, reduce_block(*value) if J else value)
 
     def w_term(self, m: int) -> AssocPoly:
         """W_m = f[max(1, floor((m-1)/2)), m-1] / m, from the memo if there; homogeneous of degree m."""
@@ -230,8 +266,8 @@ class EngineCtx:
         cached = self._w_memo.get(m)
         if cached is not None:
             return cached
-        value = self.fmk(max(1, (m - 1) // 2), m - 1).scaled(Fraction(1, m))
-        return self._w_memo.setdefault(m, value)
+        den, nums = self._block(max(1, (m - 1) // 2), m - 1)
+        return self._w_memo.setdefault(m, from_block(self.alg, m, den * m, nums))
 
     def w_term_expanded(self, m: int) -> AssocPoly:
         """W_m (m >= 5) from the term list of `_expanded_formula(m)`.

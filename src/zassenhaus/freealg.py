@@ -29,9 +29,14 @@ u of degree da and the j-th word v of degree db sits at
 
 of the degree-(da+db) block, so u times the whole block of v is the
 contiguous slice [i*B, (i+1)*B) and the whole block of v times u is the
-stride-A slice i::A.  `bracket_add` adds r*[a, b] into f on these dense
-blocks with list slices, for homogeneous operands; `mul` and `bracket`
-stay sparse dict kernels.
+stride-A slice i::A.  A dense degree block is the pair (den, nums) of a
+homogeneous polynomial: the numerators of all n^d words of its degree d
+in code order over one positive denominator, so its length n^d is its
+degree and no scan of the codes is needed.  `bracket_add` adds r*[a, b]
+into such a block with list slices, one product pass per distinct
+|coefficient| of a (its rows, grouped once by `block_rows`), and returns
+a new block without reducing it; `reduce_block` cancels the common
+factor, and `from_block` makes the one term map of a block.  `mul` and `bracket` stay sparse dict kernels.
 
 The codes depend on n alone, not on the truncation degree.  Words become
 tuples only at the boundary: the constructors, `coeff`, `terms`,
@@ -697,54 +702,83 @@ def bracket(a: AssocPoly, b: AssocPoly) -> AssocPoly:
     return _product(a, b, True)
 
 
-def bracket_add(f: AssocPoly | None, a: AssocPoly, b: AssocPoly, r: Scalar) -> AssocPoly:
-    """f + r*[a, b] for homogeneous a and b, on dense degree blocks; f is None, zero or of degree deg a + deg b.
+# -- dense degree blocks ------------------------------------------------------
+#
+# A block (den, nums) is described in the module docstring.  The rows of a
+# homogeneous polynomial of degree d are (den, n^d, [(c, plus, minus), ...]):
+# each distinct size c > 0 of its nonzero numerators with the indices,
+# inside their block, of the words whose numerator is c and of those whose
+# numerator is -c.
 
-    With A = n^da and B = n^db, the product uv of the i-th word of degree da
-    and the j-th of degree db sits at i*B + j of the degree-(da+db) block,
-    vu at j*A + i (see the module docstring).  Each nonzero a_i makes one
-    row a_i * r * b of B products, added into out[i*B : (i+1)*B] and
-    subtracted from out[i::A]; out starts as f's block, all numerators over
-    one denominator, and is reduced once at the end.  Returns f (zero for
-    None) when the bracket vanishes or its degree exceeds max_degree.
+Block = tuple[int, list[int]]
+Rows = tuple[int, int, list[tuple[int, list[int], list[int]]]]
+
+
+def bracket_add(f: Block | None, a: Rows, b: Block, r: Scalar) -> Block:
+    """f + r*[a, b] on dense degree blocks, for a given by its rows; f is None or a block of length A*B.
+
+    With A = n^da and B = len(b) = n^db, the product uv of the i-th word of
+    degree da and the j-th of degree db sits at i*B + j of the
+    degree-(da+db) block, vu at j*A + i (see the module docstring).  Each
+    distinct size c of the numerators of a makes one row c * r * b of B
+    products; for each i with a_i = c it is added into out[i*B : (i+1)*B]
+    and subtracted from out[i::A], for a_i = -c the other way round.  out
+    starts as a copy of f's numerators lifted to one common denominator.
+    The operands are not changed, and the result is not reduced (see
+    `reduce_block`).
     """
-    ctx = a.ctx
-    _require_same_ctx(a, b)
-    if f is None:
-        f = AssocPoly.zero(ctx)
-    _require_same_ctx(f, a)
+    a_den, A, rows = a
+    b_den, b_nums = b
+    B = len(b_nums)
     s = _exact(r)
-    if not (s and a._codes and b._codes):
-        return f
-    da, db = a.homogeneous_degree(), b.homogeneous_degree()
-    if da is None or db is None:
-        raise ValueError("the operands of bracket_add must be homogeneous")
-    d = da + db
-    if d > ctx.max_degree:
-        return f
-    if f._codes and f.homogeneous_degree() != d:
-        raise ValueError(f"f must be homogeneous of degree {d}, the degree of [a, b]")
-    n, off = ctx.n, ctx._offsets
-    A, B = n**da, n**db
-    words = ctx._blocks[d]
-    scale = a._den * b._den * s.denominator
-    den = lcm(f._den, scale)
-    out = list(map(f._codes.get, words, repeat(0)))
-    if den != f._den:
-        out = list(map((den // f._den).__mul__, out))
-    b_block = map(b._codes.get, range(off[db], off[db] + B), repeat(0))
-    b_block = list(map((den // scale * s.numerator).__mul__, b_block))
-    lo_a = off[da]
-    for ka, ca in a._codes.items():
-        i = ka - lo_a
-        row = list(map(ca.__mul__, b_block))
-        out[i * B : (i + 1) * B] = map(add, out[i * B : (i + 1) * B], row)
-        out[i::A] = map(sub, out[i::A], row)
-    g = gcd(den, *out)
+    scale = a_den * b_den * s.denominator
+    if f is None:
+        den, out = scale, [0] * (A * B)
+    elif len(f[1]) != A * B:
+        raise ValueError(f"f has {len(f[1])} numerators, not the {A * B} of the bracket's degree")
+    else:
+        den = lcm(f[0], scale)
+        out = list(f[1]) if den == f[0] else list(map((den // f[0]).__mul__, f[1]))
+    b_row = list(map((den // scale * s.numerator).__mul__, b_nums))
+    for c, *signs in rows:
+        row = list(map(c.__mul__, b_row))
+        for (plus, minus), idx in zip(((add, sub), (sub, add)), signs):
+            for i in idx:
+                out[i * B : (i + 1) * B] = map(plus, out[i * B : (i + 1) * B], row)
+                out[i::A] = map(minus, out[i::A], row)
+    return den, out
+
+
+def reduce_block(den: int, nums: list[int]) -> Block:
+    """(den, nums) with their common factor cancelled.
+
+    The factor divides the gcd of any part, so a prefix with gcd 1 settles
+    the common case without unpacking the whole block into one gcd call;
+    the prefix length does not change the result.  With one whole-block
+    gcd, `series` over (2,12) (3,9) (4,7) (2,11) took 32.0 ms, not 29.5 ms
+    (best of 9, 2 CPUs, Python 3.11.7).
+    """
+    g = gcd(den, *nums[:64])
     if g != 1:
-        den //= g
-        out = list(map(floordiv, out, repeat(g)))
-    return AssocPoly._make(ctx, dict(compress(zip(words, out), out)), den)
+        g = gcd(g, *nums[64:])
+    return (den, nums) if g == 1 else (den // g, list(map(floordiv, nums, repeat(g))))
+
+
+def block_rows(p: AssocPoly, d: int) -> Rows:
+    """The rows of p, zero or homogeneous of degree d, for `bracket_add`; made once for each W_m."""
+    lo, hi = p.ctx._offsets[d : d + 2]
+    groups: dict[int, tuple[int, list[int], list[int]]] = {}
+    for k, c in p._codes.items():
+        if not lo <= k < hi:
+            raise ValueError(f"the polynomial is not homogeneous of degree {d}")
+        groups.setdefault(abs(c), (abs(c), [], []))[1 + (c < 0)].append(k - lo)
+    return p._den, p.ctx.n**d, list(groups.values())
+
+
+def from_block(ctx: AlgebraCtx, d: int, den: int, nums: list[int]) -> AssocPoly:
+    """The polynomial sum(nums[i] / den * word i of degree d), reduced: the one dict made from a block."""
+    den, nums = reduce_block(den, nums)
+    return AssocPoly._make(ctx, dict(compress(zip(ctx._blocks[d], nums), nums)), den)
 
 
 def ad_pow(a: AssocPoly, p: int, b: AssocPoly) -> AssocPoly:

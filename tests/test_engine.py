@@ -65,6 +65,21 @@ class TestF1kReference:
         assert e.fmk(1, 2) is first
 
 
+class TestF1kIntegerPass:
+    """The graded pass holds the part of added degree D times D!, in integers."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_compositions_with_k_factorial_integral(self, n):
+        # Replacing C(D, j) by 1 in the pass breaks the equality from k = 2 on (n >= 2).
+        ctx = AlgebraCtx(n, 8)
+        e = EngineCtx(ctx)
+        for k in range(1, 8):
+            f = e.fmk(1, k)
+            assert f == f1k_by_compositions(k, ctx), (n, k)
+            _, nums, den = f.numerators()
+            assert factorial(k) % den == 0, (n, k)  # k! f[1, k] is integral
+
+
 class TestF1kDirect:
     def test_k1_n2_is_single_bracket(self):
         ctx = AlgebraCtx(2, 2)
@@ -215,6 +230,19 @@ class TestWTerm:
         e = EngineCtx(AlgebraCtx(2, 5))
         assert e.w_term(4) is e.w_term(4)
         assert e.fmk(2, 4) is e.fmk(2, 4)
+
+    def test_memo_blocks_are_never_mutated(self):
+        # Every f[m, k] block stays as it entered the memo, whatever reads it later.
+        e = EngineCtx(AlgebraCtx(2, 12))
+        list(series(e, "generic"))
+        blocks = dict(e._f_memo)
+        snapshot = {key: (den, list(nums)) for key, (den, nums) in blocks.items()}
+        assert len(snapshot) > 30
+        list(series(e, "both"))
+        for m, k in blocks:
+            e.fmk(m, k)
+        assert all(e._f_memo[key] is blocks[key] for key in blocks)
+        assert {key: (den, list(nums)) for key, (den, nums) in blocks.items()} == snapshot
 
     def test_backing_cache(self):
         # What a cache holds, W_m in context (n, m), seeds a deeper context as `known`.

@@ -17,13 +17,16 @@ from hypothesis import strategies as st
 from zassenhaus.freealg import (
     AlgebraCtx,
     AssocPoly,
+    block_rows,
     bracket,
     bracket_add,
     exp_trunc,
+    from_block,
     generators,
     log_trunc,
     mul,
     poly_sum,
+    reduce_block,
     word_key,
 )
 
@@ -270,9 +273,21 @@ def test_single_generator():
 
 # -- the dense bracket-and-add kernel -------------------------------------------------
 #
-# bracket_add(f, a, b, r) must equal f + r*[a, b] as the dict kernel computes it.
-# Operands are homogeneous: one word, a dense block (every word of the degree,
-# numerators from a drawn pattern), a few words, or zero.
+# bracket_add(f, rows of a, b, r) on dense degree blocks must equal
+# f + r*[a, b] as the dict kernel computes it.  Operands are homogeneous: one
+# word, a dense block (every word of the degree, numerators from a drawn
+# pattern), a few words, or zero.
+
+
+def as_block(p, d):
+    """p, zero or homogeneous of degree d, as the block (den, numerators of all n^d words in order)."""
+    n = p.ctx.n
+    words, nums, den = p.numerators()
+    out = [0] * n**d
+    for w, c in zip(words, nums):
+        assert len(w) == d
+        out[sum((letter - 1) * n ** (d - 1 - pos) for pos, letter in enumerate(w))] = c
+    return den, out
 
 
 def homogeneous(ctx, d):
@@ -289,63 +304,82 @@ def homogeneous(ctx, d):
 
 @st.composite
 def bracket_add_cases(draw):
-    """(f, a, b, r): deg a and deg b in 1..K-1, so that the bracket is often cut by the truncation."""
+    """(f, (a, da), (b, db), r) with da + db <= K; f is None, zero, any, or cancels most of r*[a, b]."""
     n = draw(st.integers(1, 4))
     ctx = AlgebraCtx(n, draw(st.integers(2, {1: 9, 2: 8, 3: 6, 4: 5}[n])))
-    cap = ctx.max_degree
-    da, db = draw(st.integers(1, cap - 1)), draw(st.integers(1, cap - 1))
+    da = draw(st.integers(1, ctx.max_degree - 1))
+    db = draw(st.integers(1, ctx.max_degree - da))
     a, b = draw(homogeneous(ctx, da)), draw(homogeneous(ctx, db))
     r = draw(scalars)
-    d = min(da + db, cap)
     kind = draw(st.sampled_from(["none", "zero", "any", "cancel"]))
     if kind == "none":
         f = None
     elif kind == "zero":
         f = AssocPoly.zero(ctx)
     else:
-        f = draw(homogeneous(ctx, d))
+        f = draw(homogeneous(ctx, da + db))
         if kind == "cancel":  # most of r*[a, b] cancels: the result has few words and a gcd to take out
             f = f - bracket(a, b).scaled(r)
-    return f, a, b, r
+    return f, (a, da), (b, db), r
+
+
+def _case(f, a, b, r):
+    """An explicit case of `bracket_add_cases` from nonzero homogeneous a and b."""
+    return f, (a, a.homogeneous_degree()), (b, b.homogeneous_degree()), r
 
 
 @kernel_settings
 @given(bracket_add_cases())
-@example((None, AssocPoly(AlgebraCtx(2, 4), {(1,): Fraction(1, 3)}), AssocPoly(AlgebraCtx(2, 4), {(2,): 3}), -1))
+@example(_case(None, AssocPoly(AlgebraCtx(2, 4), {(1,): Fraction(1, 3)}), AssocPoly(AlgebraCtx(2, 4), {(2,): 3}), -1))
 @example(
-    (
+    _case(
         AssocPoly(AlgebraCtx(3, 5), {(1, 2, 3): Fraction(2, 5), (3, 2, 1): Fraction(-7, 10)}),
         AssocPoly(AlgebraCtx(3, 5), {(1, 2): Fraction(-2, 5), (2, 1): Fraction(4, 15)}),
         AssocPoly(AlgebraCtx(3, 5), {(3,): Fraction(5, 6)}),
         Fraction(-9, 4),
     )
 )
-@example((None, AssocPoly(AlgebraCtx(2, 3), {(1, 1): 1}), AssocPoly(AlgebraCtx(2, 3), {(2, 2): 1}), 1))
+@example(_case(None, AssocPoly(AlgebraCtx(2, 4), {(1, 1): 1}), AssocPoly(AlgebraCtx(2, 4), {(2, 2): 1}), 1))
 def test_bracket_add_matches_dict_kernel(case):
-    f, a, b, r = case
+    f, (a, da), (b, db), r = case
     ctx = a.ctx
+    d = da + db
     base = AssocPoly.zero(ctx) if f is None else f
-    got = bracket_add(f, a, b, r)
-    assert got == base + bracket(a, b).scaled(r)
-    assert model(got) == ref_add(model(base), ref_scaled(ref_bracket(model(a), model(b), ctx.max_degree), r))
-    assert_canonical(got)
+    f_block, b_block = None if f is None else as_block(f, d), as_block(b, db)
+    before = (f_block and (f_block[0], list(f_block[1])), b_block[0], list(b_block[1]))
+    got = bracket_add(f_block, block_rows(a, da), b_block, r)
+    assert (f_block and (f_block[0], list(f_block[1])), b_block[0], list(b_block[1])) == before  # operands untouched
+    assert len(got[1]) == ctx.n**d
+    den, nums = reduce_block(*got)
+    assert den > 0 and gcd(den, *nums) == 1  # the canonical block
+    poly = from_block(ctx, d, *got)
+    assert poly == base + bracket(a, b).scaled(r)
+    assert model(poly) == ref_add(model(base), ref_scaled(ref_bracket(model(a), model(b), ctx.max_degree), r))
+    assert_canonical(poly)
+    assert as_block(poly, d) == (den, nums)
 
 
 def test_bracket_add_takes_out_the_common_factor():
     ctx = AlgebraCtx(2, 4)
-    a = AssocPoly(ctx, {(1,): Fraction(1, 3)})
-    b = AssocPoly(ctx, {(2,): 3})
+    a = block_rows(AssocPoly(ctx, {(1,): Fraction(1, 3)}), 1)
+    b = as_block(AssocPoly(ctx, {(2,): 3}), 1)
     # [a, b] = [X1, X2] over the lifted denominator 3 has numerators 3 and -3.
-    assert bracket_add(None, a, b, 1).numerators() == ([(1, 2), (2, 1)], [1, -1], 1)
-    f = AssocPoly(ctx, {(1, 2): 1, (2, 1): Fraction(1, 2)})
-    assert bracket_add(f, a, b, Fraction(-1, 2)).numerators() == ([(1, 2), (2, 1)], [1, 2], 2)
-    assert bracket_add(f, a, b, -1).numerators() == ([(2, 1)], [3], 2)
+    assert bracket_add(None, a, b, 1) == (3, [0, 3, -3, 0])
+    assert reduce_block(*bracket_add(None, a, b, 1)) == (1, [0, 1, -1, 0])
+    assert from_block(ctx, 2, *bracket_add(None, a, b, 1)).numerators() == ([(1, 2), (2, 1)], [1, -1], 1)
+    f = as_block(AssocPoly(ctx, {(1, 2): 1, (2, 1): Fraction(1, 2)}), 2)
+    assert from_block(ctx, 2, *bracket_add(f, a, b, Fraction(-1, 2))).numerators() == ([(1, 2), (2, 1)], [1, 2], 2)
+    assert from_block(ctx, 2, *bracket_add(f, a, b, -1)).numerators() == ([(2, 1)], [3], 2)
 
 
 def test_bracket_add_refuses_mixed_or_wrong_degrees():
     ctx = AlgebraCtx(2, 5)
     x1, x2 = generators(ctx)
-    mixed = x1 + mul(x1, x2)
-    for f, a, b in ((None, mixed, x2), (None, x1, mixed), (mixed, x1, x2), (mul(x1, mul(x1, x2)), x1, x2)):
+    a, b = block_rows(x1, 1), as_block(x2, 1)
+    for f in ((1, [0, 0, 0]), (1, [0] * 8), as_block(mul(x1, mul(x1, x2)), 3)):
         with pytest.raises(ValueError):
             bracket_add(f, a, b, 1)
+    mixed = x1 + mul(x1, x2)
+    for p, d in ((mixed, 1), (mixed, 2), (x1, 2)):
+        with pytest.raises(ValueError):
+            block_rows(p, d)

@@ -9,7 +9,9 @@ pinned as well, with digests recorded at commit 7183e64: `f1k` in every path
 and format, and `terms --form comm`.  The large-n pins (n = 6 and n = 10, where
 the f[1, k] sum has the most terms) were recorded at commit d060f6a, and the
 frontier pins at (2,14) and (3,10), whose f[m, k] sums take longer Horner
-chains than the benchmark labels, at commit 01a98fe.
+chains than the benchmark labels, at commit 01a98fe.  The pins of the graded
+f[1, k] pass at (k, n) = (10, 3) and (6, 5), and of `terms` at (5, 6), were
+recorded at commit e2fcda1, before that pass ran in integers scaled by d!.
 """
 
 import hashlib
@@ -107,6 +109,9 @@ def test_commutator_form_is_pinned(cli, n, format, digest):
         ("f1k --k 4 --n 6 --path direct --format json", "8c19ea1ee837f3ae2a9335b63daea4d5025e7a675db9f9548915d0ad3cac5824"),
         ("terms --n 2 --max-degree 14 --format json", "0355b4da8b01aac8d887e6afe34c9c29b6752682e706fa34b99644cf2978b1c3"),
         ("terms --n 3 --max-degree 10 --format json", "43296c48dfb3870cfd03a939060e45e16d3102ade822259f8bec9eecbe251902"),
+        ("f1k --k 10 --n 3 --path direct --format json", "fe989610b429f57a4bb97f07dbdaae9fbd9205e5f812d1472612f6d5a527cbb5"),
+        ("f1k --k 6 --n 5 --path direct --format json", "9235197892b4504e78dbe8f570915cb1ee58fb8f201acff06e69d88eb8e84361"),
+        ("terms --n 5 --max-degree 6 --format json", "5cbbbfaf5286e177ab53ba390ec9129cb287fdda06696ffef3b22a0c5ed5f5db"),
     ],
 )
 def test_large_n_outputs_are_pinned(cli, label, digest):
