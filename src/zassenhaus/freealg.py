@@ -36,7 +36,9 @@ degree and no scan of the codes is needed.  `bracket_add` adds r*[a, b]
 into such a block with list slices, one product pass per distinct
 |coefficient| of a (its rows, grouped once by `block_rows`), and returns
 a new block without reducing it; `reduce_block` cancels the common
-factor, and `from_block` makes the one term map of a block.  `mul` and `bracket` stay sparse dict kernels.
+factor, `from_block` makes the one term map of a block and `to_block`
+makes the block of a homogeneous polynomial.  `mul` and `bracket` stay
+sparse dict kernels.
 
 The codes depend on n alone, not on the truncation degree.  Words become
 tuples only at the boundary: the constructors, `coeff`, `terms`,
@@ -61,18 +63,17 @@ Lie elements are represented associatively via [A, B] = A*B - B*A; see
 constant term (resp. with constant term 1) are finite sums here because
 of the truncation.
 
-Every writer of a polynomial -- `text`, `latex`, `to_json` and
-`numerators_json` -- is one pass of `_halves` over the sorted codes with
-tables of ready strings: one per distinct half word (a code splits into
-two half words, so a word costs two lookups, not a pass over its
-letters) and one per distinct numerator, the term's prefix.  A term adds
-three shared strings to one list, which is joined once: a term makes no
-dict and no string of its own.  In a signed sum the prefix is
-the separator, sign and coefficient, " + 2/3*"; in JSON it is the comma
-and the coefficient, ',{"coeff":"2/3","word":['; the leading term drops
-its separator.  The sign and coefficient rules live in `_sum_prefix`
-alone, which also serves `signed_sum`, the writer `lieform.render`
-hands its commutators to.
+Every writer of a polynomial -- `text`, `latex` and `to_json` -- is one
+pass of `_halves` over the sorted codes with tables of ready strings: one
+per distinct half word (a code splits into two half words, so a word
+costs two lookups, not a pass over its letters) and one per distinct
+numerator, the term's prefix.  A term adds three shared strings to one
+list, which is joined once: a term makes no dict and no string of its
+own.  In a signed sum the prefix is the separator, sign and coefficient,
+" + 2/3*"; in JSON it is the comma and the coefficient,
+',{"coeff":"2/3","word":['; the leading term drops its separator.  The
+sign and coefficient rules live in `_sum_prefix` alone, which also serves
+`signed_sum`, the writer `lieform.render` hands its commutators to.
 
 The canonical JSON form of a polynomial is
 
@@ -562,20 +563,6 @@ class AssocPoly:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not a canonical JSON form: {exc!r}") from exc
 
-    def numerators_json(self) -> str:
-        """`numerators` and the context as compact JSON text with sorted keys.
-
-        The object is {"den": q, "maxDegree": K, "n": n, "nums": [p, ...],
-        "words": [[i1, ...], ...]}; its fields read back with `from_numerators`.
-        """
-        codes, ctx = self._codes, self.ctx
-        ks = sorted(codes)
-        nums = ",".join(map(str, map(codes.__getitem__, ks)))
-        halves = _halves(ctx, ks, lambda w: ",[" + _digits(w), lambda w: _comma_digits(w) + "]")
-        words = list(chain.from_iterable(halves))
-        head = f'{{"den":{self._den},"maxDegree":{ctx.max_degree},"n":{ctx.n},"nums":[{nums}],"words":['
-        return _json_array(head, words, "]}")
-
 
 # A coefficient of the canonical JSON form: p/q with p != 0 and q > 0 ([0-9] is ASCII only).
 # `re` compiles it on first use, which keeps it out of the import time.
@@ -773,6 +760,14 @@ def block_rows(p: AssocPoly, d: int) -> Rows:
             raise ValueError(f"the polynomial is not homogeneous of degree {d}")
         groups.setdefault(abs(c), (abs(c), [], []))[1 + (c < 0)].append(k - lo)
     return p._den, p.ctx.n**d, list(groups.values())
+
+
+def to_block(p: AssocPoly, d: int) -> Block:
+    """The block (den, nums) of p, zero or homogeneous of degree d: `from_block` undone."""
+    if p and p.homogeneous_degree() != d:
+        raise ValueError(f"the polynomial is not homogeneous of degree {d}")
+    lo, hi = p.ctx._offsets[d : d + 2]
+    return p._den, list(map(p._codes.get, range(lo, hi), repeat(0)))
 
 
 def from_block(ctx: AlgebraCtx, d: int, den: int, nums: list[int]) -> AssocPoly:

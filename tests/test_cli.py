@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zassenhaus.cli import (
@@ -114,16 +114,21 @@ class TestTerms:
             assert r.returncode == EXIT_USAGE and r.stderr.startswith("error: ")
 
 
+@st.composite
+def _homogeneous_polys(draw):
+    """Zero or homogeneous of degree m in context (n, m), with numerators and denominators of many digits."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    words = st.lists(st.integers(1, n), min_size=m, max_size=m).map(tuple)
+    coeffs = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**25))
+    return AssocPoly(AlgebraCtx(n, m), draw(st.dictionaries(words, coeffs, max_size=12)))
+
+
 class TestTermsCache:
     def test_round_trip_is_bit_exact(self, cli, tmp_path):
         cache = tmp_path / "c"
         cold = cli("terms", "--n", 2, "--max-degree", 4, "--format", "json", "--cache", cache)
         files = sorted(p.relative_to(cache).as_posix() for p in cache.rglob("*.json"))
-        assert files == [
-            "3/n2/W2.json",
-            "3/n2/W3.json",
-            "3/n2/W4.json",
-        ]
+        assert files == [_name(2, 2), _name(2, 3), _name(2, 4)]
         before = [(p.as_posix(), p.read_bytes()) for p in sorted(cache.rglob("*.json"))]
         warm = cli("terms", "--n", 2, "--max-degree", 4, "--format", "json", "--cache", cache)
         after = [(p.as_posix(), p.read_bytes()) for p in sorted(cache.rglob("*.json"))]
@@ -133,19 +138,20 @@ class TestTermsCache:
     def test_entries_carry_valid_digests(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
-        raw = (cache / "3" / "n2" / "W2.json").read_text()
+        raw = _entry(cache, 2, 2).read_text()
         entry = json.loads(raw)
         payload = json.dumps(entry["payload"], sort_keys=True, separators=(",", ":"))
         assert entry["digest"] == hashlib.sha256(payload.encode()).hexdigest()
-        assert entry["key"] == {"format": 3, "n": 2, "m": 2}
+        assert entry["key"] == {"format": 4, "n": 2, "m": 2}
         # The digest covers the payload bytes as stored: the entry ends in them.
         assert raw.endswith(f',"payload":{payload}}}\n')
-        assert entry["payload"] == {"den": 2, "maxDegree": 2, "n": 2, "nums": [-1, 1], "words": [[1, 2], [2, 1]]}
+        # W_2 = 1/2 (X2 X1 - X1 X2) as the block of X1X1, X1X2, X2X1, X2X2.
+        assert entry["payload"] == {"den": 2, "maxDegree": 2, "n": 2, "nums": [0, -1, 1, 0]}
 
     def test_corrupted_digest_is_rejected(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
-        target = cache / "3" / "n2" / "W3.json"
+        target = _entry(cache, 2, 3)
         entry = json.loads(target.read_text())
         entry["payload"]["nums"][0] = 7 * entry["payload"]["den"]
         target.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
@@ -156,7 +162,7 @@ class TestTermsCache:
     def test_stale_key_is_recomputed(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
-        target = cache / "3" / "n2" / "W3.json"
+        target = _entry(cache, 2, 3)
         entry = json.loads(target.read_text())
         entry["key"]["format"] = 0  # pretend an older schema wrote it
         target.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")))
@@ -165,48 +171,53 @@ class TestTermsCache:
         assert json.loads(target.read_text())["key"]["format"] == CACHE_VERSION
 
     def test_version_2_tree_is_ignored(self, cli, tmp_path):
-        # A version-2 entry (per-term "p/q" strings) with a valid version-2 digest
-        # but a wrong value: the version-3 reader never looks at it.
-        cache = tmp_path / "c"
-        old = cache / "2" / "n2" / "W3.json"
-        old.parent.mkdir(parents=True)
+        # A version-2 entry holds per-term "p/q" strings.
         payload = AssocPoly.monomial(AlgebraCtx(2, 3), (1, 1, 2), 7).to_json_dict()
-        dumped = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        entry = {"digest": hashlib.sha256(dumped.encode()).hexdigest(), "key": {"format": 2, "n": 2, "m": 3},
-                 "payload": payload}
-        old.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
-        before = old.read_bytes()
-        r = cli("terms", "--n", 2, "--max-degree", 3, "--format", "json", "--cache", cache)
-        assert r.returncode == EXIT_OK
-        assert r.stdout == cli("terms", "--n", 2, "--max-degree", 3, "--format", "json").stdout
-        assert old.read_bytes() == before
-        assert sorted(_files(cache)) == ["2/n2/W3.json", "3/n2/W2.json", "3/n2/W3.json"]
+        _assert_old_entry_is_ignored(cli, tmp_path, 2, payload)
+
+    def test_version_3_tree_is_ignored(self, cli, tmp_path):
+        # A version-3 entry holds a word list beside its numerators.
+        payload = {"den": 1, "maxDegree": 3, "n": 2, "nums": [7], "words": [[1, 1, 2]]}
+        _assert_old_entry_is_ignored(cli, tmp_path, 3, payload)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_store_load_round_trip(self, data):
-        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
-        words = st.lists(st.integers(1, n), min_size=m, max_size=m).map(tuple)
-        coeffs = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**25))
-        poly = AssocPoly(AlgebraCtx(n, m), data.draw(st.dictionaries(words, coeffs, max_size=12)))
+    @given(_homogeneous_polys())
+    @example(AssocPoly.zero(AlgebraCtx(1, 4)))  # at n = 1 every W_m is the block [0] over 1
+    @example(AssocPoly.monomial(AlgebraCtx(1, 3), (1, 1, 1), Fraction(-5, 3)))
+    def test_store_load_round_trip(self, poly):
+        n, m = poly.ctx.n, poly.ctx.max_degree
         with tempfile.TemporaryDirectory() as root:
             cache_store(Path(root), n, m, poly)
             assert cache_load(Path(root), n, m) == poly
+
+    def test_store_refuses_what_the_block_cannot_hold(self, tmp_path):
+        # The payload holds the words of degree m alone, so any other word would be dropped.
+        at = AlgebraCtx(2, 3)
+        for n, poly in [
+            (2, AssocPoly(at, {(1, 2): 1, (1, 1, 2): 1})),  # mixed degree
+            (2, AssocPoly(at, {(2, 1): Fraction(1, 2)})),  # degree m - 1
+            (2, AssocPoly.monomial(AlgebraCtx(2, 4), (1, 2, 1, 2))),  # degree m + 1, in context (2, 4)
+            (3, AssocPoly.monomial(at, (1, 1, 2))),  # context n = 2 stored as n = 3
+        ]:
+            with pytest.raises(ValueError):
+                cache_store(tmp_path, n, 3, poly)
+        assert not any(tmp_path.iterdir())
+        assert cache_store(tmp_path, 2, 3, AssocPoly.zero(at)).exists()
 
     def test_env_var_sets_root(self, cli, tmp_path):
         cache = tmp_path / "from-env"
         r = cli("terms", "--n", 2, "--max-degree", 3, extra_env={"ZASSENHAUS_CACHE_DIR": str(cache)})
         assert r.returncode == EXIT_OK
-        assert (cache / "3" / "n2" / "W2.json").exists()
+        assert _entry(cache, 2, 2).exists()
 
     def test_entries_do_not_depend_on_max_degree(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 6, "--format", "json", "--cache", cache)
         before = _files(cache)
-        assert sorted(before) == [f"3/n2/W{m}.json" for m in range(2, 7)]
+        assert sorted(before) == [_name(2, m) for m in range(2, 7)]
         r = cli("terms", "--n", 2, "--max-degree", 8, "--format", "json", "--cache", cache)
         after = _files(cache)
-        assert sorted(after) == sorted([*before, "3/n2/W7.json", "3/n2/W8.json"])
+        assert sorted(after) == sorted([*before, _name(2, 7), _name(2, 8)])
         assert {name: after[name] for name in before} == before
         assert r.returncode == EXIT_OK
         assert r.stdout == cli("terms", "--n", 2, "--max-degree", 8, "--format", "json").stdout
@@ -214,7 +225,7 @@ class TestTermsCache:
     def test_warm_cache_cannot_bypass_path_both(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 6, "--cache", cache)
-        _rewrite_entry(cache / "3" / "n2" / "W6.json", lambda p: p["nums"].__setitem__(0, 7 * p["den"]))
+        _rewrite_entry(_entry(cache, 2, 6), lambda p: p["nums"].__setitem__(0, 7 * p["den"]))
         r = cli("terms", "--n", 2, "--max-degree", 6, "--path", "both", "--cache", cache)
         assert r.returncode == EXIT_INTERNAL
         assert "disagree" in r.stderr and r.stdout == ""
@@ -229,7 +240,7 @@ class TestTermsCache:
         cache = tmp_path / "c"
         r = cli("terms", "--n", 2, "--max-degree", 7, "--path", "both", "--cache", cache)
         assert r.returncode == EXIT_INTERNAL and "W_6" in r.stderr and r.stdout == ""
-        assert sorted(_files(cache)) == [f"3/n2/W{m}.json" for m in range(2, 6)]
+        assert sorted(_files(cache)) == [_name(2, m) for m in range(2, 6)]
 
     def test_expanded_path_caches_only_recursion_terms(self, cli, tmp_path, monkeypatch):
         # W_m with m >= 5 under --path expanded come from the cross-check formula:
@@ -243,7 +254,7 @@ class TestTermsCache:
             )
             r = cli("terms", "--n", 2, "--max-degree", 7, "--path", "expanded", "--cache", cache)
         assert r.returncode == EXIT_OK
-        assert sorted(_files(cache)) == [f"3/n2/W{m}.json" for m in range(2, 5)]
+        assert sorted(_files(cache)) == [_name(2, m) for m in range(2, 5)]
         both = cli("terms", "--n", 2, "--max-degree", 7, "--path", "both", "--cache", cache)
         assert both.returncode == EXIT_OK
         assert both.stdout == cli("terms", "--n", 2, "--max-degree", 7).stdout
@@ -251,47 +262,60 @@ class TestTermsCache:
     def test_expanded_path_reads_no_entry_above_degree_4(self, cli, tmp_path):
         cache = tmp_path / "c"
         assert cli("terms", "--n", 2, "--max-degree", 6, "--cache", cache).returncode == EXIT_OK
-        (cache / "3" / "n2" / "W6.json").write_text("not json")
+        _entry(cache, 2, 6).write_text("not json")
         expanded = cli("terms", "--n", 2, "--max-degree", 6, "--path", "expanded", "--cache", cache)
         assert expanded.returncode == EXIT_OK
         assert expanded.stdout == cli("terms", "--n", 2, "--max-degree", 6).stdout
 
+    # The entry is W_3 at n = 2: den 6 over the block of the 8 words of degree 3.
+    # A case named after a word-list payload takes the block's closest form of it.
     @pytest.mark.parametrize(
         "mutate",
         [
             "not-an-object",
-            lambda p: p.pop("words"),
+            lambda p: p.update(nums=[]),
             lambda p: p.pop("n"),
             lambda p: p.update(n=3),
-            lambda p: p["words"].__setitem__(0, [1, 3, 2]),
-            # In front, so the words stay in canonical order and only the degree is wrong.
-            lambda p: (p["words"].insert(0, [1, 2]), p["nums"].insert(0, 1)),
+            # The block of the 27 words of degree 3 over three letters.
+            lambda p: p["nums"].extend([0] * 19),
+            # The block of the 4 words of degree 2.
+            lambda p: p.update(nums=p["nums"][:4]),
             lambda p: p.pop("nums"),
             lambda p: p.pop("den"),
             lambda p: p.update(n=2.0),
-            lambda p: p["words"][0].__setitem__(0, 1.0),
-            lambda p: p["words"][0].__setitem__(0, True),
-            lambda p: p["nums"].__setitem__(0, True),
-            lambda p: p["nums"].__setitem__(0, float(p["nums"][0])),
-            lambda p: p["nums"].__setitem__(0, 0),
-            lambda p: p["words"].__setitem__(1, p["words"][0]),
-            lambda p: (p["words"].reverse(), p["nums"].reverse()),
+            # maxDegree fixes the length of the words.
+            lambda p: p.update(maxDegree=3.0),
+            lambda p: p.update(maxDegree=True),
+            lambda p: p["nums"].__setitem__(1, True),
+            lambda p: p["nums"].__setitem__(1, float(p["nums"][1])),
+            # Zeros fill a block, but an all-zero block has den 1.
+            lambda p: p.update(nums=[0] * 8),
+            # Two numerators for one word.
+            lambda p: p["nums"].__setitem__(1, [p["nums"][1], p["nums"][1]]),
+            # Numerators keyed by word index, last word first.
+            lambda p: p.update(nums={str(i): c for i, c in reversed(list(enumerate(p["nums"])))}),
             lambda p: p.update(den=0),
             lambda p: p.update(den=-p["den"], nums=[-c for c in p["nums"]]),
             lambda p: p.update(den=2 * p["den"], nums=[2 * c for c in p["nums"]]),
+            # A block one number short and one number long.
             lambda p: p["nums"].pop(),
             lambda p: p["nums"].append(1),
+            # A version-3 payload under a version-4 key.
+            lambda p: p.update(words=[[1, 1, 2]]),
+            lambda p: p.update(nums=",".join(map(str, p["nums"]))),
+            lambda p: p.update(den=float(p["den"])),
+            lambda p: p.update(den=True),
         ],
         ids=["not-an-object", "missing-terms", "missing-n", "n-differs-from-key", "letter-out-of-range",
              "not-homogeneous", "missing-nums", "missing-den", "float-n", "float-letter", "bool-letter",
              "bool-numerator", "float-numerator", "zero-numerator", "duplicate-word", "words-out-of-order",
              "zero-denominator", "negative-denominator", "common-factor", "fewer-numerators",
-             "more-numerators"],
+             "more-numerators", "leftover-words", "nums-not-a-list", "float-denominator", "bool-denominator"],
     )
     def test_malformed_entry_is_corruption(self, cli, tmp_path, mutate):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
-        target = cache / "3" / "n2" / "W3.json"
+        target = _entry(cache, 2, 3)
         if mutate == "not-an-object":
             target.write_text("[1,2]")
         else:
@@ -319,6 +343,32 @@ class TestTermsCache:
         assert cache_load(tmp_path, 2, 2) == second
         fresh = cache_store(tmp_path / "fresh", 2, 2, second)
         assert target.read_bytes() == fresh.read_bytes()
+
+
+def _entry(root, n, m):
+    return root / _name(n, m)
+
+
+def _name(n, m):
+    """The path of the entry W_m at n under the cache root, as `_files` names it."""
+    return f"{CACHE_VERSION}/n{n}/W{m}.json"
+
+
+def _assert_old_entry_is_ignored(cli, tmp_path, version, payload):
+    """An entry of an older cache version, with a valid digest but a wrong W_3, is never read or touched."""
+    cache = tmp_path / "c"
+    old = cache / str(version) / "n2" / "W3.json"
+    old.parent.mkdir(parents=True)
+    dumped = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    entry = {"digest": hashlib.sha256(dumped.encode()).hexdigest(), "key": {"format": version, "n": 2, "m": 3},
+             "payload": payload}
+    old.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+    before = old.read_bytes()
+    r = cli("terms", "--n", 2, "--max-degree", 3, "--format", "json", "--cache", cache)
+    assert r.returncode == EXIT_OK
+    assert r.stdout == cli("terms", "--n", 2, "--max-degree", 3, "--format", "json").stdout
+    assert old.read_bytes() == before
+    assert sorted(_files(cache)) == [f"{version}/n2/W3.json", _name(2, 2), _name(2, 3)]
 
 
 def _files(root):

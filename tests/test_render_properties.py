@@ -12,6 +12,7 @@ The reference encoders at the end of this file build each output from
 """
 
 import hashlib
+import itertools
 import json
 import re
 import tempfile
@@ -146,9 +147,14 @@ def dumps(obj):
 
 
 def ref_cache_entry(p, m):
-    """The version-3 cache entry of W_m = p, built with `json.dumps` from `numerators()`."""
+    """The version-4 cache entry of W_m = p, built with `json.dumps` from `numerators()`.
+
+    The payload is the block of p: one numerator for every word of degree m, in canonical order.
+    """
     words, nums, den = p.numerators()
-    payload = {"den": den, "maxDegree": p.ctx.max_degree, "n": p.ctx.n, "nums": nums, "words": words}
+    coeffs = dict(zip(words, nums))
+    block = [coeffs.get(w, 0) for w in itertools.product(range(1, p.ctx.n + 1), repeat=m)]
+    payload = {"den": den, "maxDegree": m, "n": p.ctx.n, "nums": block}
     digest = hashlib.sha256(dumps(payload).encode()).hexdigest()
     key = {"format": CACHE_VERSION, "m": m, "n": p.ctx.n}
     return (dumps({"digest": digest, "key": key, "payload": payload}) + "\n").encode()
@@ -180,6 +186,24 @@ def test_writers_match_reference_encoders(p):
     assert p.to_json() == dumps(form)
     assert p.to_json_dict() == form
     assert AssocPoly.from_json_dict(form) == p
+
+
+@st.composite
+def homogeneous_polys(draw):
+    """Zero or homogeneous of degree m in context (n, m), over up to 12 letters and at most 12^3 words."""
+    n = draw(st.integers(1, 12))
+    ctx = AlgebraCtx(n, draw(st.integers(1, 5 if n <= 4 else 3)))
+    words = st.lists(st.integers(1, n), min_size=ctx.max_degree, max_size=ctx.max_degree).map(tuple)
+    return AssocPoly(ctx, draw(st.dictionaries(words, coefficients, max_size=12)))
+
+
+@render_settings
+@given(homogeneous_polys())
+@example(AssocPoly.zero(AlgebraCtx(3, 2)))
+@example(AssocPoly.zero(AlgebraCtx(1, 4)))  # n = 1: the block [0] over 1
+@example(AssocPoly.monomial(AlgebraCtx(1, 5), (1,) * 5, Fraction(-7, 3)))
+@example(AssocPoly(AlgebraCtx(12, 2), [((1, 1), 1), ((12, 12), Fraction(1, 6)), ((5, 7), -2)]))
+def test_cache_entry_matches_reference_encoder(p):
     with tempfile.TemporaryDirectory() as root:
         m = p.ctx.max_degree
         entry = cache_store(Path(root), p.ctx.n, m, p)
