@@ -13,7 +13,9 @@ Three checks, in increasing distance from the algebra:
 * `numeric_order_check` substitutes random matrices, compares matrix
   exponentials at several step sizes t, and estimates the convergence
   order of the residual, which must be K + 1 when the product carries
-  W_2..W_K.
+  W_2..W_K.  Its matrix work is batched: `substitute` evaluates each W_m
+  with one np.matmul per prefix level, and every float it returns equals
+  that of a walk over the words one at a time.
 
 All exact checks are zero-tolerance; the numeric check accepts an
 observed order within +-0.5 of K + 1 and reports "inconclusive" (not
@@ -43,14 +45,16 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from itertools import compress, repeat
+from operator import floordiv, mod, ne, sub, truediv
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .freealg import (
     AlgebraCtx,
     AssocPoly,
-    Word,
     exp_trunc,
     format_fraction,
     generators,
@@ -70,6 +74,11 @@ ROUNDOFF_FACTOR = 100.0
 #: Largest matrix dimension of the numeric check.  The order estimate needs
 #: no big matrices, and a huge one would only exhaust memory or CPU.
 MAX_DIM = 256
+
+#: Byte budget of one stack of dim x dim matrices in `substitute`: the words of
+#: a degree are evaluated in runs of at most this many bytes of matrices, so a
+#: level's batch is bounded however many words the degree has.
+SUBSTITUTE_CHUNK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -239,30 +248,120 @@ def random_matrices(n: int, dim: int, seed: int) -> list[np.ndarray]:
     return [rng.uniform(-0.5, 0.5, size=(dim, dim)) * scale for _ in range(n)]
 
 
+def _runs(
+    poly: AssocPoly, width: int
+) -> Iterator[tuple[list[int], list[tuple[np.ndarray, np.ndarray]], np.ndarray]]:
+    """The terms of `poly` in canonical order, cut into runs of at most `width` words of one degree.
+
+    Yields (root, steps, coefs) per run.  `root` is the run's longest common
+    prefix as 0-based letters.  `steps` holds one (parents, letters) pair of
+    index arrays per level below the root, top down: the distinct prefixes
+    of that length that the run's words need, each as the position of its
+    parent prefix in the level above and its last letter.  `coefs` holds
+    num / den per word, each the correctly rounded quotient of Python ints.
+    A word's index among the n^d words of its degree d is its code minus
+    off[d]; its prefix one letter shorter has index // n and its last letter
+    is index % n.  Codes stay Python ints: at n = 2 they pass 2^63 at degree 63.
+    """
+    import numpy as np
+
+    n, off = poly.ctx.n, poly.ctx._offsets
+    codes, den = poly._codes, poly._den
+    ks = sorted(codes)
+    start = 0
+    while start < len(ks):
+        d = bisect_right(off, ks[start]) - 1
+        stop = min(bisect_left(ks, off[d + 1], start), start + width)
+        run = ks[start:stop]
+        level = list(map(sub, run, repeat(off[d])))
+        steps = []
+        while len(level) > 1:
+            ups = list(map(floordiv, level, repeat(n)))
+            first = [True, *map(ne, ups[1:], ups)]  # ups ascend: a new parent where they change
+            steps.append((np.cumsum(first) - 1, np.fromiter(map(mod, level, repeat(n)), np.intp, len(level))))
+            level = list(compress(ups, first))
+        steps.reverse()
+        root, r = [], level[0]
+        for _ in range(d - len(steps)):
+            r, letter = divmod(r, n)
+            root.append(letter)
+        root.reverse()
+        yield root, steps, np.fromiter(map(truediv, map(codes.__getitem__, run), repeat(den)), float, len(run))
+        start = stop
+
+
+class _Prepared(AssocPoly):
+    """A polynomial that keeps its runs for `substitute` (see `_runs`).
+
+    `numeric_order_check` wraps each W_m once and substitutes it at every t:
+    only the matrices change with t, so the sorted codes, the quotients
+    num / den and the prefix levels are made once, at the first t.
+    """
+
+    __slots__ = ("_kept",)
+
+    @classmethod
+    def of(cls, poly: AssocPoly) -> _Prepared:
+        self = cls._make(poly.ctx, poly._codes, poly._den)
+        object.__setattr__(self, "_kept", (0, []))  # (width, runs); every width is >= 1
+        return self
+
+    def runs(self, width: int) -> list[tuple[list[int], list[tuple[np.ndarray, np.ndarray]], np.ndarray]]:
+        if self._kept[0] != width:
+            object.__setattr__(self, "_kept", (width, list(_runs(self, width))))
+        return self._kept[1]
+
+
 def substitute(poly: AssocPoly, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate a polynomial on concrete matrices (X_i -> mats[i-1])."""
+    """Evaluate a polynomial on concrete matrices (X_i -> mats[i-1]).
+
+    A word's matrix is its prefix product I @ M[w1] @ ... @ M[wd], taken
+    left to right, and the result is the sum of num / den times each word's
+    matrix in canonical order, added one term at a time onto zeros.  The
+    products are batched by prefix level: the words of each degree are
+    taken in runs of at most SUBSTITUTE_CHUNK_BYTES of dim x dim matrices,
+    a run's common prefix (its root) comes from a walk over shared prefixes
+    that carries over from run to run, and each level below the root is one
+    np.matmul of the parent prefixes against the letters' matrices.  Every
+    float equals that of a walk over the words one at a time: the same pairs
+    of matrices are multiplied by the same BLAS kernel, each coefficient is
+    the correctly rounded Python quotient num / den, and the terms are added
+    in canonical order by a sequential np.add.accumulate (not a pairwise
+    sum) onto the running total carried from the previous run.  Besides
+    the root's prefix products (one matrix per letter, as in a walk word by
+    word), the matrices held at once are a few stacks of that budget,
+    however many words a degree has.
+    """
     import numpy as np
 
     if len(mats) != poly.ctx.n:
         raise ValueError(f"need {poly.ctx.n} matrices, got {len(mats)}")
     dim = mats[0].shape[0]
+    stack = np.array(mats)
     out = np.zeros((dim, dim))
-    words, nums, den = poly.numerators()
-    # prefix[k] = I @ M[w1] @ ... @ M[wk] for the previous word; in canonical
-    # order neighbouring words share long prefixes, whose products are reused.
+    # prefix[k] = I @ M[r1] @ ... @ M[rk] for the previous root; neighbouring
+    # runs share long prefixes, whose products are reused.
     prefix = [np.eye(dim)]
-    prev: Word = ()
-    for word, num in zip(words, nums):
+    prev: list[int] = []
+    width = max(1, SUBSTITUTE_CHUNK_BYTES // stack[0].nbytes)
+    runs = poly.runs(width) if isinstance(poly, _Prepared) else _runs(poly, width)
+    for root, steps, coefs in runs:
         k = 0
-        for x, y in zip(prev, word):
+        for x, y in zip(prev, root):
             if x != y:
                 break
             k += 1
         del prefix[k + 1 :]
-        for letter in word[k:]:
-            prefix.append(prefix[-1] @ mats[letter - 1])
-        out += (num / den) * prefix[len(word)]
-        prev = word
+        for letter in root[k:]:
+            prefix.append(prefix[-1] @ stack[letter])
+        prev = root
+        block = prefix[-1][None]
+        for parents, letters in steps:
+            block = np.matmul(block[parents], stack[letters])
+        terms = block * coefs[:, None, None]
+        terms[0] += out
+        np.add.accumulate(terms, axis=0, out=terms)
+        out = terms[-1].copy()
     return out
 
 
@@ -315,6 +414,7 @@ def numeric_order_check(
         ws = peel_oracle(n, max_degree) if max_degree >= 2 else []
     if mats is None:
         mats = random_matrices(n, dim, seed)
+    ws = [_Prepared.of(w) for w in ws]
     norms = [(float(t), splitting_residual(mats, t, ws)) for t in t_values]
     fine, coarse = sorted(norms)[:2]  # two smallest t, ascending
     threshold = ROUNDOFF_FACTOR * sys.float_info.epsilon

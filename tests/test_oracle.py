@@ -1,12 +1,15 @@
+import itertools
 import math
 import subprocess
 import sys
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import shared_engine
@@ -36,6 +39,28 @@ def log_peel(n, K):
     for m in range(2, K + 1):
         out.append(log_trunc(residue).degree_component(m))
         residue = exp_trunc(-out[-1]) * residue
+    return out
+
+
+def substitute_by_prefix_walk(poly, mats):
+    """`substitute` as first written: one word at a time, reusing the prefix
+    products that neighbouring words share in canonical order."""
+    dim = mats[0].shape[0]
+    out = np.zeros((dim, dim))
+    words, nums, den = poly.numerators()
+    prefix = [np.eye(dim)]
+    prev = ()
+    for word, num in zip(words, nums):
+        k = 0
+        for x, y in zip(prev, word):
+            if x != y:
+                break
+            k += 1
+        del prefix[k + 1 :]
+        for letter in word[k:]:
+            prefix.append(prefix[-1] @ mats[letter - 1])
+        out += (num / den) * prefix[len(word)]
+        prev = word
     return out
 
 
@@ -190,6 +215,50 @@ class TestOracleEquivalenceCheck:
         assert "m=[4]" in report.detail
 
 
+@st.composite
+def substitution_cases(draw):
+    """(poly, dim, seed, width): a mixed-degree polynomial, with its words of
+    one degree all present or not, and the words per run of `substitute`
+    (None for the default budget, which at these dims holds every degree whole)."""
+    n = draw(st.integers(1, 4), label="n")
+    K = draw(st.integers(1, 7), label="K")
+    ctx = AlgebraCtx(n, K)
+    words = st.lists(st.integers(1, n), max_size=K).map(tuple)
+    coeffs = st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**20))
+    terms = draw(st.dictionaries(words, coeffs, max_size=30), label="terms")
+    dense = [d for d in range(K + 1) if n**d <= 256]
+    if draw(st.booleans(), label="fill a degree"):
+        d = draw(st.sampled_from(dense), label="filled degree")
+        for i, w in enumerate(itertools.product(range(1, n + 1), repeat=d)):
+            terms[w] = Fraction(i * 7919 % 1001 - 500, 1 + i % 12)  # as in FILLED_DEGREE_6
+    dim = draw(st.integers(1, 5), label="dim")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    width = draw(st.one_of(st.none(), st.integers(1, 9)), label="width")
+    return AssocPoly(ctx, terms), dim, seed, width
+
+
+#: Traced peak allowed to `substitute(W_12)` at n = 2, dim 64: a few stacks
+#: of SUBSTITUTE_CHUNK_BYTES and the root's prefix products (measured 0.8 MiB;
+#: 1.1 MiB for the walk word by word), against 128 MB for one stack of the
+#: whole degree.
+SUBSTITUTE_MEMORY_BUDGET = 4 << 20
+
+
+FILLED_DEGREE_6 = AssocPoly(
+    AlgebraCtx(2, 6),
+    {w: Fraction(i * 7919 % 1001 - 500, 1 + i % 12) for i, w in enumerate(itertools.product((1, 2), repeat=6))},
+)
+
+
+def substitute_with_width(poly, mats, width):
+    """`substitute` with runs of `width` words, or of its default budget for None."""
+    if width is None:
+        return substitute(poly, mats)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "SUBSTITUTE_CHUNK_BYTES", width * mats[0].nbytes)
+        return substitute(poly, mats)
+
+
 class TestSubstitute:
     def test_agrees_with_manual_evaluation(self):
         ctx = AlgebraCtx(2, 3)
@@ -204,6 +273,63 @@ class TestSubstitute:
         ctx = AlgebraCtx(2, 2)
         with pytest.raises(ValueError):
             substitute(AssocPoly.one(ctx), [np.eye(2)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=substitution_cases())
+    @example(case=(AssocPoly.zero(AlgebraCtx(2, 3)), 3, 0, None))
+    @example(case=(AssocPoly.one(AlgebraCtx(3, 2)).scaled(Fraction(-7, 3)), 2, 1, None))
+    @example(case=(AssocPoly(AlgebraCtx(1, 6), {(1,) * d: Fraction(d - 3, d + 1) for d in range(7)}), 4, 2, 2))
+    @example(
+        case=(
+            AssocPoly.from_numerators(AlgebraCtx(2, 3), [(1,), (1, 2), (2, 1, 1)], [2**53 + 1, -(2**60) - 3, 3**40], 7),
+            4,
+            3,
+            None,
+        )
+    )
+    @example(case=(AssocPoly.from_numerators(AlgebraCtx(2, 2), [(), (1, 2)], [10**400 + 1, -1], 10**400), 3, 4, 1))
+    @example(case=(FILLED_DEGREE_6, 1, 0, None))  # 1 x 1 matrices: a pairwise sum would move the result
+    def test_bitwise_equal_to_prefix_walk(self, case):
+        # Same products by the same kernel, same quotients, same sequential sum:
+        # not one float may move, whatever the runs are.
+        poly, dim, seed, width = case
+        mats = list(np.random.default_rng(seed).uniform(-0.5, 0.5, size=(poly.ctx.n, dim, dim)))
+        got = substitute_with_width(poly, mats, width)
+        assert np.array_equal(got, substitute_by_prefix_walk(poly, mats))
+
+    def test_huge_quotient_is_finite(self):
+        # Both parts beyond float range, the quotient 1: no overflow, no 0/0.
+        p = AssocPoly.from_numerators(AlgebraCtx(1, 1), [()], [10**400 + 1], 10**400)
+        assert np.array_equal(substitute(p, [np.ones((2, 2))]), np.eye(2))
+
+    @pytest.mark.parametrize("n, degree, count", [(2, 70, 1), (3, 30, 5)])
+    def test_sparse_long_words(self, n, degree, count):
+        # Codes past int64 (2^70 at n = 2); the work must follow the words
+        # present, not the n^degree words of their degree.
+        rng = np.random.default_rng(degree)
+        ctx = AlgebraCtx(n, degree)
+        words = [tuple(int(x) for x in rng.integers(1, n + 1, size=degree)) for _ in range(count)]
+        poly = AssocPoly(ctx, {w: Fraction(i + 1, 3) for i, w in enumerate(words)})
+        mats = random_matrices(n, 4, 7)
+        start = time.perf_counter()
+        got = substitute(poly, mats)
+        assert time.perf_counter() - start < 1.0
+        assert np.array_equal(got, substitute_by_prefix_walk(poly, mats))
+
+    def test_memory_stays_within_the_run_budget(self):
+        # W_12 at n = 2 has 4096 words of 64 x 64 matrices (32 kB each): one
+        # stack of the whole degree would take 128 MB per copy.
+        w12 = shared_engine(2, 12).w_term(12)
+        mats = random_matrices(2, 64, 3)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            got = substitute(w12, mats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < SUBSTITUTE_MEMORY_BUDGET
+        assert np.array_equal(got, substitute_by_prefix_walk(w12, mats))
 
 
 class TestNumericOrderCheck:
@@ -281,6 +407,32 @@ class TestNumericOrderCheck:
         # these correct W_m then read orders off K + 1 by more than 0.5.
         report = numeric_order_check(n, max_degree, dim, 42, [0.2, 0.1])
         assert report.passed and not report.inconclusive, report.detail
+
+    @pytest.mark.parametrize("n, max_degree, dim", [(2, 6, 4), (3, 4, 1), (2, 5, 64)])
+    def test_residuals_equal_those_of_plain_substitution(self, monkeypatch, n, max_degree, dim):
+        # The check prepares each W_m once and substitutes it at every t: one
+        # call per (W_m, t) as before, and not one float may move.
+        ws = peel_oracle(n, max_degree)
+        mats = random_matrices(n, dim, 5)
+        t_values = [0.4, 0.2, 0.1]
+        expected = [(t, splitting_residual(mats, t, ws)) for t in t_values]
+        calls, prepared = [], []
+        runs = oracle._runs
+
+        def counted(poly, mats):
+            calls.append(poly)
+            return substitute(poly, mats)
+
+        def counted_runs(poly, width):
+            prepared.append(poly)
+            return runs(poly, width)
+
+        monkeypatch.setattr(oracle, "substitute", counted)
+        monkeypatch.setattr(oracle, "_runs", counted_runs)
+        report = numeric_order_check(n, max_degree, dim, 5, t_values, ws=ws, mats=mats)
+        assert list(report.residuals) == expected
+        assert calls == ws * len(t_values)
+        assert prepared == ws
 
     def test_json_schema(self):
         d = numeric_order_check(2, 2, 4, 1, [0.2, 0.1]).to_json_dict()
