@@ -13,10 +13,8 @@ from .freealg import (
     AlgebraCtx,
     AssocPoly,
     ContextMismatchError,
-    ad_pow,
     bracket,
     exp_trunc,
-    log_trunc,
 )
 from .lieform import CommTerm, LieExpr, LieExprParseError, dsw_project
 from .engine import (
@@ -37,13 +35,11 @@ __all__ = [
     "LieExpr",
     "LieExprParseError",
     "PathDisagreementError",
-    "ad_pow",
     "bracket",
     "dsw_project",
     "exp_trunc",
     "f1k_comm",
     "f1k_direct",
-    "log_trunc",
     "series",
     "w_comm",
 ]

@@ -8,8 +8,9 @@ Three subcommands:
     f1k     print the base-family element f[1, k] from either closed form
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
---out file or cache root that cannot be used), 3 internal invariant breach
-(path disagreement, corrupted cache entry).
+--out file or cache root that cannot be used, and a request that runs out
+of memory), 3 internal invariant breach (path disagreement, corrupted cache
+entry).
 
 All output is deterministic for fixed flags (and seed, where one
 applies): JSON has sorted keys and fixed separators, byte for byte as
@@ -26,11 +27,9 @@ written, so that one rendering at a time is alive.  The cache layout is
 where <root> comes from --cache, or else the ZASSENHAUS_CACHE_DIR
 environment variable.  W_m depends only on (n, m), so an entry serves
 every K and --path, and `--path both` still cross-checks a cached value.
-An entry only ever holds the generic recursion's W_m.  The engine does no
-I/O: `terms` reads the entries W_2..W_K first (W_2..W_4 under --path
-expanded, whose higher W_m come from the expanded formulas), hands the
-hits to `EngineCtx` as known values, and writes each of those W_m that
-was missing as soon as `series` yields it.  An interrupted run keeps
+The engine does no I/O: `terms` reads the entries W_2..W_K first, hands
+the hits to `EngineCtx` as known values, and writes each of those W_m
+that was missing as soon as `series` yields it.  An interrupted run keeps
 every entry it finished, and a --path both run whose cross-check fails
 at W_m writes no W_m.
 An entry holds W_m in context (n, m) as the engine's dense degree block
@@ -212,18 +211,14 @@ def _terms_lines(args: argparse.Namespace) -> Iterator[str]:
     All of the computing and caching is done before the first chunk, and
     only one W_m's rendering is alive at a time.
     """
-    n, K, path = args.n, args.max_degree, args.path
+    n, K = args.n, args.max_degree
     alg = AlgebraCtx(n, K)  # refuses a bad n or K before any cache read
     root = cache_root(args.cache)
-    # The cache holds only W_m of the generic recursion: under --path expanded
-    # the yielded W_m with m >= 5 come from the cross-check formula instead.
-    top = K if path != "expanded" else min(K, 4)
-    cached = range(2, top + 1) if root else range(0)
-    hits = {m: cache_load(root, n, m) for m in cached}
+    hits = {m: cache_load(root, n, m) for m in range(2, K + 1)} if root else {}
     known = {m: w.restricted(K) for m, w in hits.items() if w is not None}
     rows = []
-    for m, w in enumerate(series(EngineCtx(alg, known), path), start=2):
-        if m in cached and m not in known:
+    for m, w in enumerate(series(EngineCtx(alg, known), args.path), start=2):
+        if root and m not in known:
             cache_store(root, n, m, w.restricted(m))  # as soon as W_m is final: a killed run keeps it
         rows.append((m, w, w_comm(m, n) if args.form == "comm" else None))
 
@@ -328,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_terms = sub.add_parser("terms", help="compute and print W_2..W_K")
     p_terms.add_argument("--n", type=int, default=2, help="number of generators (default 2)")
     p_terms.add_argument("--max-degree", type=int, default=6, help="truncation degree K (default 6)")
-    p_terms.add_argument("--path", choices=("generic", "expanded", "both"), default="generic")
+    p_terms.add_argument("--path", choices=("generic", "both"), default="generic")
     p_terms.add_argument("--form", choices=("assoc", "comm"), default="assoc")
     p_terms.add_argument("--format", choices=("text", "latex", "json"), default="text")
     p_terms.add_argument("--out", help="write output to this file instead of stdout")
@@ -363,6 +358,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INTERNAL
     except (ValueError, CacheAccessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # All computing precedes the first chunk, so stdout is empty unless the rendering ran out.
+        degree = f"k={args.k}" if args.command == "f1k" else f"K={args.max_degree}"
+        print(f"error: out of memory in {args.command} at n={args.n}, {degree}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -45,8 +45,9 @@ paper's expanded formulas; tests/golden.py holds those and the tests
 compare them term by term for m <= 40.  It is a cross-check, not an
 independent derivation: each ad_{W_j} uses the generic `w_term`, and for
 m >= 11 the f[base, .] with base >= 2 come from the recursion.  `series`
-alone chooses the path and yields W_2..W_K one at a time; path="both"
-asserts that the two agree exactly before it yields a term.
+alone chooses the path and yields W_2..W_K one at a time from the
+recursion; path="both" asserts that the expanded formulas agree with it
+exactly before it yields a term.
 
 The engine is pure: W_m depends only on (n, m), and the engine does no
 I/O.  A caller that already holds some W_m (the CLI reads them from its
@@ -315,16 +316,15 @@ def _expanded_formula(m: int) -> list[_FormulaTerm]:
     return terms
 
 
-_PATHS = ("generic", "expanded", "both")
+_PATHS = ("generic", "both")
 
 
 def series(ectx: EngineCtx, path: str = "generic") -> Iterator[AssocPoly]:
-    """Yield W_2 .. W_K in order, K = ectx.alg.max_degree.
+    """Yield W_2 .. W_K in order, K = ectx.alg.max_degree, from the recursion.
 
-    path="generic" uses the recursion, path="expanded" the unrolled
-    formulas (identical to generic below degree 5), and path="both"
-    computes both and raises PathDisagreementError if they ever differ;
-    under "both" each W_m is yielded only after it has passed that check.
+    path="generic" yields them as they are; path="both" also evaluates the
+    expanded formulas for m >= 5 and raises PathDisagreementError if they
+    ever differ, so each W_m is yielded only after it has passed that check.
     Bad arguments raise ValueError at the first step of the iteration.
     """
     if path not in _PATHS:
@@ -332,7 +332,7 @@ def series(ectx: EngineCtx, path: str = "generic") -> Iterator[AssocPoly]:
     if ectx.alg.max_degree < 2:
         raise ValueError(f"max_degree must be >= 2, got {ectx.alg.max_degree}")
     for m in range(2, ectx.alg.max_degree + 1):
-        poly = ectx.w_term_expanded(m) if path == "expanded" and m >= 5 else ectx.w_term(m)
+        poly = ectx.w_term(m)
         if path == "both" and m >= 5 and ectx.w_term_expanded(m) != poly:
             raise PathDisagreementError(f"W_{m}: generic recursion and expanded formula disagree")
         yield poly

@@ -151,11 +151,6 @@ class AlgebraCtx:
                 raise ValueError(f"letter {letter!r} is not an int in 1..{self.n} in {word!r}")
 
 
-def word_key(word: Word) -> tuple[int, Word]:
-    """Sort key for the canonical order: degree ascending, then lexicographic."""
-    return (len(word), word)
-
-
 def _code(n: int, word: Word) -> int:
     """The code of a validated word; see the module docstring."""
     k = 0
@@ -405,10 +400,6 @@ class AssocPoly:
 
     def __len__(self) -> int:
         return len(self._codes)
-
-    def degrees(self) -> set[int]:
-        off = self.ctx._offsets
-        return {bisect_right(off, k) - 1 for k in self._codes}
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all words, or None if mixed or zero."""

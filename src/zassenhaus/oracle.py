@@ -143,6 +143,20 @@ def peel_oracle(n: int, max_degree: int) -> list[AssocPoly]:
     return out
 
 
+def _check_ws(n: int, max_degree: int, ws: Sequence[AssocPoly]) -> AlgebraCtx:
+    """The context (n, max_degree); ValueError, before any product is formed, unless `ws` is W_2..W_K in it."""
+    ctx = AlgebraCtx(n, max_degree)
+    expected = max(0, max_degree - 1)
+    if len(ws) != expected:
+        raise ValueError(f"need W_2..W_{max_degree} ({expected} terms), got {len(ws)}")
+    for m, w in enumerate(ws, start=2):
+        if w.ctx != ctx:
+            raise ValueError(f"W_{m} belongs to context {w.ctx}, expected {ctx}")
+        if not w.is_zero and w.homogeneous_degree() != m:
+            raise ValueError(f"W_{m} is not homogeneous of degree {m}")
+    return ctx
+
+
 def exact_identity_check(
     n: int, max_degree: int, ws: Sequence[AssocPoly]
 ) -> VerificationReport:
@@ -160,15 +174,7 @@ def exact_identity_check(
     right or wrong, so once the inputs are validated the defect equals
     that of the full product term for term.
     """
-    ctx = AlgebraCtx(n, max_degree)
-    expected = max(0, max_degree - 1)
-    if len(ws) != expected:
-        raise ValueError(f"need W_2..W_{max_degree} ({expected} terms), got {len(ws)}")
-    for m, w in enumerate(ws, start=2):
-        if w.ctx != ctx:
-            raise ValueError(f"W_{m} belongs to context {w.ctx}, expected {ctx}")
-        if not w.is_zero and w.homogeneous_degree() != m:
-            raise ValueError(f"W_{m} is not homogeneous of degree {m}")
+    ctx = _check_ws(n, max_degree, ws)
     gens = generators(ctx)
     lhs = exp_trunc(poly_sum(ctx, gens))
     rhs = AssocPoly.one(ctx)
@@ -191,11 +197,9 @@ def exact_identity_check(
 def oracle_equivalence_check(
     n: int, max_degree: int, ws: Sequence[AssocPoly]
 ) -> VerificationReport:
-    """Term-by-term comparison of `ws` (engine output) against `peel_oracle`."""
+    """Term-by-term comparison of `ws` (engine output, as `exact_identity_check` takes it) against `peel_oracle`."""
+    _check_ws(n, max_degree, ws)
     reference = peel_oracle(n, max_degree)
-    expected = max(0, max_degree - 1)
-    if len(ws) != expected:
-        raise ValueError(f"need W_2..W_{max_degree} ({expected} terms), got {len(ws)}")
     mismatches = [m for m, (a, b) in enumerate(zip(ws, reference), start=2) if a != b]
     worst = Fraction(0)
     for m in mismatches:

@@ -78,10 +78,15 @@ class TestTerms:
 
     def test_expanded_and_both_paths(self, cli):
         base = cli("terms", "--n", 2, "--max-degree", 6, "--format", "json")
-        for path in ("expanded", "both"):
-            r = cli("terms", "--n", 2, "--max-degree", 6, "--format", "json", "--path", path)
-            assert r.returncode == EXIT_OK
-            assert json.loads(r.stdout)["terms"] == json.loads(base.stdout)["terms"]
+        r = cli("terms", "--n", 2, "--max-degree", 6, "--format", "json", "--path", "both")
+        assert r.returncode == EXIT_OK
+        assert json.loads(r.stdout)["terms"] == json.loads(base.stdout)["terms"]
+
+    def test_path_expanded_is_not_a_choice(self, cli):
+        # The expanded formulas are only the cross-check of --path both.
+        r = cli("terms", "--n", 2, "--max-degree", 6, "--path", "expanded")
+        assert r.returncode == EXIT_USAGE and r.stdout == ""
+        assert "argument --path: invalid choice: 'expanded'" in r.stderr
 
     def test_out_file(self, cli, tmp_path):
         target = tmp_path / "terms.txt"
@@ -112,6 +117,20 @@ class TestTerms:
         for out in (tmp_path / "missing" / "x", tmp_path):  # no parent directory; a directory
             r = cli("terms", "--max-degree", 3, "--out", out)
             assert r.returncode == EXIT_USAGE and r.stderr.startswith("error: ")
+
+    def test_out_of_memory_is_a_usage_error(self, cli, tmp_path, monkeypatch):
+        # Not exit 1 with a traceback; all computing precedes the first chunk, so nothing is written.
+        monkeypatch.setattr("zassenhaus.cli.series", _out_of_memory)
+        target = tmp_path / "terms.txt"
+        for flags in ((), ("--out", target)):
+            r = cli("terms", "--n", 2, "--max-degree", 40, *flags)
+            assert r.returncode == EXIT_USAGE and r.stdout == ""
+            assert r.stderr == "error: out of memory in terms at n=2, K=40\n"
+        assert not target.exists()
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
 
 
 @st.composite
@@ -241,31 +260,6 @@ class TestTermsCache:
         r = cli("terms", "--n", 2, "--max-degree", 7, "--path", "both", "--cache", cache)
         assert r.returncode == EXIT_INTERNAL and "W_6" in r.stderr and r.stdout == ""
         assert sorted(_files(cache)) == [_name(2, m) for m in range(2, 6)]
-
-    def test_expanded_path_caches_only_recursion_terms(self, cli, tmp_path, monkeypatch):
-        # W_m with m >= 5 under --path expanded come from the cross-check formula:
-        # a wrong one must not reach the cache, or a warm --path both run would
-        # compare it with itself.
-        cache = tmp_path / "c"
-        with monkeypatch.context() as patch:
-            expanded = EngineCtx.w_term_expanded
-            patch.setattr(
-                EngineCtx, "w_term_expanded", lambda self, m: expanded(self, m).scaled(2 if m == 6 else 1)
-            )
-            r = cli("terms", "--n", 2, "--max-degree", 7, "--path", "expanded", "--cache", cache)
-        assert r.returncode == EXIT_OK
-        assert sorted(_files(cache)) == [_name(2, m) for m in range(2, 5)]
-        both = cli("terms", "--n", 2, "--max-degree", 7, "--path", "both", "--cache", cache)
-        assert both.returncode == EXIT_OK
-        assert both.stdout == cli("terms", "--n", 2, "--max-degree", 7).stdout
-
-    def test_expanded_path_reads_no_entry_above_degree_4(self, cli, tmp_path):
-        cache = tmp_path / "c"
-        assert cli("terms", "--n", 2, "--max-degree", 6, "--cache", cache).returncode == EXIT_OK
-        _entry(cache, 2, 6).write_text("not json")
-        expanded = cli("terms", "--n", 2, "--max-degree", 6, "--path", "expanded", "--cache", cache)
-        assert expanded.returncode == EXIT_OK
-        assert expanded.stdout == cli("terms", "--n", 2, "--max-degree", 6).stdout
 
     # The entry is W_3 at n = 2: den 6 over the block of the 8 words of degree 3.
     # A case named after a word-list payload takes the block's closest form of it.
@@ -446,6 +440,13 @@ class TestVerify:
             r = cli("verify", "--mode", mode, "--n", 3, "--max-degree", 8, "--seed", -1)
             assert r.returncode == EXIT_USAGE and r.stdout == ""
             assert r.stderr == "error: --seed must be a non-negative integer, got -1\n"
+
+    def test_out_of_memory_is_a_usage_error(self, cli, monkeypatch):
+        # Exit 1 would read as a failed verification.
+        monkeypatch.setattr("zassenhaus.cli.series", _out_of_memory)
+        r = cli("verify", "--n", 2, "--max-degree", 40, "--mode", "exact")
+        assert r.returncode == EXIT_USAGE and r.stdout == ""
+        assert r.stderr == "error: out of memory in verify at n=2, K=40\n"
 
     def test_numeric_usage_errors_come_before_any_work(self, cli, monkeypatch):
         def no_series(*args, **kwargs):

@@ -347,6 +347,8 @@ class TestSeries:
         with pytest.raises(ValueError):
             _series(2, 6, path="sideways")
         with pytest.raises(ValueError):
+            _series(2, 6, path="expanded")  # the expanded formulas are only the cross-check of "both"
+        with pytest.raises(ValueError):
             _series(2, 1)
         with pytest.raises(ValueError):
             w_comm(1, 2)

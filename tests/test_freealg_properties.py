@@ -27,13 +27,17 @@ from zassenhaus.freealg import (
     mul,
     poly_sum,
     reduce_block,
-    word_key,
 )
 
 kernel_settings = settings(max_examples=60, deadline=None)
 
 
 # -- reference model ---------------------------------------------------------
+
+
+def word_key(word):
+    """Sort key of the canonical order: degree ascending, then lexicographic."""
+    return (len(word), word)
 
 
 def ref_clean(terms):

@@ -180,16 +180,25 @@ class TestExactIdentityCheck:
     def test_trivial_degree_one(self):
         assert exact_identity_check(3, 1, []).passed
 
-    def test_validates_input(self, engine):
+    @pytest.mark.parametrize("check", [exact_identity_check, oracle_equivalence_check])
+    def test_validates_input(self, engine, monkeypatch, check):
+        # A refused input raises before the peel or any exponential is formed.
+        def no_work(*args):
+            pytest.fail("work started before the input was checked")
+
+        monkeypatch.setattr(oracle, "peel_oracle", no_work)
+        monkeypatch.setattr(oracle, "exp_trunc", no_work)
         e = engine(2, 4)
         ws = [e.w_term(m) for m in range(2, 5)]
-        with pytest.raises(ValueError):
-            exact_identity_check(2, 4, ws[:1])
-        with pytest.raises(ValueError):
-            exact_identity_check(2, 4, [ws[1], ws[0], ws[2]])  # wrong degrees
-        other = [w.restricted(5) for w in ws]
-        with pytest.raises(ValueError):
-            exact_identity_check(2, 4, other)  # wrong context
+        refused = [
+            ws[:1],  # wrong length
+            [ws[1], ws[0], ws[2]],  # wrong degrees
+            [ws[0] + ws[1], ws[1], ws[2]],  # not homogeneous
+            [w.restricted(5) for w in ws],  # wrong context
+        ]
+        for bad in refused:
+            with pytest.raises(ValueError):
+                check(2, 4, bad)
 
     def test_json_schema(self):
         report = exact_identity_check(2, 3, peel_oracle(2, 3))
