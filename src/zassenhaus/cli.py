@@ -15,12 +15,17 @@ entry).
 All output is deterministic for fixed flags (and seed, where one
 applies): JSON has sorted keys and fixed separators, byte for byte as
 `json.dumps(doc, sort_keys=True, separators=(",", ":"))` writes it, and
-term order is canonical everywhere.  The `terms` and `f1k` JSON documents
-are written as text around `AssocPoly.to_json`, so no W_m goes through a
-dict per term, and the cache payload is one `json.dumps` of the flat
-numerator list of `to_block`.
-`terms` writes its output in chunks, one W_m each, rendered only when
-written, so that one rendering at a time is alive.  The cache layout is
+term order is canonical everywhere.  `terms` holds each W_m as the
+engine's reduced dense degree block (den, nums), from
+`EngineCtx.series_blocks` or the cache to its output:
+`freealg.render_block` writes text, LaTeX and the JSON "poly" straight
+from the block, and the cache payload is one `json.dumps` of the block's
+numerator list.  Dicts are made only where a
+consumer needs one: `--path both` compares polynomials, `--form comm`
+renders the `LieExpr` of W_2..W_4, and `f1k` and `verify` work on
+`AssocPoly` values.  `terms` writes its output in chunks, one W_m each,
+rendered only when written, so that one rendering at a time is alive.
+The cache layout is
 
     <root>/<cache-version>/n<n>/W<m>.json
 
@@ -28,10 +33,10 @@ where <root> comes from --cache, or else the ZASSENHAUS_CACHE_DIR
 environment variable.  W_m depends only on (n, m), so an entry serves
 every K and --path, and `--path both` still cross-checks a cached value.
 The engine does no I/O: `terms` reads the entries W_2..W_K first, hands
-the hits to `EngineCtx` as known values, and writes each of those W_m
-that was missing as soon as `series` yields it.  An interrupted run keeps
-every entry it finished, and a --path both run whose cross-check fails
-at W_m writes no W_m.
+the hits to `EngineCtx` as known blocks, and writes each of those W_m
+that was missing as soon as `series_blocks` yields it.  An interrupted
+run keeps every entry it finished, and a --path both run whose
+cross-check fails at W_m writes no W_m.
 An entry holds W_m in context (n, m) as the engine's dense degree block
 (see `freealg`), one line of compact JSON with sorted keys:
 
@@ -63,7 +68,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .engine import EngineCtx, PathDisagreementError, f1k_comm, f1k_direct, series, w_comm
-from .freealg import AlgebraCtx, AssocPoly, from_block, to_block
+from .freealg import AlgebraCtx, Block, reduce_block, render_block
 from .lieform import LieExpr, expand, render
 from .oracle import (
     MAX_DIM,
@@ -119,16 +124,17 @@ _PAYLOAD_MARK = b',"payload":'
 _PAYLOAD_KEYS = {"den", "maxDegree", "n", "nums"}
 
 
-def cache_store(root: Path, n: int, m: int, poly: AssocPoly) -> Path:
-    """Write W_m (in context (n, m)) atomically: a killed run leaves no partial entry.
+def cache_store(root: Path, n: int, m: int, block: Block) -> Path:
+    """Write W_m, given as its reduced block (den, nums), atomically: a killed run leaves no partial entry.
 
-    The payload is the dense degree block of W_m, so a polynomial in another
-    context, or one that is not zero and not homogeneous of degree m, raises
-    ValueError: the block has no place for its other words.
+    A block that is not n^m numerators over a positive denominator sharing
+    no factor with them raises ValueError: a load would refuse its entry.
     """
-    if poly.ctx != AlgebraCtx(n, m):
-        raise ValueError(f"cache entry W_{m} needs a polynomial in {AlgebraCtx(n, m)}, got one in {poly.ctx}")
-    den, nums = to_block(poly, m)
+    den, nums = block
+    if len(nums) != n**m:
+        raise ValueError(f"cache entry W_{m} at n={n} needs the {n**m} numerators of degree {m}, got {len(nums)}")
+    if type(den) is not int or den < 1 or reduce_block(den, nums)[0] != den:
+        raise ValueError(f"cache entry W_{m} needs a reduced block over a positive int denominator, got {den!r}")
     # The C encoder writes the int list in bounded chunks: 26 ms and a 4.6 MB peak at n = 3, m = 11,
     # against 45 ms and 12.5 MB for ",".join(map(str, nums)) (best of 5, peak by tracemalloc;
     # 2 CPUs, Python 3.11.7).
@@ -149,8 +155,8 @@ def cache_store(root: Path, n: int, m: int, poly: AssocPoly) -> Path:
     return target
 
 
-def cache_load(root: Path, n: int, m: int) -> AssocPoly | None:
-    """The cached W_m in context (n, m), or None on a clean miss; a bad entry raises."""
+def cache_load(root: Path, n: int, m: int) -> Block | None:
+    """The cached reduced block (den, nums) of W_m at n, or None on a clean miss; a bad entry raises."""
     target = _cache_file(root, n, m)
     try:
         data = target.read_bytes()
@@ -189,17 +195,7 @@ def cache_load(root: Path, n: int, m: int) -> AssocPoly | None:
             raise ValueError("numerators and denominator share a common factor")
     except (RecursionError, TypeError, ValueError) as exc:
         raise CacheCorruptionError(f"malformed cache entry {target}: {exc!r}") from exc
-    return from_block(ctx, m, den, nums)
-
-
-# -- rendering ----------------------------------------------------------------
-
-
-def _body(comm: LieExpr | None, poly: AssocPoly, format: str) -> str:
-    """The commutator form when there is one, else the polynomial, in text or LaTeX."""
-    if comm is not None:
-        return render(comm, format)
-    return poly.latex() if format == "latex" else poly.text()
+    return den, nums
 
 
 # -- terms --------------------------------------------------------------------
@@ -209,33 +205,41 @@ def _terms_lines(args: argparse.Namespace) -> Iterator[str]:
     """W_2..W_K, read from and written to the cache, as output chunks rendered when they are consumed.
 
     All of the computing and caching is done before the first chunk, and
-    only one W_m's rendering is alive at a time.
+    only one W_m's rendering is alive at a time.  Each W_m is held and
+    rendered as its dense block (`render_block`).
     """
     n, K = args.n, args.max_degree
     alg = AlgebraCtx(n, K)  # refuses a bad n or K before any cache read
     root = cache_root(args.cache)
     hits = {m: cache_load(root, n, m) for m in range(2, K + 1)} if root else {}
-    known = {m: w.restricted(K) for m, w in hits.items() if w is not None}
+    known = {m: block for m, block in hits.items() if block is not None}
     rows = []
-    for m, w in enumerate(series(EngineCtx(alg, known), args.path), start=2):
+    for m, block in enumerate(EngineCtx(alg, known).series_blocks(args.path), start=2):
         if root and m not in known:
-            cache_store(root, n, m, w.restricted(m))  # as soon as W_m is final: a killed run keeps it
-        rows.append((m, w, w_comm(m, n) if args.form == "comm" else None))
+            cache_store(root, n, m, block)  # as soon as W_m is final: a killed run keeps it
+        rows.append((m, block, w_comm(m, n) if args.form == "comm" else None))
 
     if args.format == "json":
-        return _terms_json(args, rows)
+        return _terms_json(args, alg, rows)
     head = "W_{{{}}} = " if args.format == "latex" else "W{} = "
-    return (f"{head.format(m)}{_body(comm, poly, args.format)}\n" for m, poly, comm in rows)
+    return (f"{head.format(m)}{_body(comm, alg, m, block, args.format)}\n" for m, block, comm in rows)
 
 
-def _terms_json(args: argparse.Namespace, rows: list[tuple[int, AssocPoly, LieExpr | None]]) -> Iterator[str]:
+def _body(comm: LieExpr | None, alg: AlgebraCtx, m: int, block: Block, format: str) -> str:
+    """The commutator form when there is one, else W_m from its block, in text or LaTeX."""
+    return render_block(alg, m, *block, format) if comm is None else render(comm, format)
+
+
+def _terms_json(
+    args: argparse.Namespace, alg: AlgebraCtx, rows: list[tuple[int, Block, LieExpr | None]]
+) -> Iterator[str]:
     # The document as `_dumps` would write it, keys sorted; each W_m is written as its own chunk.
     form, path = _dumps(args.form), _dumps(args.path)
     yield f'{{"form":{form},"maxDegree":{args.max_degree},"n":{args.n},"path":{path},"terms":['
     sep = ""
-    for m, poly, comm in rows:
+    for m, block, comm in rows:
         yield f'{sep}{{{_comm_member(comm)}"m":{m},"poly":'
-        yield poly.to_json()
+        yield render_block(alg, m, *block, "json")
         yield "}"
         sep = ","
     yield f'],"version":{SCHEMA_VERSION}}}\n'
@@ -305,7 +309,11 @@ def cmd_f1k(args: argparse.Namespace) -> int:
         sys.stdout.write(f'{{{_comm_member(comm)}"k":{k},"n":{n},"path":{path},{poly}"version":{SCHEMA_VERSION}}}\n')
         return EXIT_OK
     prefix = f"f_{{1,{k}}} = " if args.format == "latex" else f"f[1,{k}] = "
-    sys.stdout.write(prefix + _body(comm, direct, args.format) + "\n")
+    if comm is not None:
+        body = render(comm, args.format)
+    else:
+        body = direct.latex() if args.format == "latex" else direct.text()
+    sys.stdout.write(prefix + body + "\n")
     return EXIT_OK
 
 

@@ -32,10 +32,12 @@ as it enters the memo and never changed after.  Each Horner step is one
 `bracket_add` from blocks to a block: W_m, acc and f[m, k] are
 homogeneous and nearly dense, so a step is a few C-level list passes per
 distinct |coefficient| and per word of W_m, grouped once per m
-(`block_rows`).  A dict is made only for each W_m and for an f[m, k] a
-caller asks `fmk` for.  The graded pass stays sparse: its operator is one
-letter and its early parts are mostly zeros; dense blocks there took the
-(3, 9) pass from 6.5 ms to 87 ms (2 CPUs, Python 3.11.7).
+(`block_rows`).  Each W_m is kept as its reduced block too (`w_block`),
+which is what the CLI renders and caches; a dict is made only when a
+caller asks for a polynomial: `w_term` (and so `series`, the oracles and
+`--path both`) and `fmk`.  The graded pass stays sparse: its operator is
+one letter and its early parts are mostly zeros; dense blocks there took
+the (3, 9) pass from 6.5 ms to 87 ms (2 CPUs, Python 3.11.7).
 `w_term_expanded` keeps the dict `bracket`, as the oracles do, so that
 `--path both` checks the block kernel against the dict kernel.
 
@@ -44,16 +46,18 @@ unrolled down to f[base, .] (`_expanded_formula`), which reproduces the
 paper's expanded formulas; tests/golden.py holds those and the tests
 compare them term by term for m <= 40.  It is a cross-check, not an
 independent derivation: each ad_{W_j} uses the generic `w_term`, and for
-m >= 11 the f[base, .] with base >= 2 come from the recursion.  `series`
-alone chooses the path and yields W_2..W_K one at a time from the
-recursion; path="both" asserts that the expanded formulas agree with it
-exactly before it yields a term.
+m >= 11 the f[base, .] with base >= 2 come from the recursion.
+`EngineCtx.series_blocks` alone chooses the path and yields the blocks of
+W_2..W_K one at a time from the recursion, and `series` yields them as
+polynomials; path="both" asserts that the expanded formulas agree with
+the recursion exactly before it yields a term.
 
 The engine is pure: W_m depends only on (n, m), and the engine does no
-I/O.  A caller that already holds some W_m (the CLI reads them from its
-on-disk cache) hands them to `EngineCtx` as `known`.  All values are
-exact; the memo caches inside `EngineCtx` are filled once per key and
-never mutated afterwards, so concurrent readers are safe.
+I/O.  A caller that already holds some W_m (the CLI reads their blocks
+from its on-disk cache) hands them to `EngineCtx` as `known` blocks; a
+known W_j with j <= (K-1)/2 then supplies the rows of level j.  All
+values are exact; the memo caches inside `EngineCtx` are filled once per
+key and never mutated afterwards, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -197,16 +201,20 @@ class EngineCtx:
     caches are safe for concurrent readers; caches are never shared
     across different (n, max_degree) contexts.
 
-    `known`, if given, maps m to a W_m already at hand (each in context
-    `alg`, e.g. read back from a cache) and seeds the W_m memo.
+    `known`, if given, maps m to the reduced block (den, nums) of a W_m
+    already at hand (e.g. read back from a cache) and seeds the W_m memo.
     """
 
-    def __init__(self, alg: AlgebraCtx, known: Mapping[int, AssocPoly] | None = None):
+    def __init__(self, alg: AlgebraCtx, known: Mapping[int, Block] | None = None):
         self.alg = alg
         self._f_memo: dict[tuple[int, int], Block] = {}
         self._f_polys: dict[tuple[int, int], AssocPoly] = {}
-        self._w_memo: dict[int, AssocPoly] = dict(known or {})
+        self._w_blocks: dict[int, Block] = dict(known or {})
+        self._w_memo: dict[int, AssocPoly] = {}
         self._w_rows: dict[int, Rows] = {}
+        for m, (_, nums) in self._w_blocks.items():
+            if len(nums) != alg.n**m:
+                raise ValueError(f"a block of W_{m} has {alg.n**m} numerators, got {len(nums)}")
 
     def fmk(self, m: int, k: int) -> AssocPoly:
         """f[m, k]; every f[1, .] comes from one graded pass, m >= 2 applies the recursion.
@@ -251,24 +259,31 @@ class EngineCtx:
             return self._f_memo[key]
         rows = self._w_rows.get(m)
         if rows is None:
-            rows = self._w_rows.setdefault(m, block_rows(self.w_term(m), m))
+            rows = self._w_rows.setdefault(m, block_rows(self.w_block(m)))
         J = k // m - 1
         value = self._block(m - 1, k - m * J)
         for j in range(J - 1, -1, -1):
             value = bracket_add(self._block(m - 1, k - m * j), rows, value, Fraction(-1, j + 1))
         return self._f_memo.setdefault(key, reduce_block(*value) if J else value)
 
-    def w_term(self, m: int) -> AssocPoly:
-        """W_m = f[max(1, floor((m-1)/2)), m-1] / m, from the memo if there; homogeneous of degree m."""
+    def w_block(self, m: int) -> Block:
+        """The reduced block of W_m = f[max(1, floor((m-1)/2)), m-1] / m, from `known` or the memo if there."""
         if m < 2:
             raise ValueError(f"the splitting exponents start at W_2, got m={m}")
         if m > self.alg.max_degree:
             raise ValueError(f"W_{m} has degree {m} > max_degree {self.alg.max_degree}")
-        cached = self._w_memo.get(m)
-        if cached is not None:
-            return cached
-        den, nums = self._block(max(1, (m - 1) // 2), m - 1)
-        return self._w_memo.setdefault(m, from_block(self.alg, m, den * m, nums))
+        block = self._w_blocks.get(m)
+        if block is None:
+            den, nums = self._block(max(1, (m - 1) // 2), m - 1)
+            block = self._w_blocks.setdefault(m, reduce_block(den * m, nums))
+        return block
+
+    def w_term(self, m: int) -> AssocPoly:
+        """W_m, homogeneous of degree m: made from `w_block(m)` on the first call for m, then that same object."""
+        poly = self._w_memo.get(m)
+        if poly is None:
+            poly = self._w_memo.setdefault(m, from_block(self.alg, m, *self.w_block(m)))
+        return poly
 
     def w_term_expanded(self, m: int) -> AssocPoly:
         """W_m (m >= 5) from the term list of `_expanded_formula(m)`.
@@ -286,6 +301,25 @@ class EngineCtx:
                 v = bracket(self.w_term(w_idx), v)
             pieces.append(v)
         return poly_sum(self.alg, pieces, [coeff / m for coeff, _, _ in formula])
+
+    def series_blocks(self, path: str = "generic") -> Iterator[Block]:
+        """Yield the blocks of W_2 .. W_K in order, K = alg.max_degree; the one place that decides the path.
+
+        path="generic" yields them as they are; path="both" also evaluates
+        the expanded formulas for m >= 5 and raises PathDisagreementError if
+        they ever differ, so each W_m is yielded only after it has passed
+        that check.  Bad arguments raise ValueError at the first step of the
+        iteration.
+        """
+        if path not in _PATHS:
+            raise ValueError(f"path must be one of {_PATHS}, got {path!r}")
+        if self.alg.max_degree < 2:
+            raise ValueError(f"max_degree must be >= 2, got {self.alg.max_degree}")
+        for m in range(2, self.alg.max_degree + 1):
+            block = self.w_block(m)
+            if path == "both" and m >= 5 and self.w_term_expanded(m) != self.w_term(m):
+                raise PathDisagreementError(f"W_{m}: generic recursion and expanded formula disagree")
+            yield block
 
 
 # An unrolled formula: a list of (coefficient, ad-operator indices applied
@@ -320,19 +354,6 @@ _PATHS = ("generic", "both")
 
 
 def series(ectx: EngineCtx, path: str = "generic") -> Iterator[AssocPoly]:
-    """Yield W_2 .. W_K in order, K = ectx.alg.max_degree, from the recursion.
-
-    path="generic" yields them as they are; path="both" also evaluates the
-    expanded formulas for m >= 5 and raises PathDisagreementError if they
-    ever differ, so each W_m is yielded only after it has passed that check.
-    Bad arguments raise ValueError at the first step of the iteration.
-    """
-    if path not in _PATHS:
-        raise ValueError(f"path must be one of {_PATHS}, got {path!r}")
-    if ectx.alg.max_degree < 2:
-        raise ValueError(f"max_degree must be >= 2, got {ectx.alg.max_degree}")
-    for m in range(2, ectx.alg.max_degree + 1):
-        poly = ectx.w_term(m)
-        if path == "both" and m >= 5 and ectx.w_term_expanded(m) != poly:
-            raise PathDisagreementError(f"W_{m}: generic recursion and expanded formula disagree")
-        yield poly
+    """Yield W_2 .. W_K in order, K = ectx.alg.max_degree: `EngineCtx.series_blocks` as polynomials."""
+    for m, _ in enumerate(ectx.series_blocks(path), start=2):
+        yield ectx.w_term(m)

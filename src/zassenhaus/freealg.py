@@ -63,17 +63,19 @@ Lie elements are represented associatively via [A, B] = A*B - B*A; see
 constant term (resp. with constant term 1) are finite sums here because
 of the truncation.
 
-Every writer of a polynomial -- `text`, `latex` and `to_json` -- is one
-pass of `_halves` over the sorted codes with tables of ready strings: one
-per distinct half word (a code splits into two half words, so a word
-costs two lookups, not a pass over its letters) and one per distinct
-numerator, the term's prefix.  A term adds three shared strings to one
-list, which is joined once: a term makes no dict and no string of its
-own.  In a signed sum the prefix is the separator, sign and coefficient,
-" + 2/3*"; in JSON it is the comma and the coefficient,
-',{"coeff":"2/3","word":['; the leading term drops its separator.  The
-sign and coefficient rules live in `_sum_prefix` alone, which also serves
-`signed_sum`, the writer `lieform.render` hands its commutators to.
+Every writer -- `text`, `latex` and `to_json`, and `render_block` of a
+dense block -- is one core, `_parts`: per degree, three stride slice
+assignments build the list [prefix, head(u), tail(v), ...] over the words
+u v, |v| = degree // 2, from tables with one ready string per distinct
+half word or numerator, and the list is joined once; a term makes no
+tuple and no string of its own.  A block feeds the core with `compress`
+over its degree's repeated heads and tails, a polynomial with its sorted
+codes split by `floordiv` and `mod`.  In a signed sum the prefix is the
+separator, sign and coefficient, " + 2/3*"; in JSON it is the comma and
+the coefficient, ',{"coeff":"2/3","word":['; the leading term drops its
+separator.  The sign and coefficient rules live in `_sum_prefix` alone,
+which also serves `signed_sum`, the writer `lieform.render` hands its
+commutators to.
 
 The canonical JSON form of a polynomial is
 
@@ -97,9 +99,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, product, repeat
 from math import gcd, lcm
-from operator import add, floordiv, sub
+from operator import add, floordiv, mod, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 Word = tuple[int, ...]
@@ -179,46 +181,54 @@ def _word(n: int, c: int) -> Word:
     return tuple(reversed(letters))
 
 
-def _halves(
-    ctx: AlgebraCtx, codes: Iterable[int], head: Callable[[Word], T], tail: Callable[[Word], T]
-) -> Iterator[tuple[T, T]]:
-    """(head(u), tail(v)) for each code in ascending `codes`, its word split as u v with |v| = degree // 2.
+def _parts(den: int, groups: Iterable[tuple[Iterable[int], ...]], prefix: Callable[[int, int], str]) -> list[str]:
+    """[prefix(p, q), head(u), tail(v), ...] over the terms p/q * u v, p/q = num/den in lowest terms: the writer core.
 
-    The one loop behind `terms`, `numerators` and every writer.  `head` and
-    `tail` run once per distinct half word: the words of degree d share at
-    most n^ceil(d/2) + n^floor(d/2) halves between them.  v is empty for the
-    words of degree <= 1, and u only for the constant word.
+    `groups` gives per degree the (numerators, head(u)s, tail(v)s) of its
+    nonzero terms in canonical order, which go into the list by three stride
+    slice assignments.  Every piece is a string shared through a table, so
+    the join of the list is the one copy a writer makes of a term.
     """
-    n, off = ctx.n, ctx._offsets
-    heads, tails = _Table(lambda c: head(_word(n, c))), _Table(lambda c: tail(_word(n, c)))
-    d = e = 0
-    base = end = 1
-    for k in codes:
-        while k >= end:
-            d += 1
-            end = off[d + 1]
-            e = d // 2
-            base = n**e
-        # code(u v) = code(u) n^e + code(v), and code(v) - off[e] lies in [0, n^e).
-        hi = (k - off[e]) // base
-        yield heads[hi], tails[k - hi * base]
+    pre: dict[int, str] = {}  # one gcd per distinct numerator: the W_m share few coefficient values
+    parts: list[str] = []
+    for nums, heads, tails in groups:
+        nums = list(nums)
+        new = list(set(nums).difference(pre))
+        g = list(map(gcd, new, repeat(den)))
+        pre.update(zip(new, map(prefix, map(floordiv, new, g), map(floordiv, repeat(den), g))))
+        start = len(parts)
+        parts += repeat("", 3 * len(nums))
+        parts[start::3] = map(pre.__getitem__, nums)
+        parts[start + 1 :: 3] = heads
+        parts[start + 2 :: 3] = tails
+    return parts
 
 
-def _digits(w: Word) -> str:
-    return ",".join(map(str, w))
-
-
-def _comma_digits(w: Word) -> str:
-    return "".join([f",{i}" for i in w])
-
-
-def _json_array(head: str, items: list[str], tail: str) -> str:
-    """head + the items of a JSON array, each written after a comma that the first one drops, + tail."""
-    if items:
-        items[0] = items[0][1:]
-    items.insert(0, head)
-    items.append(tail)
-    return "".join(items)
+def _render(format: str, ctx: AlgebraCtx, den: int, groups: Callable, constant: int) -> str:
+    """Text, LaTeX or canonical JSON of the terms `groups(head, tail)` gives; `constant` leads, its magnitude bare."""
+    if format == "json":
+        parts = _parts(
+            den,
+            groups(lambda u: ",".join(map(str, u)), lambda v: "".join([f",{i}" for i in v]) + "]}"),
+            lambda p, q: f',{{"coeff":"{p}/{q}","word":[',
+        )
+        if parts:
+            parts[0] = parts[0][1:]  # the leading term drops its comma
+        parts.insert(0, f'{{"maxDegree":{ctx.max_degree},"n":{ctx.n},"terms":[')
+        parts.append("]}")
+        return "".join(parts)
+    if format == "text":
+        space, name = " ", [f"X{i}" for i in range(ctx.n + 1)]  # name[i] renders letter i
+        head, tail = (lambda u: "*".join([name[i] for i in u])), (lambda v: "".join(["*" + name[i] for i in v]))
+    else:
+        space, name = "", [f"X_{{{i}}}" for i in range(ctx.n + 1)]
+        head = tail = lambda w: "".join([name[i] for i in w])
+    prefix = _sum_prefix(format, space)  # refuses an unknown format
+    parts = _parts(den, groups(head, tail), prefix)
+    if constant:
+        g = gcd(constant, den)
+        parts[0] = prefix(constant // g, den // g, False)
+    return _signed_join(parts, space)
 
 
 def _exact(scalar: object) -> Fraction:
@@ -340,44 +350,30 @@ class AssocPoly:
 
     # -- inspection --------------------------------------------------------
 
-    def _words(self, codes: Iterable[int]) -> Iterator[Word]:
-        """The words of ascending `codes`, as tuples."""
-        return (u + v for u, v in _halves(self.ctx, codes, tuple, tuple))
+    def _groups(self, head: Callable[[Word], T], tail: Callable[[Word], T]) -> Iterator[tuple]:
+        """`_parts`'s groups, degree by degree: code(u v) - off[e] = code(u) n^e + (index of v), e = |v| = d // 2."""
+        n, off = self.ctx.n, self.ctx._offsets
+        heads = _Table(lambda c: head(_word(n, c)))
+        for d, ks, nums in _by_degree(self, ordered=True) if self._codes else ():
+            e, B = d // 2, n ** (d // 2)
+            tails = _Table(lambda i, first=off[e]: tail(_word(n, first + i)))
+            split = list(map(sub, ks, repeat(off[e])))
+            u, v = map(floordiv, split, repeat(B)), map(mod, split, repeat(B))
+            yield nums, map(heads.__getitem__, u), map(tails.__getitem__, v)
 
     def terms(self) -> list[tuple[Word, Fraction]]:
         """All (word, coeff) pairs in canonical order."""
-        codes, den = self._codes, self._den
-        ks = sorted(codes)
-        return [(w, Fraction(codes[k], den)) for k, w in zip(ks, self._words(ks))]
+        words, nums, den = self.numerators()
+        return list(zip(words, map(Fraction, nums, repeat(den))))
 
     def numerators(self) -> tuple[list[Word], list[int], int]:
         """(words, numerators, denominator), words in canonical order; see `from_numerators`."""
-        codes = self._codes
-        ks = sorted(codes)
-        return list(self._words(ks)), [codes[k] for k in ks], self._den
-
-    def _written(
-        self, prefix: Callable[[int, int], str], head: Callable[[Word], str], tail: Callable[[Word], str]
-    ) -> list[str]:
-        """[prefix(p, q), head(u), tail(v), ...] over the terms p/q * u v in canonical order, p/q in lowest terms.
-
-        Every piece is a string shared through a table, so the join of the
-        list is the one copy a writer makes of a term.
-        """
-        codes, den = self._codes, self._den
-        ks = sorted(codes)
-
-        def reduced(c: int) -> str:
-            g = gcd(c, den)
-            return prefix(c // g, den // g)
-
-        pre = _Table(reduced)  # one gcd per distinct numerator: the W_m share few coefficient values
-        parts: list[str] = []
-        append = parts.append
-        for c, uv in zip(map(codes.__getitem__, ks), _halves(self.ctx, ks, head, tail)):
-            append(pre[c])
-            parts += uv
-        return parts
+        words: list[Word] = []
+        nums: list[int] = []
+        for group_nums, heads, tails in self._groups(tuple, tuple):
+            nums += group_nums
+            words += map(add, heads, tails)
+        return words, nums, self._den
 
     def coeff(self, word: Word) -> Fraction:
         """The coefficient of `word`; 0 for a word that is not in this algebra."""
@@ -491,39 +487,17 @@ class AssocPoly:
     def __repr__(self) -> str:
         return f"AssocPoly(n={self.ctx.n}, K={self.ctx.max_degree}, {self.text()})"
 
-    def _signed(self, format: str, space: str, head: Callable[[Word], str], tail: Callable[[Word], str]) -> str:
-        """The terms as a signed sum, the word u v written head(u) + tail(v); see `signed_sum`."""
-        prefix = _sum_prefix(format, space)
-        parts = self._written(prefix, head, tail)
-        c, den = self._codes.get(0), self._den
-        if c:  # the constant word has code 0, so it leads; its magnitude prints bare
-            g = gcd(c, den)
-            parts[0] = prefix(c // g, den // g, False)
-        return _signed_join(parts, space)
-
     def text(self) -> str:
         """Deterministic plain-text rendering, terms in canonical order."""
-        name = [f"X{i}" for i in range(self.ctx.n + 1)]  # name[i] renders letter i
-        return self._signed(
-            "text", " ", lambda w: "*".join([name[i] for i in w]), lambda w: "".join(["*" + name[i] for i in w])
-        )
+        return _render("text", self.ctx, self._den, self._groups, self._codes.get(0, 0))
 
     def latex(self) -> str:
         """LaTeX rendering, terms in canonical order and joined without spaces."""
-        name = [f"X_{{{i}}}" for i in range(self.ctx.n + 1)]
-
-        def half(w: Word) -> str:
-            return "".join([name[i] for i in w])
-
-        return self._signed("latex", "", half, half)
+        return _render("latex", self.ctx, self._den, self._groups, self._codes.get(0, 0))
 
     def to_json(self) -> str:
         """The canonical JSON form as compact text with sorted keys; see the module docstring."""
-        ctx = self.ctx
-        terms = self._written(
-            lambda p, q: f',{{"coeff":"{p}/{q}","word":[', _digits, lambda w: _comma_digits(w) + "]}"
-        )
-        return _json_array(f'{{"maxDegree":{ctx.max_degree},"n":{ctx.n},"terms":[', terms, "]}")
+        return _render("json", self.ctx, self._den, self._groups, self._codes.get(0, 0))
 
     def to_json_dict(self) -> dict:
         """The canonical JSON form as a dict: `to_json` read back."""
@@ -616,12 +590,12 @@ def signed_sum(terms: Iterable[tuple[int, int, str]], format: str = "text", spac
 # -- ring operations ---------------------------------------------------------
 
 
-def _by_degree(p: AssocPoly) -> list[tuple[int, Iterable[int], Iterable[int]]]:
-    """(d, codes, numerators) of the words of each degree d of a nonzero p, d ascending."""
+def _by_degree(p: AssocPoly, ordered: bool = False) -> list[tuple[int, Iterable[int], Iterable[int]]]:
+    """(d, codes, numerators) of the words of each degree d of a nonzero p, d ascending; codes sorted if `ordered`."""
     codes = p._codes
     off = p.ctx._offsets
     d = bisect_right(off, min(codes)) - 1
-    if max(codes) < off[d + 1]:  # homogeneous: no sort, no copy
+    if not ordered and max(codes) < off[d + 1]:  # homogeneous: no sort, no copy
         return [(d, codes.keys(), codes.values())]
     ks = sorted(codes)
     groups = []
@@ -629,7 +603,7 @@ def _by_degree(p: AssocPoly) -> list[tuple[int, Iterable[int], Iterable[int]]]:
     while i < len(ks):
         j = bisect_left(ks, off[d + 1], i)
         if j > i:
-            groups.append((d, ks[i:j], [codes[k] for k in ks[i:j]]))
+            groups.append((d, ks[i:j], list(map(codes.__getitem__, ks[i:j]))))
         i = j
         d += 1
     return groups
@@ -742,15 +716,13 @@ def reduce_block(den: int, nums: list[int]) -> Block:
     return (den, nums) if g == 1 else (den // g, list(map(floordiv, nums, repeat(g))))
 
 
-def block_rows(p: AssocPoly, d: int) -> Rows:
-    """The rows of p, zero or homogeneous of degree d, for `bracket_add`; made once for each W_m."""
-    lo, hi = p.ctx._offsets[d : d + 2]
+def block_rows(block: Block) -> Rows:
+    """The rows of a block (den, nums) for `bracket_add`; made once for each W_m."""
+    den, nums = block
     groups: dict[int, tuple[int, list[int], list[int]]] = {}
-    for k, c in p._codes.items():
-        if not lo <= k < hi:
-            raise ValueError(f"the polynomial is not homogeneous of degree {d}")
-        groups.setdefault(abs(c), (abs(c), [], []))[1 + (c < 0)].append(k - lo)
-    return p._den, p.ctx.n**d, list(groups.values())
+    for i, c in compress(enumerate(nums), nums):
+        groups.setdefault(abs(c), (abs(c), [], []))[1 + (c < 0)].append(i)
+    return den, len(nums), list(groups.values())
 
 
 def to_block(p: AssocPoly, d: int) -> Block:
@@ -765,6 +737,29 @@ def from_block(ctx: AlgebraCtx, d: int, den: int, nums: list[int]) -> AssocPoly:
     """The polynomial sum(nums[i] / den * word i of degree d), reduced: the one dict made from a block."""
     den, nums = reduce_block(den, nums)
     return AssocPoly._make(ctx, dict(compress(zip(ctx._blocks[d], nums), nums)), den)
+
+
+def render_block(ctx: AlgebraCtx, d: int, den: int, nums: list[int], format: str = "text") -> str:
+    """`from_block(ctx, d, den, nums)` as its `text`, `latex` or `to_json` ("json") writes it, with no dict.
+
+    Word i is u v with u the (i // n^e)-th and v the (i % n^e)-th word of its
+    degree, e = |v| = d // 2: so the heads repeat each head(u) n^e times, the
+    tails cycle through every tail(v), and `compress` keeps the words of the
+    nonzero numerators.  The block need not be reduced.
+    """
+    if len(nums) != ctx.n**d:
+        raise ValueError(f"a block of degree {d} has {ctx.n**d} numerators, got {len(nums)}")
+
+    def groups(head: Callable[[Word], T], tail: Callable[[Word], T]) -> Iterator[tuple]:
+        heads = [head(u) for u in product(range(1, ctx.n + 1), repeat=d - d // 2)]
+        tails = [tail(v) for v in product(range(1, ctx.n + 1), repeat=d // 2)]
+        yield (
+            filter(None, nums),
+            compress(chain.from_iterable(map(repeat, heads, repeat(len(tails)))), nums),
+            compress(chain.from_iterable(repeat(tails, len(heads))), nums),
+        )
+
+    return _render(format, ctx, den, groups, nums[0] if d == 0 else 0)
 
 
 def ad_pow(a: AssocPoly, p: int, b: AssocPoly) -> AssocPoly:

@@ -19,7 +19,7 @@ from zassenhaus.cli import (
     cache_store,
 )
 from zassenhaus.engine import EngineCtx
-from zassenhaus.freealg import AlgebraCtx, AssocPoly
+from zassenhaus.freealg import AlgebraCtx, AssocPoly, from_block, to_block
 from zassenhaus.lieform import expand, parse
 
 from golden import two_variable_ws
@@ -206,22 +206,29 @@ class TestTermsCache:
     def test_store_load_round_trip(self, poly):
         n, m = poly.ctx.n, poly.ctx.max_degree
         with tempfile.TemporaryDirectory() as root:
-            cache_store(Path(root), n, m, poly)
-            assert cache_load(Path(root), n, m) == poly
+            cache_store(Path(root), n, m, to_block(poly, m))
+            loaded = cache_load(Path(root), n, m)
+            assert loaded == to_block(poly, m)
+            assert from_block(poly.ctx, m, *loaded) == poly
 
     def test_store_refuses_what_the_block_cannot_hold(self, tmp_path):
-        # The payload holds the words of degree m alone, so any other word would be dropped.
+        # The payload holds the n^m words of degree m alone, so a block of any other length has no place.
+        # A polynomial of mixed degree has no block at all: `to_block` refuses it.
         at = AlgebraCtx(2, 3)
-        for n, poly in [
-            (2, AssocPoly(at, {(1, 2): 1, (1, 1, 2): 1})),  # mixed degree
-            (2, AssocPoly(at, {(2, 1): Fraction(1, 2)})),  # degree m - 1
-            (2, AssocPoly.monomial(AlgebraCtx(2, 4), (1, 2, 1, 2))),  # degree m + 1, in context (2, 4)
-            (3, AssocPoly.monomial(at, (1, 1, 2))),  # context n = 2 stored as n = 3
+        with pytest.raises(ValueError):
+            to_block(AssocPoly(at, {(1, 2): 1, (1, 1, 2): 1}), 3)
+        for n, block in [
+            (2, to_block(AssocPoly(at, {(2, 1): Fraction(1, 2)}), 2)),  # degree m - 1
+            (2, to_block(AssocPoly.monomial(AlgebraCtx(2, 4), (1, 2, 1, 2)), 4)),  # degree m + 1
+            (3, to_block(AssocPoly.monomial(at, (1, 1, 2)), 3)),  # n = 2 stored as n = 3
+            (2, (2, [0, 2, 0, 0, 0, 0, 0, 4])),  # not reduced: a load would refuse it
+            (2, (0, [0] * 8)),
+            (2, (-1, [0, 1, 0, 0, 0, 0, 0, 0])),
         ]:
             with pytest.raises(ValueError):
-                cache_store(tmp_path, n, 3, poly)
+                cache_store(tmp_path, n, 3, block)
         assert not any(tmp_path.iterdir())
-        assert cache_store(tmp_path, 2, 3, AssocPoly.zero(at)).exists()
+        assert cache_store(tmp_path, 2, 3, to_block(AssocPoly.zero(at), 3)).exists()
 
     def test_env_var_sets_root(self, cli, tmp_path):
         cache = tmp_path / "from-env"
@@ -326,11 +333,12 @@ class TestTermsCache:
             assert r.returncode == EXIT_USAGE and r.stdout == ""
             assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
         with pytest.raises(CacheAccessError):
-            cache_store(root, 2, 2, AssocPoly.monomial(AlgebraCtx(2, 2), (1, 2)))
+            cache_store(root, 2, 2, to_block(AssocPoly.monomial(AlgebraCtx(2, 2), (1, 2)), 2))
 
     def test_store_replaces_entries_atomically(self, tmp_path):
         ctx = AlgebraCtx(2, 2)
-        first, second = AssocPoly.monomial(ctx, (1, 2)), AssocPoly.monomial(ctx, (2, 1), Fraction(1, 3))
+        first = to_block(AssocPoly.monomial(ctx, (1, 2)), 2)
+        second = to_block(AssocPoly.monomial(ctx, (2, 1), Fraction(1, 3)), 2)
         target = cache_store(tmp_path, 2, 2, first)
         assert cache_store(tmp_path, 2, 2, second) == target
         assert list(target.parent.iterdir()) == [target]

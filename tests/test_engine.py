@@ -13,7 +13,7 @@ from zassenhaus.engine import (
     series,
     w_comm,
 )
-from zassenhaus.freealg import AlgebraCtx, AssocPoly, ad_pow, bracket, generators, poly_sum
+from zassenhaus.freealg import AlgebraCtx, AssocPoly, ad_pow, bracket, generators, poly_sum, to_block
 from zassenhaus.lieform import CommTerm, LieExpr, dsw_project, expand
 
 from golden import expanded_formula, nested
@@ -245,14 +245,56 @@ class TestWTerm:
         assert {key: (den, list(nums)) for key, (den, nums) in blocks.items()} == snapshot
 
     def test_backing_cache(self):
-        # What a cache holds, W_m in context (n, m), seeds a deeper context as `known`.
+        # What a cache holds, the block of W_m, seeds a deeper context as `known`.
         cold = EngineCtx(AlgebraCtx(2, 6))
-        stored = {m: w.restricted(m) for m, w in enumerate(series(cold), start=2)}
-        assert all(w.ctx == AlgebraCtx(2, m) for m, w in stored.items())
-        warm = EngineCtx(AlgebraCtx(2, 8), {m: w.restricted(8) for m, w in stored.items()})
+        stored = {m: to_block(w, m) for m, w in enumerate(series(cold), start=2)}
+        assert all(len(nums) == 2**m for m, (_, nums) in stored.items())
+        warm = EngineCtx(AlgebraCtx(2, 8), stored)
         for m in range(2, 7):
             assert warm.w_term(m) == cold.w_term(m).restricted(8)
         assert not warm._f_memo  # every W_m came from `known`
+
+    @pytest.mark.parametrize("n, K", [(2, 12), (3, 9)])
+    def test_known_low_blocks_give_the_rows_and_later_terms(self, n, K):
+        # W_j with j <= (K-1)/2 supply the rows of the f[j, k] levels; handed over as known
+        # blocks (copies, so that nothing is shared), they must give what a cold engine gives.
+        cold = EngineCtx(AlgebraCtx(n, K))
+        blocks = [cold.w_block(m) for m in range(2, K + 1)]
+        low = {m: (den, list(nums)) for m, (den, nums) in enumerate(blocks[: (K - 1) // 2 - 1], start=2)}
+        warm = EngineCtx(AlgebraCtx(n, K), low)
+        assert [warm.w_block(m) for m in range(2, K + 1)] == blocks
+        assert set(warm._w_rows) == set(low)
+        assert all(warm._w_rows[m] == cold._w_rows[m] for m in low)
+        assert all(warm.w_block(m) is low[m] for m in low)
+        assert not warm._w_memo  # no W_m became a dict
+
+    def test_warm_terms_makes_no_memo_block_and_no_dict(self, cli, tmp_path, monkeypatch):
+        # Every W_m comes from the cache as a block and is rendered from it.
+        made = []
+
+        class Recorded(EngineCtx):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        cache = tmp_path / "c"
+        runs = {fmt: ("terms", "--n", 3, "--max-degree", 7, "--format", fmt) for fmt in ("json", "text", "latex")}
+        uncached = {fmt: cli(*argv).stdout for fmt, argv in runs.items()}
+        assert cli(*runs["json"], "--cache", cache).stdout == uncached["json"]  # cold: fills the cache
+        monkeypatch.setattr("zassenhaus.cli.EngineCtx", Recorded)
+        for fmt, argv in runs.items():
+            warm = cli(*argv, "--cache", cache)
+            assert warm.returncode == 0 and warm.stdout == uncached[fmt]
+        assert len(made) == 3
+        for e in made:
+            assert set(e._w_blocks) == set(range(2, 8))
+            assert not e._f_memo and not e._f_polys and not e._w_rows and not e._w_memo
+        cli(*runs["text"])
+        assert made[-1]._f_memo and not made[-1]._w_memo  # an uncached run renders its blocks too
+
+    def test_known_block_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValueError):
+            EngineCtx(AlgebraCtx(2, 4), {3: (1, [0] * 4)})
 
     def test_errors(self):
         e = EngineCtx(AlgebraCtx(2, 4))

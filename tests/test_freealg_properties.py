@@ -27,6 +27,7 @@ from zassenhaus.freealg import (
     mul,
     poly_sum,
     reduce_block,
+    to_block,
 )
 
 kernel_settings = settings(max_examples=60, deadline=None)
@@ -351,7 +352,7 @@ def test_bracket_add_matches_dict_kernel(case):
     base = AssocPoly.zero(ctx) if f is None else f
     f_block, b_block = None if f is None else as_block(f, d), as_block(b, db)
     before = (f_block and (f_block[0], list(f_block[1])), b_block[0], list(b_block[1]))
-    got = bracket_add(f_block, block_rows(a, da), b_block, r)
+    got = bracket_add(f_block, block_rows(as_block(a, da)), b_block, r)
     assert (f_block and (f_block[0], list(f_block[1])), b_block[0], list(b_block[1])) == before  # operands untouched
     assert len(got[1]) == ctx.n**d
     den, nums = reduce_block(*got)
@@ -365,7 +366,7 @@ def test_bracket_add_matches_dict_kernel(case):
 
 def test_bracket_add_takes_out_the_common_factor():
     ctx = AlgebraCtx(2, 4)
-    a = block_rows(AssocPoly(ctx, {(1,): Fraction(1, 3)}), 1)
+    a = block_rows(as_block(AssocPoly(ctx, {(1,): Fraction(1, 3)}), 1))
     b = as_block(AssocPoly(ctx, {(2,): 3}), 1)
     # [a, b] = [X1, X2] over the lifted denominator 3 has numerators 3 and -3.
     assert bracket_add(None, a, b, 1) == (3, [0, 3, -3, 0])
@@ -379,11 +380,11 @@ def test_bracket_add_takes_out_the_common_factor():
 def test_bracket_add_refuses_mixed_or_wrong_degrees():
     ctx = AlgebraCtx(2, 5)
     x1, x2 = generators(ctx)
-    a, b = block_rows(x1, 1), as_block(x2, 1)
+    a, b = block_rows(as_block(x1, 1)), as_block(x2, 1)
     for f in ((1, [0, 0, 0]), (1, [0] * 8), as_block(mul(x1, mul(x1, x2)), 3)):
         with pytest.raises(ValueError):
             bracket_add(f, a, b, 1)
     mixed = x1 + mul(x1, x2)
-    for p, d in ((mixed, 1), (mixed, 2), (x1, 2)):
+    for p, d in ((mixed, 1), (mixed, 2), (x1, 2)):  # rows come from a block, which only a homogeneous p has
         with pytest.raises(ValueError):
-            block_rows(p, d)
+            to_block(p, d)

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zassenhaus.cli import CACHE_VERSION, cache_store
-from zassenhaus.freealg import AlgebraCtx, AssocPoly
+from zassenhaus.freealg import AlgebraCtx, AssocPoly, from_block, render_block, to_block
 from zassenhaus.lieform import CommTerm, LieExpr, parse, render
 
 render_settings = settings(max_examples=150, deadline=None)
@@ -206,5 +206,50 @@ def homogeneous_polys(draw):
 def test_cache_entry_matches_reference_encoder(p):
     with tempfile.TemporaryDirectory() as root:
         m = p.ctx.max_degree
-        entry = cache_store(Path(root), p.ctx.n, m, p)
+        entry = cache_store(Path(root), p.ctx.n, m, to_block(p, m))
         assert entry.read_bytes() == ref_cache_entry(p, m)
+
+
+@st.composite
+def dense_blocks(draw):
+    """(ctx, d, den, nums): a block of degree d = 1..7 over n = 1..4 letters, maybe unreduced, zero or sparse or dense."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    size = n**d
+    values = st.integers(-(10**30), 10**30)
+    nums = [0] * size
+    kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    if kind == "sparse":
+        for i, c in draw(st.dictionaries(st.integers(0, size - 1), values, max_size=12)).items():
+            nums[i] = c
+    elif kind == "dense":  # every word, from a drawn pattern that may hold zeros
+        pattern = draw(st.lists(values, min_size=1, max_size=7))
+        nums = [pattern[i % len(pattern)] for i in range(size)]
+    # A factor shared by den and every numerator: the writers must print each coefficient in lowest terms.
+    shared = draw(st.sampled_from([1, 2, 6, 10**12]))
+    den = draw(st.integers(1, 10**6)) * shared
+    return AlgebraCtx(n, d + draw(st.integers(0, 2))), d, den, [c * shared for c in nums]
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_blocks())
+@example((AlgebraCtx(1, 5), 5, 1, [0]))  # n = 1: the one word of degree 5, and the zero block
+@example((AlgebraCtx(1, 3), 3, 6, [-4]))
+@example((AlgebraCtx(3, 4), 4, 1, [0] * 81))
+@example((AlgebraCtx(2, 3), 3, 4, [2, -6, 0, 4, -(10**40), 8, 0, -2]))  # den shares 2 with every numerator
+def test_block_writers_match_the_polynomial_writers(case):
+    ctx, d, den, nums = case
+    before = list(nums)
+    p = from_block(ctx, d, den, nums)
+    assert render_block(ctx, d, den, nums, "text") == p.text() == ref_text(p)
+    assert render_block(ctx, d, den, nums, "latex") == p.latex() == ref_latex(p)
+    assert render_block(ctx, d, den, nums, "json") == p.to_json() == dumps(ref_json_dict(p))
+    assert nums == before
+
+
+def test_block_writer_refuses_a_wrong_length_or_format():
+    ctx = AlgebraCtx(2, 3)
+    for d, nums in ((3, [1] * 4), (2, [1] * 8), (1, [])):
+        with pytest.raises(ValueError):
+            render_block(ctx, d, 1, nums)
+    with pytest.raises(ValueError):
+        render_block(ctx, 1, 1, [1, 0], "markdown")
