@@ -46,13 +46,14 @@ An entry holds W_m in context (n, m) as the engine's dense degree block
 where nums holds the numerators of all n^m words of degree m in canonical
 order, zeros included, so the word of nums[i] is implied by i; the
 coefficient of that word is nums[i]/q.  The payload has exactly these
-four keys, nums is a list of exactly n^m ints (no bool or float), q is a
-positive int and gcd(q, nums) == 1, so the zero polynomial is all zeros
-over 1.  The SHA-256 digest covers the payload bytes exactly as written,
-so a load hashes what it read.  A digest mismatch, or a payload that is
-not in this canonical form, is an integrity failure on load, never
-silently recomputed; an entry with another key is stale and is
-recomputed.  Trees of older cache versions (<root>/2, <root>/3) are
+four keys, and `cache_store` and `cache_load` hold (q, nums) to one rule,
+`freealg.check_block`: nums is a list of exactly n^m ints (no bool or
+float), q is a positive int and gcd(q, nums) == 1, so the zero polynomial
+is all zeros over 1.  The SHA-256 digest covers the payload bytes exactly
+as written, so a load hashes what it read.  A digest mismatch, or a
+payload that is not in this canonical form, is an integrity failure on
+load, never silently recomputed; an entry with another key is stale and
+is recomputed.  Trees of older cache versions (<root>/2, <root>/3) are
 never read or touched.
 """
 
@@ -63,12 +64,11 @@ import hashlib
 import json
 import os
 import sys
-from math import gcd
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .engine import EngineCtx, PathDisagreementError, f1k_comm, f1k_direct, series, w_comm
-from .freealg import AlgebraCtx, Block, reduce_block, render_block
+from .freealg import AlgebraCtx, Block, check_block, render_block
 from .lieform import LieExpr, expand, render
 from .oracle import (
     MAX_DIM,
@@ -127,14 +127,11 @@ _PAYLOAD_KEYS = {"den", "maxDegree", "n", "nums"}
 def cache_store(root: Path, n: int, m: int, block: Block) -> Path:
     """Write W_m, given as its reduced block (den, nums), atomically: a killed run leaves no partial entry.
 
-    A block that is not n^m numerators over a positive denominator sharing
-    no factor with them raises ValueError: a load would refuse its entry.
+    A block that `freealg.check_block` refuses raises ValueError and writes
+    nothing: a load would refuse its entry by the same rule.
     """
     den, nums = block
-    if len(nums) != n**m:
-        raise ValueError(f"cache entry W_{m} at n={n} needs the {n**m} numerators of degree {m}, got {len(nums)}")
-    if type(den) is not int or den < 1 or reduce_block(den, nums)[0] != den:
-        raise ValueError(f"cache entry W_{m} needs a reduced block over a positive int denominator, got {den!r}")
+    check_block(n, m, den, nums)
     # The C encoder writes the int list in bounded chunks: 26 ms and a 4.6 MB peak at n = 3, m = 11,
     # against 45 ms and 12.5 MB for ",".join(map(str, nums)) (best of 5, peak by tracemalloc;
     # 2 CPUs, Python 3.11.7).
@@ -184,15 +181,7 @@ def cache_load(root: Path, n: int, m: int) -> Block | None:
         if ctx != AlgebraCtx(n, m):
             raise ValueError(f"payload context {ctx} is not {AlgebraCtx(n, m)}")
         den, nums = payload["den"], payload["nums"]
-        if type(nums) is not list or len(nums) != n**m:
-            raise ValueError(f"nums is not a list of the n^m = {n**m} numerators of degree {m}")
-        # Type first: gcd takes True as the numerator 1.
-        if set(map(type, nums)) != {int}:
-            raise ValueError("every numerator must be an int")
-        if type(den) is not int or den < 1:
-            raise ValueError(f"denominator must be a positive int, got {den!r}")
-        if gcd(den, *nums) != 1:
-            raise ValueError("numerators and denominator share a common factor")
+        check_block(n, m, den, nums)
     except (RecursionError, TypeError, ValueError) as exc:
         raise CacheCorruptionError(f"malformed cache entry {target}: {exc!r}") from exc
     return den, nums

@@ -19,12 +19,13 @@ splitting, a homogeneous Lie polynomial of degree k + 1):
 
 Neither sum repeats a bracket.  The nested-ad sum of f[1, k] is one
 graded pass: X_2 + ... + X_n goes once through the operators
-E_l = sum_j ad_{Xl}^j / j!, l = 1..n, held as one integer term map per
-added degree D and scaled by D!, which makes it integral (D!/(j1!...jl!)
-is a multinomial coefficient, see `f1k_direct`); one pass gives every
-f[1, k] up to a top degree.  The sum over j of the recursion is taken in
-Horner form, acc <- f[m-1, k-m*j] - [W_m, acc] / (j+1) from the last j
-down to 0, one bracket per term instead of recomputing ad_{W_m}^j.
+E_l = sum_j (-1)^j ad_{Xl}^j / j!, l = 1..n, held as one integer term
+map per added degree D and scaled by D!, which makes it integral
+(D!/(j1!...jl!) is a multinomial coefficient, see `f1k_direct`); one pass
+gives every k! f[1, k] up to a top degree.  The sum over j of the
+recursion is taken in Horner form, acc <- f[m-1, k-m*j] - [W_m, acc] /
+(j+1) from the last j down to 0, one bracket per term instead of
+recomputing ad_{W_m}^j.
 
 The memo holds every f[m, k] as a dense degree block (den, nums), the
 numerators of all n^(k+1) words of its degree in code order, reduced once
@@ -37,7 +38,8 @@ which is what the CLI renders and caches; a dict is made only when a
 caller asks for a polynomial: `w_term` (and so `series`, the oracles and
 `--path both`) and `fmk`.  The graded pass stays sparse: its operator is
 one letter and its early parts are mostly zeros; dense blocks there took
-the (3, 9) pass from 6.5 ms to 87 ms (2 CPUs, Python 3.11.7).
+the (3, 9) pass from 6.5 ms to 87 ms (2 CPUs, Python 3.11.7), and each
+part becomes its block once, through `freealg.block_nums`.
 `w_term_expanded` keeps the dict `bracket`, as the oracles do, so that
 `--path both` checks the block kernel against the dict kernel.
 
@@ -65,7 +67,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, factorial
-from operator import neg
 from typing import Iterator, Mapping
 
 from .freealg import (
@@ -73,6 +74,7 @@ from .freealg import (
     AssocPoly,
     Block,
     Rows,
+    block_nums,
     block_rows,
     bracket,
     bracket_add,
@@ -92,14 +94,15 @@ class PathDisagreementError(RuntimeError):
 
 
 def _exp_ad(n: int, l: int, parts: list[dict[int, int]]) -> None:
-    """parts <- E_l parts, E_l = sum_j ad_{Xl}^j / j!, for parts[D] = D! * (the part of added degree D).
+    """parts <- E_l parts, E_l = sum_j (-1)^j ad_{Xl}^j / j! = e^(ad_{-Xl}), for parts[D] = D! * (the part of added degree D).
 
     The words of parts[D] have degree D + 1.  With that scaling
-    E_l parts[D] = sum_j C(D, j) ad_{Xl}^j parts[D-j] is integral, and
-    [Xl, v] on words u of degree e is two passes over v's term map:
-    code(Xl u) = l n^e + code(u) and code(u Xl) = code(u) n + l.  Parts
-    above len(parts) - 1 are cut.  D runs downwards, so each source part
-    is read before anything is added into it.
+    E_l parts[D] = sum_j (-1)^j C(D, j) ad_{Xl}^j parts[D-j] is integral,
+    and with the signed binomials (E_l for -X_l) the pass carries the sign
+    of f[1, k].  [Xl, v] on words u of degree e is two passes over v's term
+    map: code(Xl u) = l n^e + code(u) and code(u Xl) = code(u) n + l.
+    Parts above len(parts) - 1 are cut.  D runs downwards, so each source
+    part is read before anything is added into it.
     """
     top = len(parts) - 1
     for d in range(top, -1, -1):
@@ -114,14 +117,14 @@ def _exp_ad(n: int, l: int, parts: list[dict[int, int]]) -> None:
                 k = k * n + l
                 w[k] = get(k, 0) - c
             v = {k: c for k, c in w.items() if c} if 0 in w.values() else w
-            acc, scale = parts[d + j], comb(d + j, j)
+            acc, scale = parts[d + j], (-1) ** j * comb(d + j, j)
             get = acc.get
             for k, c in v.items():
                 acc[k] = get(k, 0) + scale * c
 
 
 def _f1_pass(ctx: AlgebraCtx, top: int) -> list[dict[int, int]]:
-    """parts[k] = (-1)^k k! f[1, k] as a term map for k = 1..top (parts[0] is empty), from one graded pass.
+    """parts[k] = k! f[1, k] as a term map for k = 1..top (parts[0] is empty), from one graded pass.
 
     See `f1k_direct`.
     """
@@ -141,14 +144,15 @@ def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
 
     The sum is evaluated as one graded pass, not chain by chain: by
     linearity all i go together, X_2 + ... + X_n through E_1, ..., E_n with
-    E_l = sum_j ad_{Xl}^j / j!, kept as one integer term map per added
-    degree D = j1+...+jl <= k and scaled by D!; after E_(i-1) the word X_i,
-    the part of added degree 0 of the chains of i, is dropped.  The
-    scaling is exact: D! / (j1! ... jl!) is a multinomial coefficient, so
-    E_l maps scaled parts to scaled parts through the binomials C(D, j)
-    alone, with no Fraction and no lcm.  f[1, k] is (-1)^k / k! times the
-    part of added degree k, reduced once, and the lower parts of the same
-    pass are f[1, 1], ..., f[1, k-1] (`EngineCtx` keeps them all).
+    E_l = sum_j (-1)^j ad_{Xl}^j / j!, which takes the sign (-1)^k in, kept
+    as one integer term map per added degree D = j1+...+jl <= k and scaled
+    by D!; after E_(i-1) the word X_i, the part of added degree 0 of the
+    chains of i, is dropped.  The scaling is exact: D! / (j1! ... jl!) is a
+    multinomial coefficient, so E_l maps scaled parts to scaled parts
+    through the signed binomials (-1)^j C(D, j) alone, with no Fraction and
+    no lcm.  f[1, k] is the part of added degree k over k!, reduced once,
+    and the lower parts of the same pass are f[1, 1], ..., f[1, k-1]
+    (`EngineCtx` keeps them all).
 
     Homogeneous of degree k + 1; identically zero when n = 1.
     """
@@ -158,8 +162,7 @@ def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
         raise ValueError(
             f"f[1,{k}] has degree {k + 1} > max_degree {ctx.max_degree}"
         )
-    poly = AssocPoly._reduce(ctx, _f1_pass(ctx, k)[k], factorial(k))
-    return -poly if k % 2 else poly
+    return AssocPoly._reduce(ctx, _f1_pass(ctx, k)[k], factorial(k))
 
 
 def f1k_comm(k: int, n: int) -> LieExpr:
@@ -253,8 +256,7 @@ class EngineCtx:
         if m == 1:
             parts = _f1_pass(self.alg, self.alg.max_degree - 1)
             for kk in range(len(parts) - 1, 0, -1):  # each term map is dropped once its block is made
-                nums = map(parts.pop().get, self.alg._blocks[kk + 1], itertools.repeat(0))
-                nums = list(map(neg, nums) if kk % 2 else nums)
+                nums = block_nums(self.alg, kk + 1, parts.pop())
                 self._f_memo.setdefault((1, kk), reduce_block(factorial(kk), nums))
             return self._f_memo[key]
         rows = self._w_rows.get(m)

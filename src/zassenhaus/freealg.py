@@ -37,8 +37,10 @@ into such a block with list slices, one product pass per distinct
 |coefficient| of a (its rows, grouped once by `block_rows`), and returns
 a new block without reducing it; `reduce_block` cancels the common
 factor, `from_block` makes the one term map of a block and `to_block`
-makes the block of a homogeneous polynomial.  `mul` and `bracket` stay
-sparse dict kernels.
+makes the block of a homogeneous polynomial through `block_nums`, the one
+fill of a block from a term map; `check_block` is the one rule of a stored
+block.  No table of word codes is kept.  `mul` and `bracket` stay sparse
+dict kernels.
 
 The codes depend on n alone, not on the truncation degree.  Words become
 tuples only at the boundary: the constructors, `coeff`, `terms`,
@@ -135,12 +137,6 @@ class AlgebraCtx:
         for _ in range(self.max_degree + 1):
             off.append(off[-1] * self.n + 1)
         return off
-
-    @cached_property
-    def _blocks(self) -> "_Table":
-        """d -> the codes of the words of degree d as a list, made once so that term maps share the int keys."""
-        off = self._offsets
-        return _Table(lambda d: list(range(off[d], off[d + 1])))
 
     def check_word(self, word: Word) -> None:
         if len(word) > self.max_degree:
@@ -469,19 +465,6 @@ class AssocPoly:
         lo, hi = self.ctx._offsets[d : d + 2]
         return AssocPoly._reduce(self.ctx, {k: c for k, c in self._codes.items() if lo <= k < hi}, self._den)
 
-    def restricted(self, max_degree: int) -> "AssocPoly":
-        """The same polynomial in the shallower context (n, max_degree).
-
-        When no word is longer than `max_degree` the value shares its term
-        map: the codes do not depend on the truncation degree.
-        """
-        new_ctx = AlgebraCtx(self.ctx.n, max_degree)
-        codes = self._codes
-        end = new_ctx._offsets[max_degree + 1]
-        if not codes or max(codes) < end:
-            return AssocPoly._make(new_ctx, codes, self._den)
-        return AssocPoly._reduce(new_ctx, {k: c for k, c in codes.items() if k < end}, self._den)
-
     # -- rendering / serialization ------------------------------------------
 
     def __repr__(self) -> str:
@@ -725,18 +708,42 @@ def block_rows(block: Block) -> Rows:
     return den, len(nums), list(groups.values())
 
 
+def block_nums(ctx: AlgebraCtx, d: int, codes: Mapping[int, int]) -> list[int]:
+    """The n^d numerators of degree d in code order, from a term map of such words: the one fill of a block.
+
+    Made at full length first, so a block that cannot exist fails at once
+    with MemoryError; then one step per term, as term maps are often sparse.
+    """
+    lo = ctx._offsets[d]
+    nums = [0] * ctx.n**d
+    for k, c in codes.items():
+        nums[k - lo] = c
+    return nums
+
+
+def check_block(n: int, d: int, den: object, nums: object) -> None:
+    """The one rule of a stored block: `nums` a list of n^d ints (no bool), `den` a positive int, gcd 1; else ValueError."""
+    if type(nums) is not list or len(nums) != n**d:
+        raise ValueError(f"nums is not a list of the n^d = {n**d} numerators of degree {d}")
+    if set(map(type, nums)) != {int}:  # before gcd, which takes True as the numerator 1
+        raise ValueError("every numerator must be an int")
+    if type(den) is not int or den < 1:
+        raise ValueError(f"denominator must be a positive int, got {den!r}")
+    if gcd(den, *nums) != 1:
+        raise ValueError("numerators and denominator share a common factor")
+
+
 def to_block(p: AssocPoly, d: int) -> Block:
     """The block (den, nums) of p, zero or homogeneous of degree d: `from_block` undone."""
     if p and p.homogeneous_degree() != d:
         raise ValueError(f"the polynomial is not homogeneous of degree {d}")
-    lo, hi = p.ctx._offsets[d : d + 2]
-    return p._den, list(map(p._codes.get, range(lo, hi), repeat(0)))
+    return p._den, block_nums(p.ctx, d, p._codes)
 
 
 def from_block(ctx: AlgebraCtx, d: int, den: int, nums: list[int]) -> AssocPoly:
     """The polynomial sum(nums[i] / den * word i of degree d), reduced: the one dict made from a block."""
     den, nums = reduce_block(den, nums)
-    return AssocPoly._make(ctx, dict(compress(zip(ctx._blocks[d], nums), nums)), den)
+    return AssocPoly._make(ctx, dict(compress(zip(range(*ctx._offsets[d : d + 2]), nums), nums)), den)
 
 
 def render_block(ctx: AlgebraCtx, d: int, den: int, nums: list[int], format: str = "text") -> str:

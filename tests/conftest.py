@@ -12,7 +12,7 @@ import pytest
 
 from zassenhaus.cli import main
 from zassenhaus.engine import EngineCtx
-from zassenhaus.freealg import AlgebraCtx
+from zassenhaus.freealg import AlgebraCtx, AssocPoly
 
 # One engine per (n, K) for the whole session: values are immutable and
 # exact, and the expensive high-degree computations should happen once.
@@ -24,6 +24,11 @@ def shared_engine(n, max_degree):
     if key not in _ENGINES:
         _ENGINES[key] = EngineCtx(AlgebraCtx(n, max_degree))
     return _ENGINES[key]
+
+
+def restricted(p, max_degree):
+    """p in the context (n, max_degree), deeper or shallower: its terms of degree <= max_degree, word by word."""
+    return AssocPoly(AlgebraCtx(p.ctx.n, max_degree), [(w, c) for w, c in p.terms() if len(w) <= max_degree])
 
 
 @pytest.fixture
@@ -58,14 +63,14 @@ def run_cli(*args, extra_env=None):
     return subprocess.CompletedProcess(["zassenhaus", *argv], rc, out.getvalue(), err.getvalue())
 
 
-def run_cli_process(*args, extra_env=None):
-    """Run `python -m zassenhaus` in a fresh interpreter and capture its output."""
+def run_cli_process(*args, extra_env=None, **run_kwargs):
+    """Run `python -m zassenhaus` in a fresh interpreter and capture its output; `run_kwargs` go to `subprocess.run`."""
     env = dict(os.environ)
     env.pop("ZASSENHAUS_CACHE_DIR", None)
     if extra_env:
         env.update(extra_env)
     cmd = [sys.executable, "-m", "zassenhaus", *map(str, args)]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, **run_kwargs)
 
 
 @pytest.fixture

@@ -120,13 +120,27 @@ class TestTerms:
 
     def test_out_of_memory_is_a_usage_error(self, cli, tmp_path, monkeypatch):
         # Not exit 1 with a traceback; all computing precedes the first chunk, so nothing is written.
-        monkeypatch.setattr("zassenhaus.cli.series", _out_of_memory)
+        monkeypatch.setattr("zassenhaus.engine.EngineCtx.series_blocks", _out_of_memory)
         target = tmp_path / "terms.txt"
         for flags in ((), ("--out", target)):
             r = cli("terms", "--n", 2, "--max-degree", 40, *flags)
             assert r.returncode == EXIT_USAGE and r.stdout == ""
             assert r.stderr == "error: out of memory in terms at n=2, K=40\n"
         assert not target.exists()
+
+    @pytest.mark.parametrize("command", ["terms", "verify"])
+    def test_out_of_memory_is_refused_at_once(self, cli_process, command):
+        # The real request under a 2 GB address-space cap: the block of degree K cannot be
+        # allocated, so the run must end within seconds rather than fill the memory it has.
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
+
+        flags = ("--mode", "exact") if command == "verify" else ()
+        r = cli_process(command, "--n", 2, "--max-degree", 40, *flags, preexec_fn=cap, timeout=10)
+        assert r.returncode == EXIT_USAGE and r.stdout == ""
+        assert r.stderr == f"error: out of memory in {command} at n=2, K=40\n"
 
 
 def _out_of_memory(*args, **kwargs):
@@ -224,6 +238,9 @@ class TestTermsCache:
             (2, (2, [0, 2, 0, 0, 0, 0, 0, 4])),  # not reduced: a load would refuse it
             (2, (0, [0] * 8)),
             (2, (-1, [0, 1, 0, 0, 0, 0, 0, 0])),
+            (2, (1, [0, True, -1, 0, 0, 0, 0, 0])),  # a bool is no numerator, though gcd takes it as 1
+            (2, (1, [0, 1.0, -1, 0, 0, 0, 0, 0])),
+            (2, (1, (0, 1, -1, 0, 0, 0, 0, 0))),  # the payload holds a list
         ]:
             with pytest.raises(ValueError):
                 cache_store(tmp_path, n, 3, block)

@@ -16,6 +16,7 @@ from zassenhaus.engine import (
 from zassenhaus.freealg import AlgebraCtx, AssocPoly, ad_pow, bracket, generators, poly_sum, to_block
 from zassenhaus.lieform import CommTerm, LieExpr, dsw_project, expand
 
+from conftest import restricted
 from golden import expanded_formula, nested
 
 
@@ -251,7 +252,7 @@ class TestWTerm:
         assert all(len(nums) == 2**m for m, (_, nums) in stored.items())
         warm = EngineCtx(AlgebraCtx(2, 8), stored)
         for m in range(2, 7):
-            assert warm.w_term(m) == cold.w_term(m).restricted(8)
+            assert warm.w_term(m) == restricted(cold.w_term(m), 8)
         assert not warm._f_memo  # every W_m came from `known`
 
     @pytest.mark.parametrize("n, K", [(2, 12), (3, 9)])
@@ -378,7 +379,7 @@ class TestSeries:
             full = _series(n, full_k)
             short = _series(n, short_k)
             for m in range(2, short_k + 1):
-                assert full[m - 2].restricted(short_k) == short[m - 2]
+                assert restricted(full[m - 2], short_k) == short[m - 2]
 
     def test_reuses_engine_context(self, engine):
         e = engine(2, 6)

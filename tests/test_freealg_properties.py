@@ -30,6 +30,8 @@ from zassenhaus.freealg import (
     to_block,
 )
 
+from conftest import restricted
+
 kernel_settings = settings(max_examples=60, deadline=None)
 
 
@@ -165,7 +167,7 @@ def test_restrictions_stay_canonical(a):
         assert model(part) == {w: c for w, c in model(a).items() if len(w) == d}
         assert_canonical(part)
     for k in range(1, a.ctx.max_degree + 1):
-        shallow = a.restricted(k)
+        shallow = restricted(a, k)
         assert model(shallow) == {w: c for w, c in model(a).items() if len(w) <= k}
         assert_canonical(shallow)
 

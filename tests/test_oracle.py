@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import shared_engine
+from conftest import restricted, shared_engine
 from zassenhaus import oracle
 from zassenhaus.freealg import AlgebraCtx, AssocPoly, exp_trunc, generators, log_trunc, poly_sum
 from zassenhaus.lieform import dsw_project
@@ -194,7 +194,7 @@ class TestExactIdentityCheck:
             ws[:1],  # wrong length
             [ws[1], ws[0], ws[2]],  # wrong degrees
             [ws[0] + ws[1], ws[1], ws[2]],  # not homogeneous
-            [w.restricted(5) for w in ws],  # wrong context
+            [restricted(w, 5) for w in ws],  # wrong context
         ]
         for bad in refused:
             with pytest.raises(ValueError):
