@@ -50,17 +50,17 @@ four keys, and `cache_store` and `cache_load` hold (q, nums) to one rule,
 `freealg.check_block`: nums is a list of exactly n^m ints (no bool or
 float), q is a positive int and gcd(q, nums) == 1, so the zero polynomial
 is all zeros over 1.  The SHA-256 digest covers the payload bytes exactly
-as written, so a load hashes what it read.  A digest mismatch, or a
-payload that is not in this canonical form, is an integrity failure on
-load, never silently recomputed; an entry with another key is stale and
-is recomputed.  Trees of older cache versions (<root>/2, <root>/3) are
-never read or touched.
+as written, so a load hashes what it read; `cache_store` and `cache_load`
+import `hashlib` on first use, so a run without a cache never loads it.
+A digest mismatch, or a payload that is not in this canonical form, is an
+integrity failure on load, never silently recomputed; an entry with
+another key is stale and is recomputed.  Trees of older cache versions
+(<root>/2, <root>/3) are never read or touched.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -130,6 +130,8 @@ def cache_store(root: Path, n: int, m: int, block: Block) -> Path:
     A block that `freealg.check_block` refuses raises ValueError and writes
     nothing: a load would refuse its entry by the same rule.
     """
+    import hashlib  # here, not at the top: it loads OpenSSL, which a run without --cache never needs
+
     den, nums = block
     check_block(n, m, den, nums)
     # The C encoder writes the int list in bounded chunks: 26 ms and a 4.6 MB peak at n = 3, m = 11,
@@ -154,6 +156,8 @@ def cache_store(root: Path, n: int, m: int, block: Block) -> Path:
 
 def cache_load(root: Path, n: int, m: int) -> Block | None:
     """The cached reduced block (den, nums) of W_m at n, or None on a clean miss; a bad entry raises."""
+    import hashlib  # see `cache_store`
+
     target = _cache_file(root, n, m)
     try:
         data = target.read_bytes()

@@ -39,7 +39,10 @@ caller asks for a polynomial: `w_term` (and so `series`, the oracles and
 `--path both`) and `fmk`.  The graded pass stays sparse: its operator is
 one letter and its early parts are mostly zeros; dense blocks there took
 the (3, 9) pass from 6.5 ms to 87 ms (2 CPUs, Python 3.11.7), and each
-part becomes its block once, through `freealg.block_nums`.
+part becomes its block once, through `freealg.block_nums`.  The block of
+the top part, the largest list of the request, is made before the pass,
+so a K whose block cannot exist fails with MemoryError before any of
+the pass's work.
 `w_term_expanded` keeps the dict `bracket`, as the oracles do, so that
 `--path both` checks the block kernel against the dict kernel.
 
@@ -81,6 +84,7 @@ from .freealg import (
     from_block,
     poly_sum,
     reduce_block,
+    zeros,
 )
 from .lieform import CommTerm, LieExpr, compositions
 
@@ -150,9 +154,10 @@ def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
     chains of i, is dropped.  The scaling is exact: D! / (j1! ... jl!) is a
     multinomial coefficient, so E_l maps scaled parts to scaled parts
     through the signed binomials (-1)^j C(D, j) alone, with no Fraction and
-    no lcm.  f[1, k] is the part of added degree k over k!, reduced once,
-    and the lower parts of the same pass are f[1, 1], ..., f[1, k-1]
-    (`EngineCtx` keeps them all).
+    no lcm.  f[1, k] is the part of added degree k over k!, filled into its
+    block, which is made before the pass, and reduced once; the lower parts
+    of the same pass are f[1, 1], ..., f[1, k-1] (`EngineCtx` keeps them
+    all).
 
     Homogeneous of degree k + 1; identically zero when n = 1.
     """
@@ -162,7 +167,8 @@ def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
         raise ValueError(
             f"f[1,{k}] has degree {k + 1} > max_degree {ctx.max_degree}"
         )
-    return AssocPoly._reduce(ctx, _f1_pass(ctx, k)[k], factorial(k))
+    nums = zeros(ctx.n ** (k + 1))  # before the pass: a block that cannot exist fails at once
+    return from_block(ctx, k + 1, factorial(k), block_nums(ctx, k + 1, _f1_pass(ctx, k)[k], nums))
 
 
 def f1k_comm(k: int, n: int) -> LieExpr:
@@ -254,9 +260,11 @@ class EngineCtx:
         if cached is not None:
             return cached
         if m == 1:
-            parts = _f1_pass(self.alg, self.alg.max_degree - 1)
-            for kk in range(len(parts) - 1, 0, -1):  # each term map is dropped once its block is made
-                nums = block_nums(self.alg, kk + 1, parts.pop())
+            top = self.alg.max_degree - 1
+            top_nums = zeros(self.alg.n ** (top + 1))  # before the pass: a block that cannot exist fails at once
+            parts = _f1_pass(self.alg, top)
+            for kk in range(top, 0, -1):  # each term map is dropped once its block is made
+                nums = block_nums(self.alg, kk + 1, parts.pop(), top_nums if kk == top else None)
                 self._f_memo.setdefault((1, kk), reduce_block(factorial(kk), nums))
             return self._f_memo[key]
         rows = self._w_rows.get(m)

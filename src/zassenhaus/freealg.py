@@ -38,9 +38,11 @@ into such a block with list slices, one product pass per distinct
 a new block without reducing it; `reduce_block` cancels the common
 factor, `from_block` makes the one term map of a block and `to_block`
 makes the block of a homogeneous polynomial through `block_nums`, the one
-fill of a block from a term map; `check_block` is the one rule of a stored
-block.  No table of word codes is kept.  `mul` and `bracket` stay sparse
-dict kernels.
+fill of a block from a term map, into n^d `zeros` that a caller may make
+before the work that gives the term map, so that a block that cannot
+exist fails at once; `check_block` is the one rule of a stored block.
+No table of word codes is kept.  `mul` and `bracket` stay sparse dict
+kernels.
 
 The codes depend on n alone, not on the truncation degree.  Words become
 tuples only at the boundary: the constructors, `coeff`, `terms`,
@@ -98,7 +100,6 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, product, repeat
@@ -115,20 +116,53 @@ class ContextMismatchError(ValueError):
     """Raised when two polynomials from different algebra contexts are combined."""
 
 
-@dataclass(frozen=True)
-class AlgebraCtx:
+class Frozen:
+    """An immutable value: `__init__` sets the fields `_fields` once through `_init`; equality, hash and repr go by them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return other is self or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
+class AlgebraCtx(Frozen):
     """Ambient algebra: number of generators `n` and truncation degree `max_degree`."""
 
+    _fields = ("n", "max_degree")  # no __slots__: the instance __dict__ holds the cached `_offsets`
     n: int
     max_degree: int
 
-    def __post_init__(self) -> None:
-        if type(self.n) is not int or type(self.max_degree) is not int:
-            raise ValueError(f"n and max_degree must be ints, got {self.n!r} and {self.max_degree!r}")
-        if self.n < 1:
-            raise ValueError(f"need at least one generator, got n={self.n}")
-        if self.max_degree < 1:
-            raise ValueError(f"truncation degree must be >= 1, got {self.max_degree}")
+    def __init__(self, n: int, max_degree: int) -> None:
+        if type(n) is not int or type(max_degree) is not int:
+            raise ValueError(f"n and max_degree must be ints, got {n!r} and {max_degree!r}")
+        if n < 1:
+            raise ValueError(f"need at least one generator, got n={n}")
+        if max_degree < 1:
+            raise ValueError(f"truncation degree must be >= 1, got {max_degree}")
+        self._init(n, max_degree)
 
     @cached_property
     def _offsets(self) -> list[int]:
@@ -708,14 +742,29 @@ def block_rows(block: Block) -> Rows:
     return den, len(nums), list(groups.values())
 
 
-def block_nums(ctx: AlgebraCtx, d: int, codes: Mapping[int, int]) -> list[int]:
+def zeros(length: int) -> list[int]:
+    """[0] * length, made before the work that fills it, so that a list that cannot exist fails at once.
+
+    A length too large for memory raises MemoryError, and so does one that
+    no list can index, which would otherwise raise OverflowError.
+    """
+    try:
+        return [0] * length
+    except OverflowError:
+        raise MemoryError from None  # no message: a str of the length could exceed the int digit limit
+
+
+def block_nums(ctx: AlgebraCtx, d: int, codes: Mapping[int, int], nums: list[int] | None = None) -> list[int]:
     """The n^d numerators of degree d in code order, from a term map of such words: the one fill of a block.
 
-    Made at full length first, so a block that cannot exist fails at once
-    with MemoryError; then one step per term, as term maps are often sparse.
+    Filled into `nums`, n^d zeros that a caller made before the work that
+    gives `codes`, if it is given; else made at full length first, so a
+    block that cannot exist fails at once with MemoryError.  Then one step
+    per term, as term maps are often sparse.
     """
+    if nums is None:
+        nums = zeros(ctx.n**d)
     lo = ctx._offsets[d]
-    nums = [0] * ctx.n**d
     for k, c in codes.items():
         nums[k - lo] = c
     return nums

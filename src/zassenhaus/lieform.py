@@ -30,11 +30,12 @@ e.g. ``\\frac{1}{6}[[X_{2}, X_{1}], X_{1}]``; there is no LaTeX parser.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import sub
 from typing import Iterable, Iterator
 
-from .freealg import AlgebraCtx, AssocPoly, Scalar, bracket, generators, poly_sum, signed_sum
+from .freealg import AlgebraCtx, AssocPoly, Frozen, Scalar, bracket, generators, poly_sum, signed_sum, zeros
 
 Composition = tuple[int, ...]
 
@@ -42,37 +43,36 @@ Composition = tuple[int, ...]
 def compositions(k: int) -> list[Composition]:
     """All 2^(k-1) ordered decompositions of k into positive parts.
 
-    Deterministic order: by length, then lexicographic.
+    Deterministic order: by length, then lexicographic.  A composition of
+    l parts is given by its l - 1 cut points in 1..k-1, and the cut tuples
+    in lexicographic order give the compositions in lexicographic order.
+    The list is made at full length first, so a k whose compositions
+    cannot exist fails at once with MemoryError.
     """
     if k < 1:
         raise ValueError(f"compositions are defined for k >= 1, got {k}")
-    out: list[Composition] = []
-
-    def rec(remaining: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(1, remaining + 1):
-            rec(remaining - part, prefix + (part,))
-
-    rec(k, ())
-    out.sort(key=lambda c: (len(c), c))
+    out: list = zeros(1 << (k - 1))
+    i = 0
+    for n_cuts in range(k):
+        for cuts in combinations(range(1, k), n_cuts):
+            out[i] = tuple(map(sub, (*cuts, k), (0, *cuts)))
+            i += 1
     return out
 
 
-@dataclass(frozen=True)
-class CommTerm:
+class CommTerm(Frozen):
     """coeff * [X_head X_{i1}^{k1} ... X_{il}^{kl}] in left-nested convention."""
 
+    __slots__ = _fields = ("coeff", "head", "tail")
     coeff: Fraction
     head: int
     tail: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.head < 1:
-            raise ValueError(f"head index must be >= 1, got {self.head}")
+    def __init__(self, coeff: Scalar, head: int, tail: Iterable[tuple[int, int]]) -> None:
+        if head < 1:
+            raise ValueError(f"head index must be >= 1, got {head}")
         merged: list[tuple[int, int]] = []
-        for idx, mult in self.tail:
+        for idx, mult in tail:
             if idx < 1:
                 raise ValueError(f"tail index must be >= 1, got {idx}")
             if mult < 1:
@@ -81,8 +81,7 @@ class CommTerm:
                 merged[-1] = (idx, merged[-1][1] + mult)
             else:
                 merged.append((idx, mult))
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        object.__setattr__(self, "tail", tuple(merged))
+        self._init(Fraction(coeff), head, tuple(merged))
 
     @property
     def degree(self) -> int:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import floordiv, mod, ne, sub, truediv
@@ -55,6 +54,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from .freealg import (
     AlgebraCtx,
     AssocPoly,
+    Frozen,
     exp_trunc,
     format_fraction,
     generators,
@@ -81,8 +81,7 @@ MAX_DIM = 256
 SUBSTITUTE_CHUNK_BYTES = 1 << 16
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     """Outcome of one verification run.
 
     For exact modes `residuals` holds a single (None, Fraction) pair:
@@ -91,12 +90,24 @@ class VerificationReport:
     `observed_order` is the log-ratio estimate from the two smallest t.
     """
 
+    __slots__ = _fields = ("mode", "passed", "residuals", "observed_order", "inconclusive", "detail")
     mode: str
     passed: bool
-    residuals: tuple[tuple[float | None, Fraction | float], ...] = ()
-    observed_order: float | None = None
-    inconclusive: bool = False
-    detail: str = ""
+    residuals: tuple[tuple[float | None, Fraction | float], ...]
+    observed_order: float | None
+    inconclusive: bool
+    detail: str
+
+    def __init__(
+        self,
+        mode: str,
+        passed: bool,
+        residuals: tuple[tuple[float | None, Fraction | float], ...] = (),
+        observed_order: float | None = None,
+        inconclusive: bool = False,
+        detail: str = "",
+    ) -> None:
+        self._init(mode, passed, residuals, observed_order, inconclusive, detail)
 
     def to_json_dict(self) -> dict:
         def norm_value(v: Fraction | float) -> str | float:

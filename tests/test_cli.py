@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -128,19 +130,46 @@ class TestTerms:
             assert r.stderr == "error: out of memory in terms at n=2, K=40\n"
         assert not target.exists()
 
-    @pytest.mark.parametrize("command", ["terms", "verify"])
-    def test_out_of_memory_is_refused_at_once(self, cli_process, command):
-        # The real request under a 2 GB address-space cap: the block of degree K cannot be
-        # allocated, so the run must end within seconds rather than fill the memory it has.
+    @pytest.mark.parametrize(
+        "argv, degree",
+        [
+            pytest.param(("terms", "--n", 2, "--max-degree", 40), "K=40", id="terms"),
+            pytest.param(("verify", "--n", 2, "--max-degree", 40, "--mode", "exact"), "K=40", id="verify"),
+            pytest.param(("terms", "--n", 2, "--max-degree", 64), "K=64", id="terms-n2-K64"),
+            pytest.param(("terms", "--n", 5, "--max-degree", 20), "K=20", id="terms-n5-K20"),
+            pytest.param(("terms", "--n", 2, "--max-degree", 100000), "K=100000", id="terms-n2-K100000"),
+            pytest.param(("verify", "--n", 2, "--max-degree", 64, "--mode", "exact"), "K=64", id="verify-n2-K64"),
+            pytest.param(("f1k", "--k", 200, "--n", 2), "k=200", id="f1k-k200"),
+            pytest.param(("f1k", "--k", 200, "--n", 2, "--path", "direct"), "k=200", id="f1k-k200-direct"),
+        ],
+    )
+    def test_out_of_memory_is_refused_at_once(self, cli_process, argv, degree):
+        # The real request under a 2 GB address-space cap.  The largest list of the request
+        # (the block of degree K, or the 2^199 compositions of 200) is made before the work
+        # that fills it, so the run ends within seconds rather than fill the memory it has.
+        # At (2,64), (2,100000) and k = 200 no list could even index that length: still out of memory.
         resource = pytest.importorskip("resource")
 
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
 
-        flags = ("--mode", "exact") if command == "verify" else ()
-        r = cli_process(command, "--n", 2, "--max-degree", 40, *flags, preexec_fn=cap, timeout=10)
+        r = cli_process(*argv, preexec_fn=cap, timeout=10)
+        n = argv[argv.index("--n") + 1]
         assert r.returncode == EXIT_USAGE and r.stdout == ""
-        assert r.stderr == f"error: out of memory in {command} at n=2, K=40\n"
+        assert r.stderr == f"error: out of memory in {argv[0]} at n={n}, {degree}\n"
+
+
+class TestStartup:
+    def test_import_loads_only_what_every_request_needs(self):
+        # Every CLI call pays for its imports first.  dataclasses (with inspect, ast and dis),
+        # hashlib (OpenSSL; the cache imports it on first use) and numpy/scipy (the numeric
+        # check imports them) stay out, while the five package modules, which the benchmark's
+        # tracer looks up in sys.modules, all come in.  The difference of sys.modules before
+        # and after leaves out whatever the interpreter's site start-up loaded.
+        code = "import sys; before = set(sys.modules); import zassenhaus.cli; print(*set(sys.modules) - before)"
+        new = set(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split())
+        assert not {name.partition(".")[0] for name in new} & {"dataclasses", "inspect", "hashlib", "numpy", "scipy"}
+        assert {f"zassenhaus.{m}" for m in ("freealg", "lieform", "engine", "oracle", "cli")} <= new
 
 
 def _out_of_memory(*args, **kwargs):

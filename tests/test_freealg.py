@@ -76,6 +76,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             AlgebraCtx(2, True)
 
+    def test_ctx_is_a_value(self):
+        # Error messages print the repr; contexts compare and hash by their fields alone.
+        ctx = AlgebraCtx(n=2, max_degree=3)
+        assert repr(ctx) == "AlgebraCtx(n=2, max_degree=3)"
+        assert (ctx.n, ctx.max_degree) == (2, 3)
+        assert ctx == AlgebraCtx(2, 3) and hash(ctx) == hash(AlgebraCtx(2, 3))
+        assert ctx != AlgebraCtx(3, 2) and ctx != (2, 3)
+        for name in ("n", "max_degree"):
+            with pytest.raises(AttributeError):
+                setattr(ctx, name, 4)
+            with pytest.raises(AttributeError):
+                delattr(ctx, name)
+        assert ctx._offsets == [0, 1, 3, 7, 15] and ctx._offsets is ctx._offsets
+
     def test_generator_range(self):
         ctx = AlgebraCtx(2, 3)
         assert AssocPoly.generator(ctx, 2).coeff((2,)) == 1

@@ -53,6 +53,17 @@ class TestCommTerm:
         with pytest.raises(ValueError):
             CommTerm(Fraction(1), 1, ((0, 1),))
 
+    def test_is_a_value(self):
+        t = CommTerm(coeff=1, head=2, tail=[(1, 1), (1, 2)])
+        assert type(t.coeff) is Fraction and t.coeff == 1 and t.tail == ((1, 3),)
+        same = CommTerm(Fraction(1), 2, ((1, 3),))
+        assert t == same and hash(t) == hash(same)
+        assert t != CommTerm(Fraction(1, 2), 2, ((1, 3),)) and t != CommTerm(Fraction(1), 2, ((1, 2),))
+        assert repr(t) == "CommTerm(coeff=Fraction(1, 1), head=2, tail=((1, 3),))"
+        for name in ("coeff", "head", "tail"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, 1)
+
     def test_expand_term_is_left_nested(self):
         ctx = AlgebraCtx(3, 4)
         t = CommTerm(Fraction(1, 2), 3, ((1, 2), (2, 1)))

@@ -95,6 +95,29 @@ def expected_exp_calls(n, K):
     return 1 + n + max(0, K // 2 - 1)
 
 
+class TestVerificationReport:
+    def test_is_a_value(self):
+        r = VerificationReport(mode="exact", passed=True)
+        assert (r.residuals, r.observed_order, r.inconclusive, r.detail) == ((), None, False, "")
+        same = VerificationReport("exact", True, (), None, False, "")
+        assert r == same and hash(r) == hash(same)
+        assert r != VerificationReport("exact", False) and r != VerificationReport("oracle", True)
+        for name in ("mode", "passed", "residuals", "observed_order", "inconclusive", "detail"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, None)
+
+    def test_json_form(self):
+        r = VerificationReport("numeric", False, ((0.2, 1.5e-3), (None, Fraction(-1, 3))), 4.75, True, "why")
+        assert r.to_json_dict() == {
+            "mode": "numeric",
+            "pass": False,
+            "residuals": [{"t": 0.2, "norm": 1.5e-3}, {"t": None, "norm": "-1/3"}],
+            "observedOrder": 4.75,
+            "inconclusive": True,
+            "detail": "why",
+        }
+
+
 class TestPeelOracle:
     def test_matches_log_peel(self):
         for n in (1, 2, 3):
