@@ -19,15 +19,15 @@ term order is canonical everywhere.  `terms` holds each W_m as the
 engine's reduced dense degree block (den, nums), from
 `EngineCtx.series_blocks` or the cache to its output:
 `freealg.render_block` writes text, LaTeX and the JSON "poly" straight
-from the block, and the cache payload is one `json.dumps` of the block's
-numerator list.  Dicts are made only where a
+from the block, and a cache entry stores the block's numerators as
+machine words.  Dicts are made only where a
 consumer needs one: `--path both` compares polynomials, `--form comm`
 renders the `LieExpr` of W_2..W_4, and `f1k` and `verify` work on
 `AssocPoly` values.  `terms` writes its output in chunks, one W_m each,
 rendered only when written, so that one rendering at a time is alive.
 The cache layout is
 
-    <root>/<cache-version>/n<n>/W<m>.json
+    <root>/<cache-version>/n<n>/W<m>.bin
 
 where <root> comes from --cache, or else the ZASSENHAUS_CACHE_DIR
 environment variable.  W_m depends only on (n, m), so an entry serves
@@ -38,24 +38,32 @@ that was missing as soon as `series_blocks` yields it.  An interrupted
 run keeps every entry it finished, and a --path both run whose
 cross-check fails at W_m writes no W_m.
 An entry holds W_m in context (n, m) as the engine's dense degree block
-(see `freealg`), one line of compact JSON with sorted keys:
+(q, nums) (see `freealg`), where nums holds the numerators of all n^m
+words of degree m in canonical order, zeros included, so the word of
+nums[i] is implied by i; the coefficient of that word is nums[i]/q.  The
+entry is one header line of compact JSON with sorted keys,
 
-    {"digest":<hex>,"key":{"format":4,"m":m,"n":n},"payload":{"den":q,
-     "maxDegree":m,"n":n,"nums":[p_0,...,p_(n^m-1)]}}
+    {"digest":<hex>,"key":{"format":5,"m":m,"n":n},"payload":{"den":q,
+     "limbs":L,"maxDegree":m,"n":n}}
 
-where nums holds the numerators of all n^m words of degree m in canonical
-order, zeros included, so the word of nums[i] is implied by i; the
-coefficient of that word is nums[i]/q.  The payload has exactly these
-four keys, and `cache_store` and `cache_load` hold (q, nums) to one rule,
-`freealg.check_block`: nums is a list of exactly n^m ints (no bool or
-float), q is a positive int and gcd(q, nums) == 1, so the zero polynomial
-is all zeros over 1.  The SHA-256 digest covers the payload bytes exactly
-as written, so a load hashes what it read; `cache_store` and `cache_load`
-import `hashlib` on first use, so a run without a cache never loads it.
-A digest mismatch, or a payload that is not in this canonical form, is an
+then a newline, then the body: nums as L planes of n^m little-endian
+64-bit words, 8 L n^m bytes.  L is the least L >= 1 with
+-2^(64L-1) <= p < 2^(64L-1) for every numerator p (so 1 unless some
+numerator needs more than 64 bits); plane t < L-1 holds the unsigned
+words (p >> 64t) mod 2^64 and the last plane the signed words
+p >> 64(L-1), and a load adds the planes back, top plane first.  The
+payload has exactly these four keys, and `cache_store` and `cache_load`
+hold (q, nums) to one rule, `freealg.check_block`: nums is a list of
+exactly n^m ints (no bool or float), q is a positive int and
+gcd(q, nums) == 1, so the zero polynomial is all zeros over 1.  The
+SHA-256 digest covers the payload bytes exactly as written followed by
+the body, so a load hashes what it read; `cache_store` and `cache_load`
+import `hashlib` and `array` on first use, so a run without a cache
+never loads them.  A digest mismatch, a body of another length than the
+payload gives, or a payload that is not in this canonical form, is an
 integrity failure on load, never silently recomputed; an entry with
 another key is stale and is recomputed.  Trees of older cache versions
-(<root>/2, <root>/3) are never read or touched.
+(<root>/2, <root>/3, <root>/4) are never read or touched.
 """
 
 from __future__ import annotations
@@ -64,11 +72,13 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
+from operator import add, and_, lshift, rshift
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .engine import EngineCtx, PathDisagreementError, f1k_comm, f1k_direct, series, w_comm
-from .freealg import AlgebraCtx, Block, check_block, render_block
+from .freealg import AlgebraCtx, Block, block_length, check_block, render_block
 from .lieform import LieExpr, expand, render
 from .oracle import (
     MAX_DIM,
@@ -79,7 +89,7 @@ from .oracle import (
 )
 
 SCHEMA_VERSION = 1
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -111,17 +121,54 @@ def cache_root(flag_value: str | None) -> Path | None:
 
 
 def _cache_file(root: Path, n: int, m: int) -> Path:
-    return root / str(CACHE_VERSION) / f"n{n}" / f"W{m}.json"
+    return root / str(CACHE_VERSION) / f"n{n}" / f"W{m}.bin"
 
 
 def _cache_key(n: int, m: int) -> dict:
     return {"format": CACHE_VERSION, "n": n, "m": m}
 
 
-# An entry is _dumps({"digest", "key", "payload"}) + "\n": the payload comes
-# last, between this mark and the closing b"}\n", and the digest covers those bytes.
+# An entry is the header line _dumps({"digest", "key", "payload"}) + "\n", then the body: the numerators
+# as `limbs` planes of n^m little-endian 64-bit words, least significant plane first.  The payload
+# comes last in the header, between this mark and the closing b"}", and the digest covers those bytes
+# followed by the body.
 _PAYLOAD_MARK = b',"payload":'
-_PAYLOAD_KEYS = {"den", "maxDegree", "n", "nums"}
+_PAYLOAD_KEYS = {"den", "limbs", "maxDegree", "n"}
+_WORD = (1 << 64) - 1
+
+
+def _planes(nums: list[int]) -> list:
+    """The limb planes of `nums`, least significant first: unsigned words ("Q"), the last plane signed ("q")."""
+    from array import array  # see `cache_store`
+
+    try:
+        planes = [array("q", nums)]  # one limb, the common case, found without a min/max scan
+    except OverflowError:
+        limbs = max(max(nums), ~min(nums)).bit_length() // 64 + 1  # the sign bit included
+        planes = [array("Q", map(and_, map(rshift, nums, repeat(64 * t)), repeat(_WORD))) for t in range(limbs - 1)]
+        planes.append(array("q", map(rshift, nums, repeat(64 * (limbs - 1)))))
+    _little_endian(planes)
+    return planes
+
+
+def _numerators(body: bytes, limbs: int, count: int) -> list[int]:
+    """`_planes` undone: the `count` numerators from `limbs` planes of `count` words each, top plane first."""
+    from array import array  # see `cache_store`
+
+    size = 8 * count
+    planes = [array("Q" if t < limbs - 1 else "q", body[size * t : size * (t + 1)]) for t in range(limbs)]
+    _little_endian(planes)
+    nums = planes.pop().tolist()
+    while planes:
+        nums = list(map(add, map(lshift, nums, repeat(64)), planes.pop()))
+    return nums
+
+
+def _little_endian(planes: list) -> None:
+    """Swap the planes between host and entry byte order in place: nothing to do on a little-endian host."""
+    if sys.byteorder == "big":
+        for plane in planes:
+            plane.byteswap()
 
 
 def cache_store(root: Path, n: int, m: int, block: Block) -> Path:
@@ -130,25 +177,30 @@ def cache_store(root: Path, n: int, m: int, block: Block) -> Path:
     A block that `freealg.check_block` refuses raises ValueError and writes
     nothing: a load would refuse its entry by the same rule.
     """
-    import hashlib  # here, not at the top: it loads OpenSSL, which a run without --cache never needs
+    # hashlib here and array in `_planes` and `_numerators`, not at the top: hashlib loads OpenSSL
+    # and array takes 0.5-1 ms to import, which a run without --cache never needs.
+    import hashlib
 
     den, nums = block
     check_block(n, m, den, nums)
-    # The C encoder writes the int list in bounded chunks: 26 ms and a 4.6 MB peak at n = 3, m = 11,
-    # against 45 ms and 12.5 MB for ",".join(map(str, nums)) (best of 5, peak by tracemalloc;
-    # 2 CPUs, Python 3.11.7).
-    payload = _dumps({"den": den, "maxDegree": m, "n": n, "nums": nums}).encode()
-    header = _dumps({"digest": hashlib.sha256(payload).hexdigest(), "key": _cache_key(n, m)}).encode()
-    entry = header[:-1] + _PAYLOAD_MARK + payload + b"}\n"
+    planes = _planes(nums)
+    payload = _dumps({"den": den, "limbs": len(planes), "maxDegree": m, "n": n}).encode()
+    digest = hashlib.sha256(payload)
+    for plane in planes:
+        digest.update(plane)
+    header = _dumps({"digest": digest.hexdigest(), "key": _cache_key(n, m)}).encode()
     target = _cache_file(root, n, m)
     tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         try:
-            tmp.write_bytes(entry)
+            with open(tmp, "wb") as out:
+                out.write(header[:-1] + _PAYLOAD_MARK + payload + b"}\n")
+                out.writelines(planes)
             os.replace(tmp, target)
-        finally:
-            tmp.unlink(missing_ok=True)
+        except BaseException:
+            tmp.unlink(missing_ok=True)  # only a failed write or rename leaves it: a replace moves it
+            raise
     except OSError as exc:
         raise CacheAccessError(f"cannot write cache entry {target}: {exc.strerror or exc}") from exc
     return target
@@ -165,17 +217,20 @@ def cache_load(root: Path, n: int, m: int) -> Block | None:
         return None
     except OSError as exc:
         raise CacheAccessError(f"cannot read cache entry {target}: {exc.strerror or exc}") from exc
-    head, mark, tail = data.partition(_PAYLOAD_MARK)
+    line, newline, body = data.partition(b"\n")
+    head, mark, tail = line.partition(_PAYLOAD_MARK)
     try:
         header = json.loads(head + b"}")
     except (RecursionError, ValueError) as exc:
         raise CacheCorruptionError(f"unreadable cache entry {target}: {exc}") from exc
-    if not mark or not isinstance(header, dict):
-        raise CacheCorruptionError(f"cache entry {target} is not a JSON object ending in its payload")
+    if not newline or not mark or not isinstance(header, dict):
+        raise CacheCorruptionError(f"cache entry {target} does not start with a JSON object line ending in its payload")
     if header.get("key") != _cache_key(n, m):
         return None  # stale key (e.g. older format version): recompute
-    payload_bytes = tail[:-2]
-    if tail[-2:] != b"}\n" or hashlib.sha256(payload_bytes).hexdigest() != header.get("digest"):
+    payload_bytes = tail[:-1]
+    digest = hashlib.sha256(payload_bytes)
+    digest.update(body)
+    if tail[-1:] != b"}" or digest.hexdigest() != header.get("digest"):
         raise CacheCorruptionError(f"digest mismatch in cache entry {target}")
     try:
         payload = json.loads(payload_bytes)
@@ -184,8 +239,13 @@ def cache_load(root: Path, n: int, m: int) -> Block | None:
         ctx = AlgebraCtx(payload["n"], payload["maxDegree"])
         if ctx != AlgebraCtx(n, m):
             raise ValueError(f"payload context {ctx} is not {AlgebraCtx(n, m)}")
-        den, nums = payload["den"], payload["nums"]
-        check_block(n, m, den, nums)
+        den, limbs, count = payload["den"], payload["limbs"], n**m
+        if type(limbs) is not int or limbs < 1:
+            raise ValueError(f"limbs must be a positive int, got {limbs!r}")
+        if len(body) != 8 * limbs * count:
+            raise ValueError(f"the body has {len(body)} bytes, not 8 * {limbs} limbs * {count} numerators")
+        nums = _numerators(body, limbs, count)
+        check_block(n, m, den, nums, ints=True)  # words decode to ints alone
     except (RecursionError, TypeError, ValueError) as exc:
         raise CacheCorruptionError(f"malformed cache entry {target}: {exc!r}") from exc
     return den, nums
@@ -203,6 +263,7 @@ def _terms_lines(args: argparse.Namespace) -> Iterator[str]:
     """
     n, K = args.n, args.max_degree
     alg = AlgebraCtx(n, K)  # refuses a bad n or K before any cache read
+    block_length(n, K)  # and a K whose block cannot exist, before W_2..W_K are looked up
     root = cache_root(args.cache)
     hits = {m: cache_load(root, n, m) for m in range(2, K + 1)} if root else {}
     known = {m: block for m, block in hits.items() if block is not None}
@@ -361,10 +422,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
-        # All computing precedes the first chunk, so stdout is empty unless the rendering ran out.
-        degree = f"k={args.k}" if args.command == "f1k" else f"K={args.max_degree}"
-        print(f"error: out of memory in {args.command} at n={args.n}, {degree}", file=sys.stderr)
-        return EXIT_USAGE
+        pass  # reported below, once the traceback has let go of the failed call's frames and memory
+    # All computing precedes the first chunk, so stdout is empty unless the rendering ran out.
+    degree = f"k={args.k}" if args.command == "f1k" else f"K={args.max_degree}"
+    print(f"error: out of memory in {args.command} at n={args.n}, {degree}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -167,7 +167,7 @@ def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
         raise ValueError(
             f"f[1,{k}] has degree {k + 1} > max_degree {ctx.max_degree}"
         )
-    nums = zeros(ctx.n ** (k + 1))  # before the pass: a block that cannot exist fails at once
+    nums = zeros(ctx.n, k + 1)  # before the pass: a block that cannot exist fails at once
     return from_block(ctx, k + 1, factorial(k), block_nums(ctx, k + 1, _f1_pass(ctx, k)[k], nums))
 
 
@@ -261,7 +261,7 @@ class EngineCtx:
             return cached
         if m == 1:
             top = self.alg.max_degree - 1
-            top_nums = zeros(self.alg.n ** (top + 1))  # before the pass: a block that cannot exist fails at once
+            top_nums = zeros(self.alg.n, top + 1)  # before the pass: a block that cannot exist fails at once
             parts = _f1_pass(self.alg, top)
             for kk in range(top, 0, -1):  # each term map is dropped once its block is made
                 nums = block_nums(self.alg, kk + 1, parts.pop(), top_nums if kk == top else None)

@@ -40,7 +40,8 @@ factor, `from_block` makes the one term map of a block and `to_block`
 makes the block of a homogeneous polynomial through `block_nums`, the one
 fill of a block from a term map, into n^d `zeros` that a caller may make
 before the work that gives the term map, so that a block that cannot
-exist fails at once; `check_block` is the one rule of a stored block.
+exist fails at once (`block_length` alone decides whether it can);
+`check_block` is the one rule of a stored block.
 No table of word codes is kept.  `mul` and `bracket` stay sparse dict
 kernels.
 
@@ -99,6 +100,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
@@ -742,16 +744,21 @@ def block_rows(block: Block) -> Rows:
     return den, len(nums), list(groups.values())
 
 
-def zeros(length: int) -> list[int]:
-    """[0] * length, made before the work that fills it, so that a list that cannot exist fails at once.
+def block_length(n: int, d: int) -> int:
+    """n^d, the length of a block of degree d over n letters: the one place that decides it can exist.
 
-    A length too large for memory raises MemoryError, and so does one that
-    no list can index, which would otherwise raise OverflowError.
+    A length that no list can index raises MemoryError, decided for n > 1
+    and d >= 64 before the power is computed: n^d >= 2^64 then, and the
+    power of a huge d alone would take seconds.
     """
-    try:
-        return [0] * length
-    except OverflowError:
-        raise MemoryError from None  # no message: a str of the length could exceed the int digit limit
+    if n > 1 and (d >= 64 or n**d > sys.maxsize):
+        raise MemoryError
+    return n**d
+
+
+def zeros(n: int, d: int) -> list[int]:
+    """[0] * n^d, made before the work that fills it, so that a block that cannot exist fails at once with MemoryError."""
+    return [0] * block_length(n, d)
 
 
 def block_nums(ctx: AlgebraCtx, d: int, codes: Mapping[int, int], nums: list[int] | None = None) -> list[int]:
@@ -763,18 +770,22 @@ def block_nums(ctx: AlgebraCtx, d: int, codes: Mapping[int, int], nums: list[int
     per term, as term maps are often sparse.
     """
     if nums is None:
-        nums = zeros(ctx.n**d)
+        nums = zeros(ctx.n, d)
     lo = ctx._offsets[d]
     for k, c in codes.items():
         nums[k - lo] = c
     return nums
 
 
-def check_block(n: int, d: int, den: object, nums: object) -> None:
-    """The one rule of a stored block: `nums` a list of n^d ints (no bool), `den` a positive int, gcd 1; else ValueError."""
+def check_block(n: int, d: int, den: object, nums: object, ints: bool = False) -> None:
+    """The one rule of a stored block: `nums` a list of n^d ints (no bool), `den` a positive int, gcd 1; else ValueError.
+
+    `ints` says that nums holds ints alone by construction (decoded from
+    machine words), which skips their type scan, a third of the check.
+    """
     if type(nums) is not list or len(nums) != n**d:
         raise ValueError(f"nums is not a list of the n^d = {n**d} numerators of degree {d}")
-    if set(map(type, nums)) != {int}:  # before gcd, which takes True as the numerator 1
+    if not ints and set(map(type, nums)) != {int}:  # before gcd, which takes True as the numerator 1
         raise ValueError("every numerator must be an int")
     if type(den) is not int or den < 1:
         raise ValueError(f"denominator must be a positive int, got {den!r}")

@@ -51,7 +51,7 @@ def compositions(k: int) -> list[Composition]:
     """
     if k < 1:
         raise ValueError(f"compositions are defined for k >= 1, got {k}")
-    out: list = zeros(1 << (k - 1))
+    out: list = zeros(2, k - 1)
     i = 0
     for n_cuts in range(k):
         for cuts in combinations(range(1, k), n_cuts):

@@ -152,8 +152,8 @@ def test_10_deterministic_output(cli_process, tmp_path):
 
         cache = tmp_path / "cache"
         cold = cli_process("terms", "--n", 3, "--max-degree", 6, "--format", "json", "--cache", cache)
-        snapshot = {p: p.read_bytes() for p in cache.rglob("*.json")}
+        snapshot = {p: p.read_bytes() for p in cache.rglob("*.bin")}
         assert len(snapshot) == 5
         warm = cli_process("terms", "--n", 3, "--max-degree", 6, "--format", "json", "--cache", cache)
         assert warm.stdout == cold.stdout == first.stdout
-        assert {p: p.read_bytes() for p in cache.rglob("*.json")} == snapshot
+        assert {p: p.read_bytes() for p in cache.rglob("*.bin")} == snapshot

@@ -1,8 +1,11 @@
 import hashlib
+import io
 import json
+import struct
 import subprocess
 import sys
 import tempfile
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,9 +22,10 @@ from zassenhaus.cli import (
     CacheAccessError,
     cache_load,
     cache_store,
+    main,
 )
 from zassenhaus.engine import EngineCtx
-from zassenhaus.freealg import AlgebraCtx, AssocPoly, from_block, to_block
+from zassenhaus.freealg import AlgebraCtx, AssocPoly, from_block, reduce_block, to_block
 from zassenhaus.lieform import expand, parse
 
 from golden import two_variable_ws
@@ -130,6 +134,31 @@ class TestTerms:
             assert r.stderr == "error: out of memory in terms at n=2, K=40\n"
         assert not target.exists()
 
+    def test_out_of_memory_releases_the_failed_call_before_reporting(self, monkeypatch):
+        # The error line is written after the except clause, once the traceback and with it the
+        # frames of the failed call are gone: with nothing left, a print inside it would fail again.
+        finalizers = []
+
+        class Held:  # stands for the memory the failed call holds
+            pass
+
+        def series_blocks(self, path):
+            held = Held()
+            finalizers.append(weakref.finalize(held, lambda: None))
+            raise MemoryError
+
+        class Stderr(io.StringIO):
+            def write(self, text):
+                alive.append(finalizers[0].alive)
+                return super().write(text)
+
+        alive, stderr = [], Stderr()
+        monkeypatch.setattr("zassenhaus.engine.EngineCtx.series_blocks", series_blocks)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(["terms", "--n", "2", "--max-degree", "40"]) == EXIT_USAGE
+        assert stderr.getvalue() == "error: out of memory in terms at n=2, K=40\n"
+        assert alive and not any(alive)
+
     @pytest.mark.parametrize(
         "argv, degree",
         [
@@ -141,14 +170,21 @@ class TestTerms:
             pytest.param(("verify", "--n", 2, "--max-degree", 64, "--mode", "exact"), "K=64", id="verify-n2-K64"),
             pytest.param(("f1k", "--k", 200, "--n", 2), "k=200", id="f1k-k200"),
             pytest.param(("f1k", "--k", 200, "--n", 2, "--path", "direct"), "k=200", id="f1k-k200-direct"),
+            pytest.param(("terms", "--n", 2, "--max-degree", 2000000000), "K=2000000000", id="terms-n2-K2e9"),
+            pytest.param(("f1k", "--k", 2000000000, "--n", 2, "--path", "direct"), "k=2000000000", id="f1k-k2e9-direct"),
+            pytest.param(
+                ("terms", "--n", 2, "--max-degree", 1000000, "--cache", "CACHE"), "K=1000000", id="terms-n2-K1e6-cache"
+            ),
         ],
     )
-    def test_out_of_memory_is_refused_at_once(self, cli_process, argv, degree):
+    def test_out_of_memory_is_refused_at_once(self, cli_process, tmp_path, argv, degree):
         # The real request under a 2 GB address-space cap.  The largest list of the request
         # (the block of degree K, or the 2^199 compositions of 200) is made before the work
         # that fills it, so the run ends within seconds rather than fill the memory it has.
-        # At (2,64), (2,100000) and k = 200 no list could even index that length: still out of memory.
+        # At (2,64), (2,100000) and k = 200 no list could even index that length: still out of memory,
+        # decided without computing 2^K (seconds at K = 2e9) and, under --cache, before W_2..W_K are looked up.
         resource = pytest.importorskip("resource")
+        argv = [tmp_path / "c" if a == "CACHE" else a for a in argv]
 
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
@@ -162,13 +198,13 @@ class TestTerms:
 class TestStartup:
     def test_import_loads_only_what_every_request_needs(self):
         # Every CLI call pays for its imports first.  dataclasses (with inspect, ast and dis),
-        # hashlib (OpenSSL; the cache imports it on first use) and numpy/scipy (the numeric
+        # hashlib (OpenSSL) and array (the cache imports both on first use), and numpy/scipy (the numeric
         # check imports them) stay out, while the five package modules, which the benchmark's
         # tracer looks up in sys.modules, all come in.  The difference of sys.modules before
         # and after leaves out whatever the interpreter's site start-up loaded.
         code = "import sys; before = set(sys.modules); import zassenhaus.cli; print(*set(sys.modules) - before)"
         new = set(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split())
-        assert not {name.partition(".")[0] for name in new} & {"dataclasses", "inspect", "hashlib", "numpy", "scipy"}
+        assert not {name.partition(".")[0] for name in new} & {"dataclasses", "inspect", "hashlib", "array", "numpy", "scipy"}
         assert {f"zassenhaus.{m}" for m in ("freealg", "lieform", "engine", "oracle", "cli")} <= new
 
 
@@ -185,38 +221,61 @@ def _homogeneous_polys(draw):
     return AssocPoly(AlgebraCtx(n, m), draw(st.dictionaries(words, coeffs, max_size=12)))
 
 
+_LIMB_EDGES = (2**63 - 1, -(2**63), 2**63, 2**64, -(2**64) - 1, 2**128, 2**200)
+
+
+@st.composite
+def _wide_blocks(draw):
+    """(n, m, block): a reduced block over n = 1..3 letters of degree m = 1..4, numerators near the limb edges or past them."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    near_edge = st.builds(
+        lambda v, d, sign: sign * (v + d), st.sampled_from(_LIMB_EDGES), st.integers(-2, 2), st.sampled_from([1, -1])
+    )
+    nums = st.one_of(st.just(0), st.integers(-(2**300), 2**300), near_edge)
+    return n, m, reduce_block(draw(st.integers(1, 2**70)), draw(st.lists(nums, min_size=n**m, max_size=n**m)))
+
+
+def _least_limbs(nums):
+    """The least L >= 1 with -2^(64L-1) <= v < 2^(64L-1) for every v, by the definition."""
+    limbs = 1
+    while not all(-(2 ** (64 * limbs - 1)) <= v < 2 ** (64 * limbs - 1) for v in nums):
+        limbs += 1
+    return limbs
+
+
 class TestTermsCache:
     def test_round_trip_is_bit_exact(self, cli, tmp_path):
         cache = tmp_path / "c"
         cold = cli("terms", "--n", 2, "--max-degree", 4, "--format", "json", "--cache", cache)
-        files = sorted(p.relative_to(cache).as_posix() for p in cache.rglob("*.json"))
+        files = sorted(p.relative_to(cache).as_posix() for p in cache.rglob("*.bin"))
         assert files == [_name(2, 2), _name(2, 3), _name(2, 4)]
-        before = [(p.as_posix(), p.read_bytes()) for p in sorted(cache.rglob("*.json"))]
+        before = [(p.as_posix(), p.read_bytes()) for p in sorted(cache.rglob("*.bin"))]
         warm = cli("terms", "--n", 2, "--max-degree", 4, "--format", "json", "--cache", cache)
-        after = [(p.as_posix(), p.read_bytes()) for p in sorted(cache.rglob("*.json"))]
+        after = [(p.as_posix(), p.read_bytes()) for p in sorted(cache.rglob("*.bin"))]
         assert warm.stdout == cold.stdout
-        assert before == after
+        assert len(before) == 3 and before == after
 
     def test_entries_carry_valid_digests(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
-        raw = _entry(cache, 2, 2).read_text()
-        entry = json.loads(raw)
-        payload = json.dumps(entry["payload"], sort_keys=True, separators=(",", ":"))
-        assert entry["digest"] == hashlib.sha256(payload.encode()).hexdigest()
-        assert entry["key"] == {"format": 4, "n": 2, "m": 2}
-        # The digest covers the payload bytes as stored: the entry ends in them.
-        assert raw.endswith(f',"payload":{payload}}}\n')
-        # W_2 = 1/2 (X2 X1 - X1 X2) as the block of X1X1, X1X2, X2X1, X2X2.
-        assert entry["payload"] == {"den": 2, "maxDegree": 2, "n": 2, "nums": [0, -1, 1, 0]}
+        line, newline, body = _entry(cache, 2, 2).read_bytes().partition(b"\n")
+        entry = json.loads(line)
+        payload = _dumps(entry["payload"]).encode()
+        # The digest covers the payload bytes as stored, the end of the header line, and the body after it.
+        assert line.endswith(b',"payload":' + payload + b"}") and newline
+        assert entry["digest"] == hashlib.sha256(payload + body).hexdigest()
+        assert entry["key"] == {"format": 5, "n": 2, "m": 2}
+        # W_2 = 1/2 (X2 X1 - X1 X2) as the block of X1X1, X1X2, X2X1, X2X2: one plane of little-endian words.
+        assert entry["payload"] == {"den": 2, "limbs": 1, "maxDegree": 2, "n": 2}
+        assert body == struct.pack("<4q", 0, -1, 1, 0)
 
     def test_corrupted_digest_is_rejected(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
         target = _entry(cache, 2, 3)
-        entry = json.loads(target.read_text())
-        entry["payload"]["nums"][0] = 7 * entry["payload"]["den"]
-        target.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+        header, nums = _read_entry(target)
+        nums[0] = 7 * header["payload"]["den"]
+        _write_entry(target, header, nums, redigest=False)
         r = cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
         assert r.returncode == EXIT_INTERNAL
         assert "digest mismatch" in r.stderr
@@ -225,12 +284,12 @@ class TestTermsCache:
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
         target = _entry(cache, 2, 3)
-        entry = json.loads(target.read_text())
-        entry["key"]["format"] = 0  # pretend an older schema wrote it
-        target.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")))
+        header, nums = _read_entry(target)
+        header["key"]["format"] = 0  # pretend an older schema wrote it
+        _write_entry(target, header, nums)
         r = cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
         assert r.returncode == EXIT_OK
-        assert json.loads(target.read_text())["key"]["format"] == CACHE_VERSION
+        assert _read_entry(target)[0]["key"]["format"] == CACHE_VERSION
 
     def test_version_2_tree_is_ignored(self, cli, tmp_path):
         # A version-2 entry holds per-term "p/q" strings.
@@ -241,6 +300,11 @@ class TestTermsCache:
         # A version-3 entry holds a word list beside its numerators.
         payload = {"den": 1, "maxDegree": 3, "n": 2, "nums": [7], "words": [[1, 1, 2]]}
         _assert_old_entry_is_ignored(cli, tmp_path, 3, payload)
+
+    def test_version_4_tree_is_ignored(self, cli, tmp_path):
+        # A version-4 entry holds its block as a JSON list of decimal numerators.
+        payload = {"den": 1, "maxDegree": 3, "n": 2, "nums": [0, 7, 0, 0, 0, 0, 0, 0]}
+        _assert_old_entry_is_ignored(cli, tmp_path, 4, payload)
 
     @settings(max_examples=60, deadline=None)
     @given(_homogeneous_polys())
@@ -253,6 +317,23 @@ class TestTermsCache:
             loaded = cache_load(Path(root), n, m)
             assert loaded == to_block(poly, m)
             assert from_block(poly.ctx, m, *loaded) == poly
+
+    @settings(max_examples=60, deadline=None)
+    @given(_wide_blocks())
+    @example((2, 1, (1, [2**63 - 1, -(2**63 - 1)])))  # one limb: the widest numerators it holds
+    @example((1, 1, (1, [-(2**63)])))
+    @example((2, 1, (1, [2**63, 1])))  # two limbs
+    @example((2, 1, (1, [2**64, -(2**64)])))
+    @example((2, 1, (1, [2**200, -(2**200)])))  # four limbs
+    @example((2, 1, (3, [-(2**200), 2**64])))
+    def test_store_load_round_trip_at_every_limb_count(self, case):
+        n, m, block = case
+        with tempfile.TemporaryDirectory() as root:
+            entry = cache_store(Path(root), n, m, block)
+            assert cache_load(Path(root), n, m) == block
+            line, _, body = entry.read_bytes().partition(b"\n")
+            limbs = json.loads(line)["payload"]["limbs"]
+            assert limbs == _least_limbs(block[1]) and len(body) == 8 * limbs * n**m
 
     def test_store_refuses_what_the_block_cannot_hold(self, tmp_path):
         # The payload holds the n^m words of degree m alone, so a block of any other length has no place.
@@ -297,7 +378,7 @@ class TestTermsCache:
     def test_warm_cache_cannot_bypass_path_both(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 6, "--cache", cache)
-        _rewrite_entry(_entry(cache, 2, 6), lambda p: p["nums"].__setitem__(0, 7 * p["den"]))
+        _rewrite_entry(_entry(cache, 2, 6), lambda p, nums: nums.__setitem__(0, 7 * p["den"]))
         r = cli("terms", "--n", 2, "--max-degree", 6, "--path", "both", "--cache", cache)
         assert r.returncode == EXIT_INTERNAL
         assert "disagree" in r.stderr and r.stdout == ""
@@ -314,59 +395,78 @@ class TestTermsCache:
         assert r.returncode == EXIT_INTERNAL and "W_6" in r.stderr and r.stdout == ""
         assert sorted(_files(cache)) == [_name(2, m) for m in range(2, 6)]
 
-    # The entry is W_3 at n = 2: den 6 over the block of the 8 words of degree 3.
-    # A case named after a word-list payload takes the block's closest form of it.
+    # The entry is W_3 at n = 2: den 6 over the block of the 8 words of degree 3, one limb.
+    # Each case but the first and the last two is written under a valid digest, so the load must
+    # refuse the payload or the body itself.  A case named after a word-list payload (version 3)
+    # or a numerator list (version 4) takes the closest form of it in a version-5 entry.
     @pytest.mark.parametrize(
         "mutate",
         [
             "not-an-object",
-            lambda p: p.update(nums=[]),
-            lambda p: p.pop("n"),
-            lambda p: p.update(n=3),
-            # The block of the 27 words of degree 3 over three letters.
-            lambda p: p["nums"].extend([0] * 19),
-            # The block of the 4 words of degree 2.
-            lambda p: p.update(nums=p["nums"][:4]),
-            lambda p: p.pop("nums"),
-            lambda p: p.pop("den"),
-            lambda p: p.update(n=2.0),
+            lambda p, nums: nums.clear(),
+            lambda p, nums: p.pop("n"),
+            lambda p, nums: p.update(n=3),
+            # The body of the 27 words of degree 3 over three letters.
+            lambda p, nums: nums.extend([0] * 19),
+            # The body of the 4 words of degree 2.
+            lambda p, nums: nums.__delitem__(slice(4, None)),
+            # The header line alone, without its newline and body.
+            "header-only",
+            lambda p, nums: p.pop("den"),
+            lambda p, nums: p.update(n=2.0),
             # maxDegree fixes the length of the words.
-            lambda p: p.update(maxDegree=3.0),
-            lambda p: p.update(maxDegree=True),
-            lambda p: p["nums"].__setitem__(1, True),
-            lambda p: p["nums"].__setitem__(1, float(p["nums"][1])),
+            lambda p, nums: p.update(maxDegree=3.0),
+            lambda p, nums: p.update(maxDegree=True),
             # Zeros fill a block, but an all-zero block has den 1.
-            lambda p: p.update(nums=[0] * 8),
-            # Two numerators for one word.
-            lambda p: p["nums"].__setitem__(1, [p["nums"][1], p["nums"][1]]),
-            # Numerators keyed by word index, last word first.
-            lambda p: p.update(nums={str(i): c for i, c in reversed(list(enumerate(p["nums"])))}),
-            lambda p: p.update(den=0),
-            lambda p: p.update(den=-p["den"], nums=[-c for c in p["nums"]]),
-            lambda p: p.update(den=2 * p["den"], nums=[2 * c for c in p["nums"]]),
-            # A block one number short and one number long.
-            lambda p: p["nums"].pop(),
-            lambda p: p["nums"].append(1),
-            # A version-3 payload under a version-4 key.
-            lambda p: p.update(words=[[1, 1, 2]]),
-            lambda p: p.update(nums=",".join(map(str, p["nums"]))),
-            lambda p: p.update(den=float(p["den"])),
-            lambda p: p.update(den=True),
+            lambda p, nums: nums.__setitem__(slice(None), [0] * 8),
+            lambda p, nums: p.update(den=0),
+            lambda p, nums: (p.update(den=-p["den"]), nums.__setitem__(slice(None), [-c for c in nums])),
+            lambda p, nums: (p.update(den=2 * p["den"]), nums.__setitem__(slice(None), [2 * c for c in nums])),
+            # A body one number short and one number long.
+            lambda p, nums: nums.pop(),
+            lambda p, nums: nums.append(1),
+            # A version-3 payload under a version-5 key.
+            lambda p, nums: p.update(words=[[1, 1, 2]]),
+            # The body as version 4's decimal numerators, comma-joined text instead of words.
+            "decimal-body",
+            lambda p, nums: p.update(den=float(p["den"])),
+            lambda p, nums: p.update(den=True),
+            lambda p, nums: p.pop("limbs"),
+            lambda p, nums: p.update(limbs=0),
+            lambda p, nums: p.update(limbs=True),
+            lambda p, nums: p.update(limbs=1.0),
+            # Two planes of 8 words announced over the body of one.
+            lambda p, nums: p.update(limbs=2),
+            # A version-4 payload under a version-5 key: the numerators in the header, no body.
+            lambda p, nums: (p.pop("limbs"), p.update(nums=nums[:]), nums.clear()),
+            # A flipped bit of the body, under the old digest.
+            "flipped-body-byte",
         ],
         ids=["not-an-object", "missing-terms", "missing-n", "n-differs-from-key", "letter-out-of-range",
              "not-homogeneous", "missing-nums", "missing-den", "float-n", "float-letter", "bool-letter",
-             "bool-numerator", "float-numerator", "zero-numerator", "duplicate-word", "words-out-of-order",
-             "zero-denominator", "negative-denominator", "common-factor", "fewer-numerators",
-             "more-numerators", "leftover-words", "nums-not-a-list", "float-denominator", "bool-denominator"],
+             "zero-numerator", "zero-denominator", "negative-denominator", "common-factor", "fewer-numerators",
+             "more-numerators", "leftover-words", "nums-not-a-list", "float-denominator", "bool-denominator",
+             "missing-limbs", "zero-limbs", "bool-limbs", "float-limbs", "limbs-past-the-body",
+             "version-4-payload", "flipped-body-byte"],
     )
     def test_malformed_entry_is_corruption(self, cli, tmp_path, mutate):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
         target = _entry(cache, 2, 3)
+        header, nums = _read_entry(target)
         if mutate == "not-an-object":
             target.write_text("[1,2]")
+        elif mutate == "header-only":
+            target.write_bytes(target.read_bytes().partition(b"\n")[0])
+        elif mutate == "decimal-body":
+            _write_entry(target, header, [], body=",".join(map(str, nums)).encode())
+        elif mutate == "flipped-body-byte":
+            raw = bytearray(target.read_bytes())
+            raw[-3] ^= 1
+            target.write_bytes(raw)
         else:
-            _rewrite_entry(target, mutate)
+            mutate(header["payload"], nums)
+            _write_entry(target, header, nums)
         r = cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
         assert r.returncode == EXIT_INTERNAL
         assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
@@ -381,7 +481,7 @@ class TestTermsCache:
         with pytest.raises(CacheAccessError):
             cache_store(root, 2, 2, to_block(AssocPoly.monomial(AlgebraCtx(2, 2), (1, 2)), 2))
 
-    def test_store_replaces_entries_atomically(self, tmp_path):
+    def test_store_replaces_entries_atomically(self, tmp_path, monkeypatch):
         ctx = AlgebraCtx(2, 2)
         first = to_block(AssocPoly.monomial(ctx, (1, 2)), 2)
         second = to_block(AssocPoly.monomial(ctx, (2, 1), Fraction(1, 3)), 2)
@@ -392,6 +492,27 @@ class TestTermsCache:
         fresh = cache_store(tmp_path / "fresh", 2, 2, second)
         assert target.read_bytes() == fresh.read_bytes()
 
+        def failed_replace(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        # A rename that fails keeps the old entry and removes the temporary file.
+        monkeypatch.setattr("zassenhaus.cli.os.replace", failed_replace)
+        with pytest.raises(CacheAccessError):
+            cache_store(tmp_path, 2, 2, first)
+        assert list(target.parent.iterdir()) == [target]
+        assert cache_load(tmp_path, 2, 2) == second
+
+    def test_big_endian_hosts_swap_the_words(self, tmp_path, monkeypatch):
+        # An entry's words are little-endian whatever the host: on a big-endian host
+        # (here pretended) the planes are swapped on store and swapped back on load.
+        block = (1, [1, -2, 2**64 + 3, 0])
+        monkeypatch.setattr(sys, "byteorder", "big")
+        entry = cache_store(tmp_path, 2, 2, block)
+        assert cache_load(tmp_path, 2, 2) == block
+        # Swapped in place of a host that needs none, the words read big-endian here.
+        body = entry.read_bytes().partition(b"\n")[2]
+        assert body == struct.pack(">4Q4q", 1, 2**64 - 2, 3, 0, 0, -1, 1, 0)
+
 
 def _entry(root, n, m):
     return root / _name(n, m)
@@ -399,7 +520,7 @@ def _entry(root, n, m):
 
 def _name(n, m):
     """The path of the entry W_m at n under the cache root, as `_files` names it."""
-    return f"{CACHE_VERSION}/n{n}/W{m}.json"
+    return f"{CACHE_VERSION}/n{n}/W{m}.bin"
 
 
 def _assert_old_entry_is_ignored(cli, tmp_path, version, payload):
@@ -407,10 +528,10 @@ def _assert_old_entry_is_ignored(cli, tmp_path, version, payload):
     cache = tmp_path / "c"
     old = cache / str(version) / "n2" / "W3.json"
     old.parent.mkdir(parents=True)
-    dumped = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    dumped = _dumps(payload)
     entry = {"digest": hashlib.sha256(dumped.encode()).hexdigest(), "key": {"format": version, "n": 2, "m": 3},
              "payload": payload}
-    old.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+    old.write_text(_dumps(entry) + "\n")
     before = old.read_bytes()
     r = cli("terms", "--n", 2, "--max-degree", 3, "--format", "json", "--cache", cache)
     assert r.returncode == EXIT_OK
@@ -423,13 +544,33 @@ def _files(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _read_entry(target):
+    """An entry as its JSON header and its numerators, read as one plane of little-endian words."""
+    line, _, body = target.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    assert header["payload"]["limbs"] == 1
+    return header, list(struct.unpack(f"<{len(body) // 8}q", body))
+
+
+def _write_entry(target, header, nums, *, body=None, redigest=True):
+    """Store `header` over the body of `nums` (one plane), under a recomputed, valid digest unless `redigest` is false."""
+    payload = _dumps(header["payload"]).encode()
+    if body is None:
+        body = struct.pack(f"<{len(nums)}q", *nums)
+    if redigest:
+        header["digest"] = hashlib.sha256(payload + body).hexdigest()
+    target.write_bytes(_dumps(header).encode() + b"\n" + body)
+
+
 def _rewrite_entry(target, mutate):
-    """Apply `mutate` to an entry's payload and store it under a recomputed, valid digest."""
-    entry = json.loads(target.read_text())
-    mutate(entry["payload"])
-    payload = json.dumps(entry["payload"], sort_keys=True, separators=(",", ":"))
-    entry["digest"] = hashlib.sha256(payload.encode()).hexdigest()
-    target.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+    """Apply `mutate` to an entry's payload and numerators and store it under a recomputed, valid digest."""
+    header, nums = _read_entry(target)
+    mutate(header["payload"], nums)
+    _write_entry(target, header, nums)
 
 
 class TestVerify:

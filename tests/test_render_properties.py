@@ -8,13 +8,15 @@ printed form: reduced fractions, no magnitude 1 beside a word, and a
 constant printed as its bare magnitude.
 
 The reference encoders at the end of this file build each output from
-`terms()` or `numerators()` one term at a time, with `json.dumps` for JSON.
+`terms()` or `numerators()` one term at a time, with `json.dumps` for JSON
+and `struct.pack` for the cache entry's words.
 """
 
 import hashlib
 import itertools
 import json
 import re
+import struct
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -147,17 +149,26 @@ def dumps(obj):
 
 
 def ref_cache_entry(p, m):
-    """The version-4 cache entry of W_m = p, built with `json.dumps` from `numerators()`.
+    """The version-5 cache entry of W_m = p: a `json.dumps` header line, then `struct.pack` words one number at a time.
 
-    The payload is the block of p: one numerator for every word of degree m, in canonical order.
+    The block of p is one numerator for every word of degree m, in canonical order, from
+    `numerators()`.  Each numerator v is split into L limbs, the least L with
+    -2^(64L-1) <= v < 2^(64L-1) for all of them; limb t < L-1 is the unsigned word
+    (v >> 64t) mod 2^64 and the last the signed word v >> 64(L-1), and the body holds
+    plane 0 (limb 0 of every numerator) first.
     """
     words, nums, den = p.numerators()
     coeffs = dict(zip(words, nums))
     block = [coeffs.get(w, 0) for w in itertools.product(range(1, p.ctx.n + 1), repeat=m)]
-    payload = {"den": den, "maxDegree": m, "n": p.ctx.n, "nums": block}
-    digest = hashlib.sha256(dumps(payload).encode()).hexdigest()
+    limbs = 1
+    while not all(-(2 ** (64 * limbs - 1)) <= v < 2 ** (64 * limbs - 1) for v in block):
+        limbs += 1
+    body = b"".join(struct.pack("<Q", (v >> 64 * t) % 2**64) for t in range(limbs - 1) for v in block)
+    body += b"".join(struct.pack("<q", v >> 64 * (limbs - 1)) for v in block)
+    payload = {"den": den, "limbs": limbs, "maxDegree": m, "n": p.ctx.n}
+    digest = hashlib.sha256(dumps(payload).encode() + body).hexdigest()
     key = {"format": CACHE_VERSION, "m": m, "n": p.ctx.n}
-    return (dumps({"digest": digest, "key": key, "payload": payload}) + "\n").encode()
+    return (dumps({"digest": digest, "key": key, "payload": payload}) + "\n").encode() + body
 
 
 @st.composite
@@ -203,6 +214,8 @@ def homogeneous_polys(draw):
 @example(AssocPoly.zero(AlgebraCtx(1, 4)))  # n = 1: the block [0] over 1
 @example(AssocPoly.monomial(AlgebraCtx(1, 5), (1,) * 5, Fraction(-7, 3)))
 @example(AssocPoly(AlgebraCtx(12, 2), [((1, 1), 1), ((12, 12), Fraction(1, 6)), ((5, 7), -2)]))
+@example(AssocPoly(AlgebraCtx(2, 2), [((1, 2), 2**63), ((2, 1), Fraction(-(2**200), 3))]))  # four limbs
+@example(AssocPoly(AlgebraCtx(3, 1), [((1,), -(2**63)), ((3,), 2**63 - 1)]))  # one limb, at its edges
 def test_cache_entry_matches_reference_encoder(p):
     with tempfile.TemporaryDirectory() as root:
         m = p.ctx.max_degree
