@@ -10,7 +10,8 @@ Three subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
 --out file or cache root that cannot be used, and a request that runs out
 of memory), 3 internal invariant breach (path disagreement, corrupted cache
-entry).
+entry), 141 stdout closed by its reader before the output was written (as
+in `zassenhaus terms ... | head`), with no traceback.
 
 All output is deterministic for fixed flags (and seed, where one
 applies): JSON has sorted keys and fixed separators, byte for byte as
@@ -95,6 +96,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
 class CacheCorruptionError(RuntimeError):
@@ -414,7 +416,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, not at exit, so that a closed stdout is caught below
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone, which no check failed for.  Stdout is pointed at the
+        # null device, so that the interpreter's final flush of what is left cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (PathDisagreementError, CacheCorruptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

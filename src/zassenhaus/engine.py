@@ -254,7 +254,13 @@ class EngineCtx:
         return poly
 
     def _block(self, m: int, k: int) -> Block:
-        """The memo block of f[m, k], computed on first use; see `fmk`."""
+        """The memo block of f[m, k], computed on first use; see `fmk`.
+
+        With one generator every f[m, k] is 0: the zero block, with no
+        recursion, whose depth would grow with k.
+        """
+        if self.alg.n == 1:
+            return 1, [0]
         key = (m, k)
         cached = self._f_memo.get(key)
         if cached is not None:

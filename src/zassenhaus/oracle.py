@@ -38,7 +38,12 @@ factors has degree at least 2m.  Hence
    then once by that sum.
 
 These are identities of truncated polynomials, not approximations: the
-results equal those of the full products term for term.
+results equal those of the full products term for term.  A fourth fact
+needs no product at all:
+
+4. (X1 + ... + Xn)^d is the sum of all n^d words of degree d, so
+   e^(X1+...+Xn) has coefficient 1/d! on each word of degree d.  Both
+   checks write it down (`exp_of_sum`) instead of taking K powers.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import floordiv, mod, ne, sub, truediv
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -125,6 +130,18 @@ class VerificationReport(Frozen):
         }
 
 
+def exp_of_sum(ctx: AlgebraCtx) -> AssocPoly:
+    """e^(X1+...+Xn) truncated at degree K: coefficient 1/d! on each word of degree d.
+
+    The numerators K!/d! over K! are canonical as they stand, since the
+    words of degree K have numerator 1.
+    """
+    K = ctx.max_degree
+    den = math.factorial(K)
+    nums = chain.from_iterable(repeat(den // math.factorial(d), ctx.n**d) for d in range(K + 1))
+    return AssocPoly._make(ctx, dict(zip(range(ctx._offsets[K + 1]), nums)), den)
+
+
 def peel_oracle(n: int, max_degree: int) -> list[AssocPoly]:
     """W_2 .. W_max_degree extracted order by order from the product itself.
 
@@ -134,24 +151,21 @@ def peel_oracle(n: int, max_degree: int) -> list[AssocPoly]:
     product of two or more of its factors has degree >= 2m.  So W_m is the
     residue's degree-m component, the one log R would give.  Once 2m > K
     those products vanish in the truncation, the residue is
-    1 + W_m + ... + W_K, and W_m is not divided out: the later W_j are
-    read off the same residue.
+    1 + W_m + ... + W_K, and W_m is not divided out: the later W_j, from
+    W_h on, h = K//2 + 1, are split off the same residue in one pass.
     """
     ctx = AlgebraCtx(n, max_degree)
-    gens = generators(ctx)
-    dense = exp_trunc(poly_sum(ctx, gens))
     # The sparse e^(-Xn) ... e^(-X1) first (its words are Xn^a ... X1^b), then one dense product.
     peel = AssocPoly.one(ctx)
-    for g in gens:
+    for g in generators(ctx):
         peel = exp_trunc(-g) * peel
-    residue = peel * dense
+    residue = peel * exp_of_sum(ctx)
+    h = max_degree // 2 + 1
     out: list[AssocPoly] = []
-    for m in range(2, max_degree + 1):
-        w_m = residue.degree_component(m)
-        out.append(w_m)
-        if 2 * m <= max_degree:
-            residue = exp_trunc(-w_m) * residue
-    return out
+    for m in range(2, h):
+        out.append(residue.degree_component(m))
+        residue = exp_trunc(-out[-1]) * residue
+    return out + residue.degree_components(max(2, h))
 
 
 def _check_ws(n: int, max_degree: int, ws: Sequence[AssocPoly]) -> AlgebraCtx:
@@ -186,10 +200,9 @@ def exact_identity_check(
     that of the full product term for term.
     """
     ctx = _check_ws(n, max_degree, ws)
-    gens = generators(ctx)
-    lhs = exp_trunc(poly_sum(ctx, gens))
+    lhs = exp_of_sum(ctx)
     rhs = AssocPoly.one(ctx)
-    for g in gens:
+    for g in generators(ctx):
         rhs = rhs * exp_trunc(g)
     split = max(0, max_degree // 2 - 1)  # W_2..W_(h-1) need their exponentials
     for w in ws[:split]:

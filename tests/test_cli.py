@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -13,8 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zassenhaus import engine
 from zassenhaus.cli import (
     CACHE_VERSION,
+    EXIT_BROKEN_PIPE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -72,6 +75,39 @@ class TestTerms:
         r = cli("terms", "--n", 1, "--max-degree", 6)
         assert r.returncode == EXIT_OK
         assert all(line.endswith(" = 0") for line in r.stdout.splitlines())
+
+    def test_single_generator_needs_no_recursion(self, cli, monkeypatch):
+        # At n = 1 every f[m, k] is 0, answered with no bracket and no recursion as deep as K,
+        # which at K = 3000 passed Python's recursion limit.
+        def no_bracket(*args):
+            pytest.fail("a bracket was formed at n = 1")
+
+        monkeypatch.setattr(engine, "bracket_add", no_bracket)
+        for K, path in ((5000, "generic"), (200, "both")):
+            r = cli("terms", "--n", 1, "--max-degree", K, "--path", path)
+            assert r.returncode == EXIT_OK and r.stderr == ""
+            lines = r.stdout.splitlines()
+            assert lines == [f"W{m} = 0" for m in range(2, K + 1)]
+
+    @pytest.mark.parametrize(
+        "argv, read",
+        [
+            (("terms", "--n", 3, "--max-degree", 9, "--format", "text"), 10),
+            # verify writes its one short report at once, so its reader closes before reading.
+            (("verify", "--n", 2, "--max-degree", 6, "--mode", "exact"), 0),
+        ],
+        ids=["terms", "verify"],
+    )
+    def test_closed_stdout_is_no_failure(self, argv, read):
+        # As in `zassenhaus terms ... | head -c 10`: exit 141 (128 + SIGPIPE), not 1, and no traceback.
+        env = {k: v for k, v in os.environ.items() if k != "ZASSENHAUS_CACHE_DIR"}
+        cmd = [sys.executable, "-m", "zassenhaus", *map(str, argv)]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert len(proc.stdout.read(read)) == read
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert err == b""
 
     def test_json_document(self, cli):
         r = cli("terms", "--n", 2, "--max-degree", 3, "--format", "json")

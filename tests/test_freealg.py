@@ -351,6 +351,11 @@ class TestGradingAndInspection:
         assert AssocPoly.zero(ctx).homogeneous_degree() is None
         with pytest.raises(ValueError):
             p.degree_component(5)
+        assert p.degree_components(1) == [y, x * y, AssocPoly.zero(ctx), AssocPoly.zero(ctx)]
+        assert AssocPoly.zero(ctx).degree_components(3) == [AssocPoly.zero(ctx)] * 2
+        assert p.degree_components(5) == []
+        with pytest.raises(ValueError):
+            p.degree_components(-1)
 
     def test_restricted(self):
         ctx = AlgebraCtx(2, 4)

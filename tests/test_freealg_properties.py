@@ -166,6 +166,8 @@ def test_restrictions_stay_canonical(a):
         part = a.degree_component(d)
         assert model(part) == {w: c for w, c in model(a).items() if len(w) == d}
         assert_canonical(part)
+        assert a.degree_components(d) == [a.degree_component(e) for e in range(d, a.ctx.max_degree + 1)]
+    assert a.degree_components(a.ctx.max_degree + 1) == []
     for k in range(1, a.ctx.max_degree + 1):
         shallow = restricted(a, k)
         assert model(shallow) == {w: c for w, c in model(a).items() if len(w) <= k}
@@ -231,17 +233,40 @@ n1_example = (
     {(1,): Fraction(3), (1, 1): Fraction(1, 2)},
 )
 
+# The kernel treats a constant term as a scalar: the larger operand is copied, scaled by the
+# other's constant.  These force each case of that rule, both operand orders of `mul` included.
+_larger = {(): Fraction(2), (1,): Fraction(1), (2, 1): Fraction(-1, 3), (1, 1, 2): Fraction(1)}
+_smaller = {(): Fraction(-1, 2), (2,): Fraction(3)}
+constant_examples = [
+    (AlgebraCtx(2, 4), _larger, _smaller),  # both with a constant, the larger on the left
+    (AlgebraCtx(2, 4), _smaller, _larger),  # and on the right
+    (AlgebraCtx(2, 4), {(): Fraction(3, 2), (1, 2): Fraction(1)}, {(2,): Fraction(1), (1, 1): Fraction(-2)}),  # one constant
+    (AlgebraCtx(2, 4), {(): Fraction(5, 3)}, {(): Fraction(1), (1,): Fraction(1), (2, 2): Fraction(1, 2)}),  # a constant alone
+    (AlgebraCtx(2, 4), {(1,): Fraction(1), (2, 1): Fraction(2)}, {(2,): Fraction(-1), (1, 2, 1): Fraction(1, 4)}),  # none
+    (AlgebraCtx(3, 3), {(): Fraction(1), (3,): Fraction(1)}, {(): Fraction(-1), (3,): Fraction(1)}),  # they cancel
+]
+
 
 @kernel_settings
 @given(raw_pairs())
 @example(n1_example)
+@example(constant_examples[0])
+@example(constant_examples[1])
+@example(constant_examples[2])
+@example(constant_examples[3])
+@example(constant_examples[4])
+@example(constant_examples[5])
 def test_coded_products_match_tuple_reference(ctx_ab):
     ctx, a, b = ctx_ab
     cap = ctx.max_degree
     pa, pb = AssocPoly(ctx, a), AssocPoly(ctx, b)
-    assert model(mul(pa, pb)) == ref_mul(a, b, cap)
-    assert model(bracket(pa, pb)) == ref_bracket(a, b, cap)
-    assert model(mul(pb, pa)) == ref_mul(b, a, cap)
+    for product, expected in (
+        (mul(pa, pb), ref_mul(a, b, cap)),
+        (bracket(pa, pb), ref_bracket(a, b, cap)),
+        (mul(pb, pa), ref_mul(b, a, cap)),
+    ):
+        assert model(product) == expected
+        assert_canonical(product)
 
 
 @kernel_settings

@@ -20,6 +20,7 @@ from zassenhaus.oracle import (
     MAX_DIM,
     VerificationReport,
     exact_identity_check,
+    exp_of_sum,
     numeric_order_check,
     oracle_equivalence_check,
     peel_oracle,
@@ -90,9 +91,10 @@ CALL_COUNT_CASES = [(1, 1), (2, 1), (3, 2), (2, 3), (3, 4), (2, 7), (3, 8), (2, 
 
 
 def expected_exp_calls(n, K):
-    """sum X and each X_i, then W_2..W_(K//2): divided out by the peel,
-    exponentiated by the exact check; the later W_m are read off or summed."""
-    return 1 + n + max(0, K // 2 - 1)
+    """Each X_i, then W_2..W_(K//2): divided out by the peel, exponentiated
+    by the exact check; the later W_m are read off or summed, and
+    e^(sum X) is written down (`exp_of_sum`)."""
+    return n + max(0, K // 2 - 1)
 
 
 class TestVerificationReport:
@@ -116,6 +118,17 @@ class TestVerificationReport:
             "inconclusive": True,
             "detail": "why",
         }
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exp_of_sum_is_the_exponential_of_the_sum(n, K):
+    ctx = AlgebraCtx(n, K)
+    written = exp_of_sum(ctx)
+    assert written == exp_trunc(poly_sum(ctx, generators(ctx)))
+    words, nums, den = written.numerators()
+    assert AssocPoly.from_numerators(ctx, words, nums, den) == written  # canonical as made
+    assert len(words) == sum(n**d for d in range(K + 1))
 
 
 class TestPeelOracle:
