@@ -30,19 +30,19 @@ recomputing ad_{W_m}^j.
 The memo holds every f[m, k] as a dense degree block (den, nums), the
 numerators of all n^(k+1) words of its degree in code order, reduced once
 as it enters the memo and never changed after.  Each Horner step is one
-`bracket_add` from blocks to a block: W_m, acc and f[m, k] are
-homogeneous and nearly dense, so a step is a few C-level list passes per
-distinct |coefficient| and per word of W_m, grouped once per m
-(`block_rows`).  Each W_m is kept as its reduced block too (`w_block`),
-which is what the CLI renders and caches; a dict is made only when a
-caller asks for a polynomial: `w_term` (and so `series`, the oracles and
-`--path both`) and `fmk`.  The graded pass stays sparse: its operator is
-one letter and its early parts are mostly zeros; dense blocks there took
-the (3, 9) pass from 6.5 ms to 87 ms (2 CPUs, Python 3.11.7), and each
-part becomes its block once, through `freealg.block_nums`.  The block of
-the top part, the largest list of the request, is made before the pass,
-so a K whose block cannot exist fails with MemoryError before any of
-the pass's work.
+`bracket_add` of W_m's block with acc's into f[m-1, .]'s: W_m, acc and
+f[m, k] are homogeneous and nearly dense, so a step is one C-level list
+pass per distinct numerator of W_m, one stride copy per nonzero word of
+W_m and one fused pass over the result.  Each W_m is kept as its reduced
+block (`w_block`), which is what the CLI renders and caches; a dict is
+made only when a caller asks for a polynomial: `w_term` (and so `series`,
+the oracles and `--path both`) and `fmk`.  The graded pass stays
+sparse: its operator is one letter and its early parts are mostly zeros;
+dense blocks there took the (3, 9) pass from 6.5 ms to 87 ms (2 CPUs,
+Python 3.11.7), and each part becomes its block once, through
+`freealg.block_nums`.  The block of the top part, the largest list of
+the request, is made before the pass, so a K whose block cannot exist
+fails with MemoryError before any of the pass's work.
 `w_term_expanded` keeps the dict `bracket`, as the oracles do, so that
 `--path both` checks the block kernel against the dict kernel.
 
@@ -60,7 +60,7 @@ the recursion exactly before it yields a term.
 The engine is pure: W_m depends only on (n, m), and the engine does no
 I/O.  A caller that already holds some W_m (the CLI reads their blocks
 from its on-disk cache) hands them to `EngineCtx` as `known` blocks; a
-known W_j with j <= (K-1)/2 then supplies the rows of level j.  All
+known W_j with j <= (K-1)/2 is then what level j brackets with.  All
 values are exact; the memo caches inside `EngineCtx` are filled once per
 key and never mutated afterwards, so concurrent readers are safe.
 """
@@ -76,9 +76,7 @@ from .freealg import (
     AlgebraCtx,
     AssocPoly,
     Block,
-    Rows,
     block_nums,
-    block_rows,
     bracket,
     bracket_add,
     from_block,
@@ -220,7 +218,6 @@ class EngineCtx:
         self._f_polys: dict[tuple[int, int], AssocPoly] = {}
         self._w_blocks: dict[int, Block] = dict(known or {})
         self._w_memo: dict[int, AssocPoly] = {}
-        self._w_rows: dict[int, Rows] = {}
         for m, (_, nums) in self._w_blocks.items():
             if len(nums) != alg.n**m:
                 raise ValueError(f"a block of W_{m} has {alg.n**m} numerators, got {len(nums)}")
@@ -273,13 +270,11 @@ class EngineCtx:
                 nums = block_nums(self.alg, kk + 1, parts.pop(), top_nums if kk == top else None)
                 self._f_memo.setdefault((1, kk), reduce_block(factorial(kk), nums))
             return self._f_memo[key]
-        rows = self._w_rows.get(m)
-        if rows is None:
-            rows = self._w_rows.setdefault(m, block_rows(self.w_block(m)))
+        w = self.w_block(m)
         J = k // m - 1
         value = self._block(m - 1, k - m * J)
         for j in range(J - 1, -1, -1):
-            value = bracket_add(self._block(m - 1, k - m * j), rows, value, Fraction(-1, j + 1))
+            value = bracket_add(self._block(m - 1, k - m * j), w, value, Fraction(-1, j + 1))
         return self._f_memo.setdefault(key, reduce_block(*value) if J else value)
 
     def w_block(self, m: int) -> Block:
@@ -324,8 +319,10 @@ class EngineCtx:
         path="generic" yields them as they are; path="both" also evaluates
         the expanded formulas for m >= 5 and raises PathDisagreementError if
         they ever differ, so each W_m is yielded only after it has passed
-        that check.  Bad arguments raise ValueError at the first step of the
-        iteration.
+        that check.  At n = 1 both sides are 0 term by term, as every
+        f[m, k] is, so "both" runs no check: building the term lists alone
+        took 15 s up to K = 1000 (2 CPUs, Python 3.11.7).  Bad arguments
+        raise ValueError at the first step of the iteration.
         """
         if path not in _PATHS:
             raise ValueError(f"path must be one of {_PATHS}, got {path!r}")
@@ -333,7 +330,7 @@ class EngineCtx:
             raise ValueError(f"max_degree must be >= 2, got {self.alg.max_degree}")
         for m in range(2, self.alg.max_degree + 1):
             block = self.w_block(m)
-            if path == "both" and m >= 5 and self.w_term_expanded(m) != self.w_term(m):
+            if path == "both" and m >= 5 and self.alg.n > 1 and self.w_term_expanded(m) != self.w_term(m):
                 raise PathDisagreementError(f"W_{m}: generic recursion and expanded formula disagree")
             yield block
 

@@ -33,9 +33,10 @@ stride-A slice i::A.  A dense degree block is the pair (den, nums) of a
 homogeneous polynomial: the numerators of all n^d words of its degree d
 in code order over one positive denominator, so its length n^d is its
 degree and no scan of the codes is needed.  `bracket_add` adds r*[a, b]
-into such a block with list slices, one product pass per distinct
-|coefficient| of a (its rows, grouped once by `block_rows`), and returns
-a new block without reducing it; `reduce_block` cancels the common
+of two blocks into a third in one pass: one row of products per distinct
+numerator of a, read in order for ab and copied once into the stride
+slice of each nonzero a_i for ba; it returns a new block without
+reducing it; `reduce_block` cancels the common
 factor, `from_block` makes the one term map of a block and `to_block`
 makes the block of a homogeneous polynomial through `block_nums`, the one
 fill of a block from a term map, into n^d `zeros` that a caller may make
@@ -138,6 +139,10 @@ class Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy would restore the fields through __setattr__; remake the value instead.
+        return type(self), self._key()
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -328,6 +333,10 @@ class AssocPoly:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("AssocPoly is immutable")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy would restore the slots through __setattr__; remake the canonical form instead.
+        return AssocPoly.from_numerators, (self.ctx, *self.numerators())
 
     # -- constructors ------------------------------------------------------
 
@@ -709,49 +718,42 @@ def bracket(a: AssocPoly, b: AssocPoly) -> AssocPoly:
 
 # -- dense degree blocks ------------------------------------------------------
 #
-# A block (den, nums) is described in the module docstring.  The rows of a
-# homogeneous polynomial of degree d are (den, n^d, [(c, plus, minus), ...]):
-# each distinct size c > 0 of its nonzero numerators with the indices,
-# inside their block, of the words whose numerator is c and of those whose
-# numerator is -c.
+# A block (den, nums) is described in the module docstring.
 
 Block = tuple[int, list[int]]
-Rows = tuple[int, int, list[tuple[int, list[int], list[int]]]]
 
 
-def bracket_add(f: Block | None, a: Rows, b: Block, r: Scalar) -> Block:
-    """f + r*[a, b] on dense degree blocks, for a given by its rows; f is None or a block of length A*B.
+def bracket_add(f: Block | None, a: Block, b: Block, r: Scalar) -> Block:
+    """f + r*[a, b] on dense degree blocks in one pass; f is None or a block of length A*B.
 
-    With A = n^da and B = len(b) = n^db, the product uv of the i-th word of
-    degree da and the j-th of degree db sits at i*B + j of the
+    With A = len(a) = n^da and B = len(b) = n^db, the product uv of the
+    i-th word of degree da and the j-th of degree db sits at i*B + j of the
     degree-(da+db) block, vu at j*A + i (see the module docstring).  Each
-    distinct size c of the numerators of a makes one row c * r * b of B
-    products; for each i with a_i = c it is added into out[i*B : (i+1)*B]
-    and subtracted from out[i::A], for a_i = -c the other way round.  out
-    starts as a copy of f's numerators lifted to one common denominator.
-    The operands are not changed, and the result is not reduced (see
-    `reduce_block`).
+    distinct numerator c of a makes one row c * r * b of B products.  ab is
+    the rows of a_0, a_1, ... read one after another; ba starts as zeros
+    and takes the row of each nonzero a_i at ba[i::A], one stride copy.
+    f's numerators, lifted to one common denominator, then give
+    f + ab - ba in one fused pass.  Any int sequences serve as operands,
+    which are not changed; the result is not reduced (see `reduce_block`).
     """
-    a_den, A, rows = a
+    a_den, a_nums = a
     b_den, b_nums = b
-    B = len(b_nums)
+    A, B = len(a_nums), len(b_nums)
     s = _exact(r)
     scale = a_den * b_den * s.denominator
-    if f is None:
-        den, out = scale, [0] * (A * B)
-    elif len(f[1]) != A * B:
+    if f is not None and len(f[1]) != A * B:
         raise ValueError(f"f has {len(f[1])} numerators, not the {A * B} of the bracket's degree")
-    else:
-        den = lcm(f[0], scale)
-        out = list(f[1]) if den == f[0] else list(map((den // f[0]).__mul__, f[1]))
+    den = scale if f is None else lcm(f[0], scale)
     b_row = list(map((den // scale * s.numerator).__mul__, b_nums))
-    for c, *signs in rows:
-        row = list(map(c.__mul__, b_row))
-        for (plus, minus), idx in zip(((add, sub), (sub, add)), signs):
-            for i in idx:
-                out[i * B : (i + 1) * B] = map(plus, out[i * B : (i + 1) * B], row)
-                out[i::A] = map(minus, out[i::A], row)
-    return den, out
+    rows = {c: list(map(c.__mul__, b_row)) for c in set(a_nums)}
+    ba = [0] * (A * B)
+    for i, c in compress(enumerate(a_nums), a_nums):
+        ba[i::A] = rows[c]
+    ab = chain.from_iterable(map(rows.__getitem__, a_nums))
+    if f is not None:
+        lift = den // f[0]
+        ab = map(add, f[1] if lift == 1 else map(lift.__mul__, f[1]), ab)
+    return den, list(map(sub, ab, ba))
 
 
 def reduce_block(den: int, nums: list[int]) -> Block:
@@ -767,15 +769,6 @@ def reduce_block(den: int, nums: list[int]) -> Block:
     if g != 1:
         g = gcd(g, *nums[64:])
     return (den, nums) if g == 1 else (den // g, list(map(floordiv, nums, repeat(g))))
-
-
-def block_rows(block: Block) -> Rows:
-    """The rows of a block (den, nums) for `bracket_add`; made once for each W_m."""
-    den, nums = block
-    groups: dict[int, tuple[int, list[int], list[int]]] = {}
-    for i, c in compress(enumerate(nums), nums):
-        groups.setdefault(abs(c), (abs(c), [], []))[1 + (c < 0)].append(i)
-    return den, len(nums), list(groups.values())
 
 
 def block_length(n: int, d: int) -> int:

@@ -128,6 +128,10 @@ class LieExpr:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LieExpr is immutable")
 
+    def __reduce__(self) -> tuple:
+        # pickle and copy would restore the slot through __setattr__; remake the value instead.
+        return LieExpr, (self.terms,)
+
     def __iter__(self) -> Iterator[CommTerm]:
         return iter(self.terms)
 

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import time
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -88,6 +89,17 @@ class TestTerms:
             assert r.returncode == EXIT_OK and r.stderr == ""
             lines = r.stdout.splitlines()
             assert lines == [f"W{m} = 0" for m in range(2, K + 1)]
+
+    def test_single_generator_cross_check_at_large_k(self, cli):
+        # At n = 1 every W_m is 0 and --path both has nothing to compare; building the expanded
+        # formulas' term lists anyway took seconds at K = 1000, far past this bound.
+        runs = {}
+        for path in ("generic", "both"):
+            start = time.perf_counter()
+            runs[path] = cli("terms", "--n", 1, "--max-degree", 1000, "--path", path)
+            assert time.perf_counter() - start < 2
+        assert runs["both"].returncode == EXIT_OK and runs["both"].stderr == ""
+        assert runs["both"].stdout == runs["generic"].stdout
 
     @pytest.mark.parametrize(
         "argv, read",

@@ -13,7 +13,7 @@ from zassenhaus.engine import (
     series,
     w_comm,
 )
-from zassenhaus.freealg import AlgebraCtx, AssocPoly, ad_pow, bracket, generators, poly_sum, to_block
+from zassenhaus.freealg import AlgebraCtx, AssocPoly, ad_pow, bracket, bracket_add, generators, poly_sum, to_block
 from zassenhaus.lieform import CommTerm, LieExpr, dsw_project, expand
 
 from conftest import restricted
@@ -256,16 +256,24 @@ class TestWTerm:
         assert not warm._f_memo  # every W_m came from `known`
 
     @pytest.mark.parametrize("n, K", [(2, 12), (3, 9)])
-    def test_known_low_blocks_give_the_rows_and_later_terms(self, n, K):
+    def test_known_low_blocks_give_the_rows_and_later_terms(self, n, K, monkeypatch):
         # W_j with j <= (K-1)/2 supply the rows of the f[j, k] levels; handed over as known
-        # blocks (copies, so that nothing is shared), they must give what a cold engine gives.
+        # blocks (copies, so that nothing is shared), they must give what a cold engine gives,
+        # and each level j must bracket with the known block of W_j itself.
         cold = EngineCtx(AlgebraCtx(n, K))
         blocks = [cold.w_block(m) for m in range(2, K + 1)]
         low = {m: (den, list(nums)) for m, (den, nums) in enumerate(blocks[: (K - 1) // 2 - 1], start=2)}
         warm = EngineCtx(AlgebraCtx(n, K), low)
+        bracketed_with = {}
+
+        def recorded(f, a, b, r):
+            bracketed_with.setdefault(len(a[1]), []).append(a)  # n^j names the level j
+            return bracket_add(f, a, b, r)
+
+        monkeypatch.setattr("zassenhaus.engine.bracket_add", recorded)
         assert [warm.w_block(m) for m in range(2, K + 1)] == blocks
-        assert set(warm._w_rows) == set(low)
-        assert all(warm._w_rows[m] == cold._w_rows[m] for m in low)
+        assert set(bracketed_with) == {n**m for m in low}
+        assert all(a is low[m] for m in low for a in bracketed_with[n**m])
         assert all(warm.w_block(m) is low[m] for m in low)
         assert not warm._w_memo  # no W_m became a dict
 
@@ -289,7 +297,7 @@ class TestWTerm:
         assert len(made) == 3
         for e in made:
             assert set(e._w_blocks) == set(range(2, 8))
-            assert not e._f_memo and not e._f_polys and not e._w_rows and not e._w_memo
+            assert not e._f_memo and not e._f_polys and not e._w_memo
         cli(*runs["text"])
         assert made[-1]._f_memo and not made[-1]._w_memo  # an uncached run renders its blocks too
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -14,6 +16,8 @@ from zassenhaus.freealg import (
     log_trunc,
     poly_sum,
 )
+from zassenhaus.lieform import CommTerm, LieExpr
+from zassenhaus.oracle import VerificationReport
 
 from conftest import restricted
 
@@ -211,6 +215,31 @@ class TestConstruction:
         p = AssocPoly.one(AlgebraCtx(1, 1))
         with pytest.raises(AttributeError):
             p.ctx = AlgebraCtx(2, 2)
+
+    @pytest.mark.parametrize(
+        "copied",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    @pytest.mark.parametrize(
+        "value",
+        [
+            AlgebraCtx(3, 5),
+            AssocPoly(AlgebraCtx(3, 5), {(): Fraction(1, 6), (3, 1): -(2**70), (1, 2, 3): Fraction(5, 4)}),
+            AssocPoly.zero(AlgebraCtx(2, 4)),
+            CommTerm(Fraction(-2, 3), 2, ((1, 2), (3, 1))),
+            LieExpr([CommTerm(Fraction(1, 2), 2, ((1, 1),)), CommTerm(-1, 3, ((1, 1), (2, 2)))]),
+            VerificationReport("exact", True, ((None, Fraction(0)),), detail="defect zero up to degree 5"),
+            VerificationReport("numeric", False, ((0.2, 1e-3), (0.1, 2e-4)), 2.3, True, "order below 6"),
+        ],
+        ids=["AlgebraCtx", "AssocPoly", "AssocPoly-zero", "CommTerm", "LieExpr", "report-exact", "report-numeric"],
+    )
+    def test_immutable_values_pickle_and_copy(self, value, copied):
+        # Each is remade from its fields, not restored through the __setattr__ that refuses writes.
+        twin = copied(value)
+        assert type(twin) is type(value) and twin == value
+        with pytest.raises(AttributeError):
+            twin.extra = 1
 
 
 class TestArithmetic:

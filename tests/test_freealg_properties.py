@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from zassenhaus.freealg import (
     AlgebraCtx,
     AssocPoly,
-    block_rows,
     bracket,
     bracket_add,
     exp_trunc,
@@ -305,7 +304,7 @@ def test_single_generator():
 
 # -- the dense bracket-and-add kernel -------------------------------------------------
 #
-# bracket_add(f, rows of a, b, r) on dense degree blocks must equal
+# bracket_add(f, a, b, r) on dense degree blocks must equal
 # f + r*[a, b] as the dict kernel computes it.  Operands are homogeneous: one
 # word, a dense block (every word of the degree, numerators from a drawn
 # pattern), a few words, or zero.
@@ -372,15 +371,40 @@ def _case(f, a, b, r):
     )
 )
 @example(_case(None, AssocPoly(AlgebraCtx(2, 4), {(1, 1): 1}), AssocPoly(AlgebraCtx(2, 4), {(2, 2): 1}), 1))
+@example(  # a holds c and -c (one row each) and zeros, which make no stride copy
+    _case(
+        AssocPoly(AlgebraCtx(2, 4), {(1, 1, 2): 1, (2, 2, 1): -4}),
+        AssocPoly(AlgebraCtx(2, 4), {(1, 1): 3, (2, 2): -3, (2, 1): 3}),
+        AssocPoly(AlgebraCtx(2, 4), {(1,): 1, (2,): Fraction(-1, 2)}),
+        Fraction(2, 3),
+    )
+)
+@example(  # numerators beyond 2^64
+    _case(
+        None,
+        AssocPoly(AlgebraCtx(3, 4), {(1,): 2**70 + 1, (3,): -(2**65)}),
+        AssocPoly(AlgebraCtx(3, 4), {(2, 1): Fraction(3**45, 7), (1, 3): -1}),
+        Fraction(-(2**64) - 1, 5),
+    )
+)
+@example(  # an all-zero a leaves f as it is
+    (
+        AssocPoly(AlgebraCtx(2, 4), {(1, 2, 2): Fraction(1, 6), (2, 1, 1): 5}),
+        (AssocPoly.zero(AlgebraCtx(2, 4)), 2),
+        (AssocPoly(AlgebraCtx(2, 4), {(2,): 7}), 1),
+        Fraction(1, 2),
+    )
+)
 def test_bracket_add_matches_dict_kernel(case):
     f, (a, da), (b, db), r = case
     ctx = a.ctx
     d = da + db
     base = AssocPoly.zero(ctx) if f is None else f
-    f_block, b_block = None if f is None else as_block(f, d), as_block(b, db)
-    before = (f_block and (f_block[0], list(f_block[1])), b_block[0], list(b_block[1]))
-    got = bracket_add(f_block, block_rows(as_block(a, da)), b_block, r)
-    assert (f_block and (f_block[0], list(f_block[1])), b_block[0], list(b_block[1])) == before  # operands untouched
+    operands = (None if f is None else as_block(f, d), as_block(a, da), as_block(b, db))
+    before = [block and (block[0], list(block[1])) for block in operands]
+    got = bracket_add(*operands, r)
+    assert [block and (block[0], list(block[1])) for block in operands] == before  # operands untouched
+    assert bracket_add(*[block and (block[0], tuple(block[1])) for block in operands], r) == got  # any int sequences
     assert len(got[1]) == ctx.n**d
     den, nums = reduce_block(*got)
     assert den > 0 and gcd(den, *nums) == 1  # the canonical block
@@ -393,7 +417,7 @@ def test_bracket_add_matches_dict_kernel(case):
 
 def test_bracket_add_takes_out_the_common_factor():
     ctx = AlgebraCtx(2, 4)
-    a = block_rows(as_block(AssocPoly(ctx, {(1,): Fraction(1, 3)}), 1))
+    a = as_block(AssocPoly(ctx, {(1,): Fraction(1, 3)}), 1)
     b = as_block(AssocPoly(ctx, {(2,): 3}), 1)
     # [a, b] = [X1, X2] over the lifted denominator 3 has numerators 3 and -3.
     assert bracket_add(None, a, b, 1) == (3, [0, 3, -3, 0])
@@ -407,11 +431,11 @@ def test_bracket_add_takes_out_the_common_factor():
 def test_bracket_add_refuses_mixed_or_wrong_degrees():
     ctx = AlgebraCtx(2, 5)
     x1, x2 = generators(ctx)
-    a, b = block_rows(as_block(x1, 1)), as_block(x2, 1)
+    a, b = as_block(x1, 1), as_block(x2, 1)
     for f in ((1, [0, 0, 0]), (1, [0] * 8), as_block(mul(x1, mul(x1, x2)), 3)):
         with pytest.raises(ValueError):
             bracket_add(f, a, b, 1)
     mixed = x1 + mul(x1, x2)
-    for p, d in ((mixed, 1), (mixed, 2), (x1, 2)):  # rows come from a block, which only a homogeneous p has
+    for p, d in ((mixed, 1), (mixed, 2), (x1, 2)):  # a is a block, which only a homogeneous p has
         with pytest.raises(ValueError):
             to_block(p, d)
