@@ -43,8 +43,8 @@ Python 3.11.7), and each part becomes its block once, through
 `freealg.block_nums`.  The block of the top part, the largest list of
 the request, is made before the pass, so a K whose block cannot exist
 fails with MemoryError before any of the pass's work.
-`w_term_expanded` keeps the dict `bracket`, as the oracles do, so that
-`--path both` checks the block kernel against the dict kernel.
+`w_term_expanded` keeps the dict `bracket` (the oracles bracket nothing),
+so that `--path both` checks the block kernel against the dict kernel.
 
 `EngineCtx.w_term_expanded` evaluates W_m (m >= 5) through the recursion
 unrolled down to f[base, .] (`_expanded_formula`), which reproduces the

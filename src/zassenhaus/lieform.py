@@ -35,7 +35,7 @@ from itertools import combinations
 from operator import sub
 from typing import Iterable, Iterator
 
-from .freealg import AlgebraCtx, AssocPoly, Frozen, Scalar, bracket, generators, poly_sum, signed_sum, zeros
+from .freealg import AlgebraCtx, AssocPoly, Frozen, Scalar, _exact, bracket, generators, poly_sum, signed_sum, zeros
 
 Composition = tuple[int, ...]
 
@@ -60,6 +60,12 @@ def compositions(k: int) -> list[Composition]:
     return out
 
 
+def _check_index(what: str, value: object) -> None:
+    """A generator index or multiplicity is an int >= 1: a bool or a float would render as "XTrue" or "X1.0"."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{what} must be an int >= 1, got {value!r}")
+
+
 class CommTerm(Frozen):
     """coeff * [X_head X_{i1}^{k1} ... X_{il}^{kl}] in left-nested convention."""
 
@@ -69,19 +75,16 @@ class CommTerm(Frozen):
     tail: tuple[tuple[int, int], ...]
 
     def __init__(self, coeff: Scalar, head: int, tail: Iterable[tuple[int, int]]) -> None:
-        if head < 1:
-            raise ValueError(f"head index must be >= 1, got {head}")
+        _check_index("head index", head)
         merged: list[tuple[int, int]] = []
         for idx, mult in tail:
-            if idx < 1:
-                raise ValueError(f"tail index must be >= 1, got {idx}")
-            if mult < 1:
-                raise ValueError(f"multiplicity must be >= 1, got {mult}")
+            _check_index("tail index", idx)
+            _check_index("multiplicity", mult)
             if merged and merged[-1][0] == idx:
                 merged[-1] = (idx, merged[-1][1] + mult)
             else:
                 merged.append((idx, mult))
-        self._init(Fraction(coeff), head, tuple(merged))
+        self._init(_exact(coeff), head, tuple(merged))
 
     @property
     def degree(self) -> int:
@@ -98,17 +101,16 @@ class CommTerm(Frozen):
                 yield idx
 
     def scaled(self, scalar: Scalar) -> "CommTerm":
-        return CommTerm(self.coeff * Fraction(scalar), self.head, self.tail)
+        return CommTerm(self.coeff * _exact(scalar), self.head, self.tail)
 
     def sort_key(self) -> tuple:
         return (self.degree, self.head, self.tail)
 
 
-class LieExpr:
+class LieExpr(Frozen):
     """A sum of CommTerms, canonicalized: like shapes combined, zeros dropped."""
 
-    __slots__ = ("terms",)
-
+    __slots__ = _fields = ("terms",)
     terms: tuple[CommTerm, ...]
 
     def __init__(self, terms: Iterable[CommTerm] = ()):
@@ -123,14 +125,7 @@ class LieExpr:
         combined = tuple(
             sorted((t for t in acc.values() if t.coeff), key=CommTerm.sort_key)
         )
-        object.__setattr__(self, "terms", combined)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LieExpr is immutable")
-
-    def __reduce__(self) -> tuple:
-        # pickle and copy would restore the slot through __setattr__; remake the value instead.
-        return LieExpr, (self.terms,)
+        self._init(combined)
 
     def __iter__(self) -> Iterator[CommTerm]:
         return iter(self.terms)
@@ -138,12 +133,7 @@ class LieExpr:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LieExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
+    __hash__ = None  # unhashable like the AssocPoly it expands to: a sum is compared, never used as a key
 
     def __add__(self, other: "LieExpr") -> "LieExpr":
         if not isinstance(other, LieExpr):

@@ -326,18 +326,18 @@ class _Prepared(AssocPoly):
     num / den and the prefix levels are made once, at the first t.
     """
 
-    __slots__ = ("_kept",)
+    __slots__ = ("_kept",)  # (width, runs), made at the first `runs`: a cache, not a field, so pickle and copy skip it
 
     @classmethod
     def of(cls, poly: AssocPoly) -> _Prepared:
-        self = cls._make(poly.ctx, poly._codes, poly._den)
-        object.__setattr__(self, "_kept", (0, []))  # (width, runs); every width is >= 1
-        return self
+        return cls._make(poly.ctx, poly._codes, poly._den)
 
     def runs(self, width: int) -> list[tuple[list[int], list[tuple[np.ndarray, np.ndarray]], np.ndarray]]:
-        if self._kept[0] != width:
-            object.__setattr__(self, "_kept", (width, list(_runs(self, width))))
-        return self._kept[1]
+        kept = getattr(self, "_kept", (0, []))  # every width is >= 1
+        if kept[0] != width:
+            kept = (width, list(_runs(self, width)))
+            object.__setattr__(self, "_kept", kept)
+        return kept[1]
 
 
 def substitute(poly: AssocPoly, mats: Sequence[np.ndarray]) -> np.ndarray:

@@ -93,6 +93,8 @@ class TestConstruction:
             with pytest.raises(AttributeError):
                 delattr(ctx, name)
         assert ctx._offsets == [0, 1, 3, 7, 15] and ctx._offsets is ctx._offsets
+        with pytest.raises(ValueError):  # one field short makes no value with a field unset
+            AlgebraCtx._make(2)
 
     def test_generator_range(self):
         ctx = AlgebraCtx(2, 3)
@@ -240,6 +242,14 @@ class TestConstruction:
         assert type(twin) is type(value) and twin == value
         with pytest.raises(AttributeError):
             twin.extra = 1
+        # The stored fields: the slots along the class chain, else the instance dict.
+        fields = [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())] or list(vars(value))
+        assert fields
+        for v in (value, twin):
+            for name in fields:
+                with pytest.raises(AttributeError):
+                    delattr(v, name)
+        assert twin == value and twin == copied(value)
 
 
 class TestArithmetic:

@@ -335,17 +335,15 @@ def homogeneous(ctx, d):
 
 @st.composite
 def bracket_add_cases(draw):
-    """(f, (a, da), (b, db), r) with da + db <= K; f is None, zero, any, or cancels most of r*[a, b]."""
+    """(f, (a, da), (b, db), r) with da + db <= K; f is zero, any, or cancels most of r*[a, b]."""
     n = draw(st.integers(1, 4))
     ctx = AlgebraCtx(n, draw(st.integers(2, {1: 9, 2: 8, 3: 6, 4: 5}[n])))
     da = draw(st.integers(1, ctx.max_degree - 1))
     db = draw(st.integers(1, ctx.max_degree - da))
     a, b = draw(homogeneous(ctx, da)), draw(homogeneous(ctx, db))
     r = draw(scalars)
-    kind = draw(st.sampled_from(["none", "zero", "any", "cancel"]))
-    if kind == "none":
-        f = None
-    elif kind == "zero":
+    kind = draw(st.sampled_from(["zero", "any", "cancel"]))
+    if kind == "zero":
         f = AssocPoly.zero(ctx)
     else:
         f = draw(homogeneous(ctx, da + db))
@@ -361,7 +359,14 @@ def _case(f, a, b, r):
 
 @kernel_settings
 @given(bracket_add_cases())
-@example(_case(None, AssocPoly(AlgebraCtx(2, 4), {(1,): Fraction(1, 3)}), AssocPoly(AlgebraCtx(2, 4), {(2,): 3}), -1))
+@example(
+    _case(
+        AssocPoly.zero(AlgebraCtx(2, 4)),
+        AssocPoly(AlgebraCtx(2, 4), {(1,): Fraction(1, 3)}),
+        AssocPoly(AlgebraCtx(2, 4), {(2,): 3}),
+        -1,
+    )
+)
 @example(
     _case(
         AssocPoly(AlgebraCtx(3, 5), {(1, 2, 3): Fraction(2, 5), (3, 2, 1): Fraction(-7, 10)}),
@@ -370,7 +375,14 @@ def _case(f, a, b, r):
         Fraction(-9, 4),
     )
 )
-@example(_case(None, AssocPoly(AlgebraCtx(2, 4), {(1, 1): 1}), AssocPoly(AlgebraCtx(2, 4), {(2, 2): 1}), 1))
+@example(
+    _case(
+        AssocPoly.zero(AlgebraCtx(2, 4)),
+        AssocPoly(AlgebraCtx(2, 4), {(1, 1): 1}),
+        AssocPoly(AlgebraCtx(2, 4), {(2, 2): 1}),
+        1,
+    )
+)
 @example(  # a holds c and -c (one row each) and zeros, which make no stride copy
     _case(
         AssocPoly(AlgebraCtx(2, 4), {(1, 1, 2): 1, (2, 2, 1): -4}),
@@ -381,7 +393,7 @@ def _case(f, a, b, r):
 )
 @example(  # numerators beyond 2^64
     _case(
-        None,
+        AssocPoly.zero(AlgebraCtx(3, 4)),
         AssocPoly(AlgebraCtx(3, 4), {(1,): 2**70 + 1, (3,): -(2**65)}),
         AssocPoly(AlgebraCtx(3, 4), {(2, 1): Fraction(3**45, 7), (1, 3): -1}),
         Fraction(-(2**64) - 1, 5),
@@ -399,18 +411,17 @@ def test_bracket_add_matches_dict_kernel(case):
     f, (a, da), (b, db), r = case
     ctx = a.ctx
     d = da + db
-    base = AssocPoly.zero(ctx) if f is None else f
-    operands = (None if f is None else as_block(f, d), as_block(a, da), as_block(b, db))
-    before = [block and (block[0], list(block[1])) for block in operands]
+    operands = (as_block(f, d), as_block(a, da), as_block(b, db))
+    before = [(den, list(nums)) for den, nums in operands]
     got = bracket_add(*operands, r)
-    assert [block and (block[0], list(block[1])) for block in operands] == before  # operands untouched
-    assert bracket_add(*[block and (block[0], tuple(block[1])) for block in operands], r) == got  # any int sequences
+    assert [(den, list(nums)) for den, nums in operands] == before  # operands untouched
+    assert bracket_add(*[(den, tuple(nums)) for den, nums in operands], r) == got  # any int sequences
     assert len(got[1]) == ctx.n**d
     den, nums = reduce_block(*got)
     assert den > 0 and gcd(den, *nums) == 1  # the canonical block
     poly = from_block(ctx, d, *got)
-    assert poly == base + bracket(a, b).scaled(r)
-    assert model(poly) == ref_add(model(base), ref_scaled(ref_bracket(model(a), model(b), ctx.max_degree), r))
+    assert poly == f + bracket(a, b).scaled(r)
+    assert model(poly) == ref_add(model(f), ref_scaled(ref_bracket(model(a), model(b), ctx.max_degree), r))
     assert_canonical(poly)
     assert as_block(poly, d) == (den, nums)
 
@@ -419,10 +430,11 @@ def test_bracket_add_takes_out_the_common_factor():
     ctx = AlgebraCtx(2, 4)
     a = as_block(AssocPoly(ctx, {(1,): Fraction(1, 3)}), 1)
     b = as_block(AssocPoly(ctx, {(2,): 3}), 1)
+    zero = (1, [0] * 4)
     # [a, b] = [X1, X2] over the lifted denominator 3 has numerators 3 and -3.
-    assert bracket_add(None, a, b, 1) == (3, [0, 3, -3, 0])
-    assert reduce_block(*bracket_add(None, a, b, 1)) == (1, [0, 1, -1, 0])
-    assert from_block(ctx, 2, *bracket_add(None, a, b, 1)).numerators() == ([(1, 2), (2, 1)], [1, -1], 1)
+    assert bracket_add(zero, a, b, 1) == (3, [0, 3, -3, 0])
+    assert reduce_block(*bracket_add(zero, a, b, 1)) == (1, [0, 1, -1, 0])
+    assert from_block(ctx, 2, *bracket_add(zero, a, b, 1)).numerators() == ([(1, 2), (2, 1)], [1, -1], 1)
     f = as_block(AssocPoly(ctx, {(1, 2): 1, (2, 1): Fraction(1, 2)}), 2)
     assert from_block(ctx, 2, *bracket_add(f, a, b, Fraction(-1, 2))).numerators() == ([(1, 2), (2, 1)], [1, 2], 2)
     assert from_block(ctx, 2, *bracket_add(f, a, b, -1)).numerators() == ([(2, 1)], [3], 2)

@@ -52,6 +52,28 @@ class TestCommTerm:
             CommTerm(Fraction(1), 1, ((2, 0),))
         with pytest.raises(ValueError):
             CommTerm(Fraction(1), 1, ((0, 1),))
+        # AssocPoly's scalar and letter rule: ints (no bools) and Fractions.  A float would bring its
+        # binary approximation, 0.1 as 3602879701896397/36028797018963968, and render as "X1.0".
+        for coeff, head, tail in (
+            (0.1, 2, ((1, 1),)),
+            (True, 2, ((1, 1),)),
+            ("1", 2, ((1, 1),)),
+            (1, True, ((1, 2),)),
+            (1, 2.0, ((1, 1),)),
+            (1, 2, ((1.0, 2),)),
+            (1, 2, ((True, 1),)),
+            (1, 2, ((1, 2.0),)),
+            (1, 2, ((1, True),)),
+        ):
+            with pytest.raises(ValueError):
+                CommTerm(coeff, head, tail)
+        t = CommTerm(Fraction(1, 2), 2, ((1, 1),))
+        for scalar in (0.1, True, 2.0):
+            with pytest.raises(ValueError):
+                t.scaled(scalar)
+            with pytest.raises(ValueError):
+                LieExpr([t]).scaled(scalar)
+        assert LieExpr([t]).scaled(-2) == LieExpr([CommTerm(-1, 2, ((1, 1),))])
 
     def test_is_a_value(self):
         t = CommTerm(coeff=1, head=2, tail=[(1, 1), (1, 2)])
