@@ -412,9 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None  # `main`'s parser, built on its first call
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        # Once per process, and not at import: building it takes about a millisecond, which a
+        # process that calls main many times would pay on every call, and the import on every run.
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # here, not at exit, so that a closed stdout is caught below

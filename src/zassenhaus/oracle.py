@@ -5,9 +5,9 @@ Three checks, in increasing distance from the algebra:
 * `peel_oracle` re-derives W_2..W_K from scratch by peeling the ordered
   product: starting from R = e^(-Xn) ... e^(-X1) e^(X1+...+Xn), the
   degree-m component of R is exactly W_m, which is then divided out and
-  the process repeated.  It uses only the free-algebra kernel (exp and
-  multiplication) and never touches the engine's f/W recursion, so
-  agreement with the engine is genuine evidence.
+  the process repeated.  It uses only R written down (fact 5) and the
+  free-algebra kernel (exp and multiplication), and never touches the
+  engine's f/W recursion, so agreement with the engine is genuine evidence.
 * `exact_identity_check` multiplies the whole truncated splitting back
   together and asserts the defect polynomial is identically zero.
 * `numeric_order_check` substitutes random matrices, compares matrix
@@ -34,16 +34,37 @@ factors has degree at least 2m.  Hence
    the remaining W_j are read off it directly; the peel divides out only
    W_2..W_(K//2).
 3. With h = K//2 + 1, e^(W_h) ... e^(W_K) = 1 + W_h + ... + W_K modulo
-   degree K + 1, so the exact check multiplies by e^(W_m) for m < h and
-   then once by that sum.
+   degree K + 1, so the exact check starts from that sum and multiplies
+   e^(W_(h-1)), ..., e^(W_2) onto it from the left.  The factor that
+   e^(W_m) multiplies is then 1 + (degree > m), with no words of degree
+   1..m, and e^(X1)...e^(Xn) multiplies the result once at the end.
 
 These are identities of truncated polynomials, not approximations: the
-results equal those of the full products term for term.  A fourth fact
-needs no product at all:
+results equal those of the full products term for term.  The fixed
+factors need no product at all; the checks write them down:
 
 4. (X1 + ... + Xn)^d is the sum of all n^d words of degree d, so
-   e^(X1+...+Xn) has coefficient 1/d! on each word of degree d.  Both
-   checks write it down (`exp_of_sum`) instead of taking K powers.
+   e^(X1+...+Xn) has coefficient 1/d! on each word of degree d
+   (`exp_of_sum`).  Likewise e^(X1)...e^(Xn) has coefficient
+   1/(a1!...an!) on X1^a1...Xn^an and 0 on every other word
+   (`exp_of_letters`).
+5. The peel's starting residue R (`peel_residue`) reads each word's
+   coefficient off the word's shape, as Goldberg (Duke Math. J. 23, 1956)
+   reads the coefficients of log(e^x e^y).  e^(-Xn)...e^(-X1) has the
+   coefficient c(u) = prod_i (-1)^(a_i) / a_i! on each non-increasing
+   word u, a_i the number of letters i in u, and 0 on the others.  A word
+   w of degree d splits as u v with u non-increasing exactly when u is one
+   of its first L + 1 prefixes, L the length of its longest non-increasing
+   prefix, so
+
+       R(w) = sum over j <= L of c(w[:j]) / (d - j)!.
+
+   R(w) thus depends only on that prefix p = w[:L]: for L < d, w = p x v
+   with x in last(p)+1..n and v any word of degree d - L - 1, and these
+   words fill one contiguous range of (n - last(p)) n^(d-L-1) codes.  So
+   each degree of R is a run of constant stretches, one per non-increasing
+   p of length <= d.  Every numerator over K! is an integer: each term is
+   K!/d! times a multinomial coefficient.
 """
 
 from __future__ import annotations
@@ -53,7 +74,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import floordiv, mod, ne, sub, truediv
+from operator import add, floordiv, mod, ne, sub, truediv
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .freealg import (
@@ -62,7 +83,6 @@ from .freealg import (
     Frozen,
     exp_trunc,
     format_fraction,
-    generators,
     poly_sum,
 )
 
@@ -142,11 +162,82 @@ def exp_of_sum(ctx: AlgebraCtx) -> AssocPoly:
     return AssocPoly._make(ctx, dict(zip(range(ctx._offsets[K + 1]), nums)), den)
 
 
+def exp_of_letters(ctx: AlgebraCtx) -> AssocPoly:
+    """e^(X1)...e^(Xn) truncated at degree K: coefficient 1/(a1!...an!) on X1^a1...Xn^an, 0 on other words.
+
+    The numerators K!/(a1!...an!) over K! are canonical as they stand, since
+    X1^K has numerator 1.
+    """
+    n, K = ctx.n, ctx.max_degree
+    den = math.factorial(K)
+    words = [(0, 0, 1)]  # (code, degree, a1!...ai!) of each X1^a1...Xi^ai over the letters i done so far
+    for x in range(1, n + 1):
+        grown = []
+        for code, d, p in words:
+            for a in range(1, K - d + 1):  # u x^a from u x^(a-1): code(v x) = code(v) n + x and a! = (a-1)! a
+                code, p = code * n + x, p * a
+                grown.append((code, d + a, p))
+        words += grown
+    return AssocPoly._make(ctx, {code: den // p for code, _, p in words}, den)
+
+
+def _stretches(n: int, d: int, den: int, fact: list[int]) -> Iterator[tuple[int, int]]:
+    """(numerator over den = K!, length) of each constant stretch of R's degree-d block, in code order (fact 5).
+
+    A depth-first walk over the non-increasing prefixes p: the words p y with
+    y <= last(p) continue the walk, and those with y > last(p) form p's
+    stretch.  A prefix carries its length, its last letter and how often it
+    ends in it, a1!...an! and the sum over its prefixes u of K! c(u) / (d - |u|)!.
+    """
+
+    def visit(length: int, last: int, run: int, p: int, total: int) -> Iterator[tuple[int, int]]:
+        if length == d:
+            yield total, 1
+            return
+        for y in range(1, last + 1):
+            r = run + 1 if y == last else 1
+            term = den // (p * r * fact[d - length - 1])
+            yield from visit(length + 1, y, r, p * r, total - term if length % 2 == 0 else total + term)
+        yield total, (n - last) * n ** (d - length - 1)
+
+    return visit(0, n, 0, 1, den // fact[d])  # the empty prefix continues with every letter: last = n
+
+
+def peel_residue(ctx: AlgebraCtx) -> AssocPoly:
+    """R = e^(-Xn)...e^(-X1) e^(X1+...+Xn) truncated at degree K, written down by fact 5.
+
+    Only the stretches are computed, and each is laid down at C speed; the
+    gcd of the numerators is that of the stretch values, so reducing the
+    form costs nothing per word either.
+    """
+    n, K = ctx.n, ctx.max_degree
+    den = math.factorial(K)
+    fact = [math.factorial(i) for i in range(K + 1)]
+    starts: list[int] = []
+    counts: list[int] = []
+    values: list[int] = []
+    for d in range(K + 1):
+        pos = ctx._offsets[d]
+        for total, size in _stretches(n, d, den, fact):
+            if total and size:
+                starts.append(pos)
+                counts.append(size)
+                values.append(total)
+            pos += size
+    g = math.gcd(den, *values)
+    if g != 1:
+        den //= g
+        values = [v // g for v in values]
+    codes = chain.from_iterable(map(range, starts, map(add, starts, counts)))
+    return AssocPoly._make(ctx, dict(zip(codes, chain.from_iterable(map(repeat, values, counts)))), den)
+
+
 def peel_oracle(n: int, max_degree: int) -> list[AssocPoly]:
     """W_2 .. W_max_degree extracted order by order from the product itself.
 
     R := e^(-Xn) ... e^(-X1) e^(X1+...+Xn) equals e^(W2) e^(W3) ...
-    through the truncation degree.  With W_2..W_(m-1) divided out, the
+    through the truncation degree; it is written down (`peel_residue`,
+    fact 5) rather than multiplied out.  With W_2..W_(m-1) divided out, the
     residue is e^(W_m) e^(W_(m+1)) ... = 1 + W_m + (degree > m): every
     product of two or more of its factors has degree >= 2m.  So W_m is the
     residue's degree-m component, the one log R would give.  Once 2m > K
@@ -155,11 +246,7 @@ def peel_oracle(n: int, max_degree: int) -> list[AssocPoly]:
     W_h on, h = K//2 + 1, are split off the same residue in one pass.
     """
     ctx = AlgebraCtx(n, max_degree)
-    # The sparse e^(-Xn) ... e^(-X1) first (its words are Xn^a ... X1^b), then one dense product.
-    peel = AssocPoly.one(ctx)
-    for g in generators(ctx):
-        peel = exp_trunc(-g) * peel
-    residue = peel * exp_of_sum(ctx)
+    residue = peel_residue(ctx)
     h = max_degree // 2 + 1
     out: list[AssocPoly] = []
     for m in range(2, h):
@@ -197,18 +284,18 @@ def exact_identity_check(
     truncation, and the right side is multiplied by that sum once instead
     of by K - h + 1 exponentials.  This holds for any homogeneous W_j,
     right or wrong, so once the inputs are validated the defect equals
-    that of the full product term for term.
+    that of the full product term for term.  The W side is multiplied
+    from the right, Q = e^(W_2)(...(e^(W_(h-1))(1 + W_h + ... + W_K))),
+    so the factor that e^(W_m) multiplies has no words of degree 1..m; the
+    written-down e^(X1)...e^(Xn) (`exp_of_letters`) multiplies Q once at
+    the end, and by associativity the defect is the same polynomial.
     """
     ctx = _check_ws(n, max_degree, ws)
-    lhs = exp_of_sum(ctx)
-    rhs = AssocPoly.one(ctx)
-    for g in generators(ctx):
-        rhs = rhs * exp_trunc(g)
     split = max(0, max_degree // 2 - 1)  # W_2..W_(h-1) need their exponentials
-    for w in ws[:split]:
-        rhs = rhs * exp_trunc(w)
-    rhs = rhs * poly_sum(ctx, [AssocPoly.one(ctx), *ws[split:]])
-    defect = lhs - rhs
+    q = poly_sum(ctx, [AssocPoly.one(ctx), *ws[split:]])
+    for w in reversed(ws[:split]):
+        q = exp_trunc(w) * q
+    defect = exp_of_sum(ctx) - exp_of_letters(ctx) * q
     worst = defect.max_abs_coeff()
     return VerificationReport(
         mode="exact",

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zassenhaus import cli as cli_module
 from zassenhaus import engine
 from zassenhaus.cli import (
     CACHE_VERSION,
@@ -24,6 +25,7 @@ from zassenhaus.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     CacheAccessError,
+    build_parser,
     cache_load,
     cache_store,
     main,
@@ -254,6 +256,39 @@ class TestStartup:
         new = set(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split())
         assert not {name.partition(".")[0] for name in new} & {"dataclasses", "inspect", "hashlib", "array", "numpy", "scipy"}
         assert {f"zassenhaus.{m}" for m in ("freealg", "lieform", "engine", "oracle", "cli")} <= new
+
+    def test_parser_is_built_once_per_process(self, cli, monkeypatch):
+        # In-process calls share one parser, built on the first call, and print and exit
+        # exactly as calls that each build their own: a success, a usage error, a verify, an f1k.
+        built = []
+
+        def counted():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli_module, "build_parser", counted)
+        monkeypatch.setattr(cli_module, "_PARSER", None)
+        calls = [
+            ("terms", "--n", 3, "--max-degree", 4, "--format", "json"),
+            ("terms", "--format", "pdf"),
+            ("verify", "--n", 2, "--max-degree", 5, "--mode", "all"),
+            ("f1k", "--k", 3, "--n", 2, "--path", "both"),
+        ]
+        shared = [cli(*argv) for argv in calls]
+        assert len(built) == 1
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli_module, "_PARSER", None)
+            fresh.append(cli(*argv))
+        assert len(built) == 1 + len(calls)
+        assert [(r.returncode, r.stdout, r.stderr) for r in shared] == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+        assert [r.returncode for r in shared] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+        assert "invalid choice: 'pdf'" in shared[1].stderr
+
+    def test_import_builds_no_parser(self):
+        code = "import zassenhaus.cli as cli; print(cli._PARSER)"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert r.stdout == "None\n"
 
 
 def _out_of_memory(*args, **kwargs):

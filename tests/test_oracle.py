@@ -20,10 +20,12 @@ from zassenhaus.oracle import (
     MAX_DIM,
     VerificationReport,
     exact_identity_check,
+    exp_of_letters,
     exp_of_sum,
     numeric_order_check,
     oracle_equivalence_check,
     peel_oracle,
+    peel_residue,
     random_matrices,
     splitting_residual,
     substitute,
@@ -91,10 +93,10 @@ CALL_COUNT_CASES = [(1, 1), (2, 1), (3, 2), (2, 3), (3, 4), (2, 7), (3, 8), (2, 
 
 
 def expected_exp_calls(n, K):
-    """Each X_i, then W_2..W_(K//2): divided out by the peel, exponentiated
-    by the exact check; the later W_m are read off or summed, and
-    e^(sum X) is written down (`exp_of_sum`)."""
-    return n + max(0, K // 2 - 1)
+    """W_2..W_(K//2): divided out by the peel, exponentiated by the exact
+    check; the later W_m are read off or summed, and the fixed factors are
+    written down (`exp_of_sum`, `exp_of_letters`, `peel_residue`)."""
+    return max(0, K // 2 - 1)
 
 
 class TestVerificationReport:
@@ -129,6 +131,49 @@ def test_exp_of_sum_is_the_exponential_of_the_sum(n, K):
     words, nums, den = written.numerators()
     assert AssocPoly.from_numerators(ctx, words, nums, den) == written  # canonical as made
     assert len(words) == sum(n**d for d in range(K + 1))
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exp_of_letters_is_the_product_of_the_letters_exponentials(n, K):
+    ctx = AlgebraCtx(n, K)
+    written = exp_of_letters(ctx)
+    product = AssocPoly.one(ctx)
+    for g in generators(ctx):
+        product = product * exp_trunc(g)
+    assert written == product
+    words, nums, den = written.numerators()
+    assert AssocPoly.from_numerators(ctx, words, nums, den) == written  # canonical as made
+    assert len(words) == math.comb(K + n, n)  # the words X1^a1...Xn^an of degree <= K
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_peel_residue_is_the_peeled_exponential_of_the_sum(n, K):
+    ctx = AlgebraCtx(n, K)
+    written = peel_residue(ctx)
+    product = AssocPoly.one(ctx)
+    for g in generators(ctx):
+        product = exp_trunc(-g) * product
+    assert written == product * exp_of_sum(ctx)
+    words, nums, den = written.numerators()
+    assert AssocPoly.from_numerators(ctx, words, nums, den) == written  # canonical as made
+    if n == 1:
+        assert written == AssocPoly.one(ctx)  # e^(-X1) e^(X1) = 1
+
+
+def test_peel_residue_reads_each_word_off_its_non_increasing_prefix():
+    # R(w) = sum over j <= L of c(w[:j]) / (d - j)!, L the length of w's longest
+    # non-increasing prefix and c(u) = prod_i (-1)^(a_i) / a_i!, a_i the count of letter i in u.
+    def c(u):
+        return math.prod(Fraction((-1) ** u.count(i), math.factorial(u.count(i))) for i in set(u))
+
+    n, K = 3, 6
+    written = peel_residue(AlgebraCtx(n, K))
+    for d in range(K + 1):
+        for w in itertools.product(range(1, n + 1), repeat=d):
+            L = next((j for j in range(1, d) if w[j] > w[j - 1]), d)
+            assert written.coeff(w) == sum(c(w[:j]) * Fraction(1, math.factorial(d - j)) for j in range(L + 1)), w
 
 
 class TestPeelOracle:
