@@ -44,9 +44,9 @@ before the work that gives the term map, so that a block that cannot
 exist fails at once (`block_length` alone decides whether it can);
 `check_block` is the one rule of a stored block.
 No table of word codes is kept.  `mul` and `bracket` stay sparse dict
-kernels, in which a constant term is a scalar, not a word: in a product
-it makes a scaled copy of the other operand, and in a commutator it
-cancels, so neither forms a word pair with it (see `_product`).
+kernels, one pair loop over the words of every two degrees, the constant
+word included: they serve the Python API, `lieform` and the cross-check
+of `--path both`, while the engine and the verifiers work on blocks.
 
 The codes depend on n alone, not on the truncation degree.  Words become
 tuples only at the boundary: the constructors, `coeff`, `terms`,
@@ -507,25 +507,6 @@ class AssocPoly(Frozen):
             return self.scaled(other)
         return NotImplemented
 
-    # -- grading -----------------------------------------------------------
-
-    def degree_component(self, d: int) -> "AssocPoly":
-        """Restriction to words of degree exactly d."""
-        if d < 0 or d > self.ctx.max_degree:
-            raise ValueError(f"degree {d} outside 0..{self.ctx.max_degree}")
-        lo, hi = self.ctx._offsets[d : d + 2]
-        return AssocPoly._reduce(self.ctx, {k: c for k, c in self._codes.items() if lo <= k < hi}, self._den)
-
-    def degree_components(self, lo: int) -> list["AssocPoly"]:
-        """[degree_component(d) for d in lo..max_degree] from one sort of the codes, not one scan per degree."""
-        if lo < 0:
-            raise ValueError(f"degree {lo} is negative")
-        out = [AssocPoly.zero(self.ctx)] * max(0, self.ctx.max_degree + 1 - lo)
-        for d, ks, nums in _by_degree(self, ordered=True) if self._codes else ():
-            if d >= lo:
-                out[d - lo] = AssocPoly._reduce(self.ctx, dict(zip(ks, nums)), self._den)
-        return out
-
     # -- rendering / serialization ------------------------------------------
 
     def __repr__(self) -> str:
@@ -658,32 +639,14 @@ def _product(a: AssocPoly, b: AssocPoly, commutator: bool) -> AssocPoly:
 
     Words are multiplied block by block, one block per pair of degrees
     (da, db) with da + db <= max_degree: code(u v) = code(u) n^db + code(v).
-    The degree-0 blocks, the constants a0 and b0, are scalars and form no
-    word pairs.  They cancel from a commutator.  A product is
-    (a0 + a')(b0 + b') = b0*a + a0*b' + a'b', or a0*b + b0*a' + a'b':
-    `out` starts as the larger operand scaled by the other's constant, a
-    copy made at C speed, the smaller operand's nonconstant terms are
-    added scaled by the larger one's constant, and only a'b' goes through
-    the pair loop.  Every factor e^(.) of the verifiers starts with 1, so
-    a third of their word pairs would be such copies.
     """
     _require_same_ctx(a, b)
     out: dict[int, int] = {}
+    get = out.get
     if a._codes and b._codes:
         n, cap = a.ctx.n, a.ctx.max_degree
-        blocks_a, blocks_b = ([g for g in _by_degree(p) if g[0]] for p in (a, b))
-        if not commutator:
-            big, small, small_blocks = (a, b, blocks_b) if len(a._codes) >= len(b._codes) else (b, a, blocks_a)
-            big0, small0 = big._codes.get(0, 0), small._codes.get(0, 0)
-            if small0:
-                out = dict(zip(big._codes, map(small0.__mul__, big._codes.values())))
-            if big0:
-                get = out.get
-                for _, codes, nums in small_blocks:
-                    for k, c in zip(codes, nums):
-                        out[k] = get(k, 0) + big0 * c
-        get = out.get
-        for da, codes_a, nums_a in blocks_a:
+        blocks_b = _by_degree(b)
+        for da, codes_a, nums_a in _by_degree(a):
             for db, codes_b, nums_b in blocks_b:
                 if da + db > cap:
                     break
@@ -707,16 +670,12 @@ def _product(a: AssocPoly, b: AssocPoly, commutator: bool) -> AssocPoly:
 
 
 def mul(a: AssocPoly, b: AssocPoly) -> AssocPoly:
-    """Concatenation product; words of degree > max_degree are dropped eagerly.
-
-    A constant term of either operand scales a copy of the other, with no
-    word pairs (see `_product`).
-    """
+    """Concatenation product; words of degree > max_degree are dropped eagerly."""
     return _product(a, b, False)
 
 
 def bracket(a: AssocPoly, b: AssocPoly) -> AssocPoly:
-    """Commutator [a, b] = a*b - b*a; the constant terms cancel and form no word pairs."""
+    """Commutator [a, b] = a*b - b*a."""
     return _product(a, b, True)
 
 

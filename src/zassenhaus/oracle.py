@@ -5,9 +5,9 @@ Three checks, in increasing distance from the algebra:
 * `peel_oracle` re-derives W_2..W_K from scratch by peeling the ordered
   product: starting from R = e^(-Xn) ... e^(-X1) e^(X1+...+Xn), the
   degree-m component of R is exactly W_m, which is then divided out and
-  the process repeated.  It uses only R written down (fact 5) and the
-  free-algebra kernel (exp and multiplication), and never touches the
-  engine's f/W recursion, so agreement with the engine is genuine evidence.
+  the process repeated.  It uses only R written down (fact 5) and its own
+  product of graded blocks (`_exp_times`), and never touches the engine's
+  f/W recursion, so agreement with the engine is genuine evidence.
 * `exact_identity_check` multiplies the whole truncated splitting back
   together and asserts the defect polynomial is identically zero.
 * `numeric_order_check` substitutes random matrices, compares matrix
@@ -40,14 +40,15 @@ factors has degree at least 2m.  Hence
    1..m, and e^(X1)...e^(Xn) multiplies the result once at the end.
 
 These are identities of truncated polynomials, not approximations: the
-results equal those of the full products term for term.  The fixed
-factors need no product at all; the checks write them down:
+results equal those of the full products term for term.  Both checks
+hold every element as one dense block per degree (`Graded`), multiply by
+e^(+-W_m) with `_exp_times`, and need no product for the fixed factors:
 
 4. (X1 + ... + Xn)^d is the sum of all n^d words of degree d, so
-   e^(X1+...+Xn) has coefficient 1/d! on each word of degree d
-   (`exp_of_sum`).  Likewise e^(X1)...e^(Xn) has coefficient
-   1/(a1!...an!) on X1^a1...Xn^an and 0 on every other word
-   (`exp_of_letters`).
+   e^(X1+...+Xn) has coefficient 1/d! on each word of degree d, which the
+   exact check compares with.  X_i^a times a block of degree e fills one
+   contiguous range of n^e codes, so e^(X1)...e^(Xn) goes on by slice
+   adds (`_letters_times`).
 5. The peel's starting residue R (`peel_residue`) reads each word's
    coefficient off the word's shape, as Goldberg (Duke Math. J. 23, 1956)
    reads the coefficients of log(e^x e^y).  e^(-Xn)...e^(-X1) has the
@@ -73,17 +74,20 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain, compress, repeat
-from operator import add, floordiv, mod, ne, sub, truediv
+from itertools import chain, compress, repeat, starmap
+from operator import add, floordiv, mod, ne, neg, sub, truediv
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .freealg import (
     AlgebraCtx,
     AssocPoly,
+    Block,
     Frozen,
-    exp_trunc,
     format_fraction,
-    poly_sum,
+    from_block,
+    reduce_block,
+    to_block,
+    zeros,
 )
 
 if TYPE_CHECKING:
@@ -104,6 +108,9 @@ MAX_DIM = 256
 #: a degree are evaluated in runs of at most this many bytes of matrices, so a
 #: level's batch is bounded however many words the degree has.
 SUBSTITUTE_CHUNK_BYTES = 1 << 16
+
+#: A graded element (den, blocks): blocks[d] is the block of degree d, d = 0..K, or None where it is 0.
+Graded = tuple[int, list[list[int] | None]]
 
 
 class VerificationReport(Frozen):
@@ -150,37 +157,6 @@ class VerificationReport(Frozen):
         }
 
 
-def exp_of_sum(ctx: AlgebraCtx) -> AssocPoly:
-    """e^(X1+...+Xn) truncated at degree K: coefficient 1/d! on each word of degree d.
-
-    The numerators K!/d! over K! are canonical as they stand, since the
-    words of degree K have numerator 1.
-    """
-    K = ctx.max_degree
-    den = math.factorial(K)
-    nums = chain.from_iterable(repeat(den // math.factorial(d), ctx.n**d) for d in range(K + 1))
-    return AssocPoly._make(ctx, dict(zip(range(ctx._offsets[K + 1]), nums)), den)
-
-
-def exp_of_letters(ctx: AlgebraCtx) -> AssocPoly:
-    """e^(X1)...e^(Xn) truncated at degree K: coefficient 1/(a1!...an!) on X1^a1...Xn^an, 0 on other words.
-
-    The numerators K!/(a1!...an!) over K! are canonical as they stand, since
-    X1^K has numerator 1.
-    """
-    n, K = ctx.n, ctx.max_degree
-    den = math.factorial(K)
-    words = [(0, 0, 1)]  # (code, degree, a1!...ai!) of each X1^a1...Xi^ai over the letters i done so far
-    for x in range(1, n + 1):
-        grown = []
-        for code, d, p in words:
-            for a in range(1, K - d + 1):  # u x^a from u x^(a-1): code(v x) = code(v) n + x and a! = (a-1)! a
-                code, p = code * n + x, p * a
-                grown.append((code, d + a, p))
-        words += grown
-    return AssocPoly._make(ctx, {code: den // p for code, _, p in words}, den)
-
-
 def _stretches(n: int, d: int, den: int, fact: list[int]) -> Iterator[tuple[int, int]]:
     """(numerator over den = K!, length) of each constant stretch of R's degree-d block, in code order (fact 5).
 
@@ -203,33 +179,81 @@ def _stretches(n: int, d: int, den: int, fact: list[int]) -> Iterator[tuple[int,
     return visit(0, n, 0, 1, den // fact[d])  # the empty prefix continues with every letter: last = n
 
 
-def peel_residue(ctx: AlgebraCtx) -> AssocPoly:
-    """R = e^(-Xn)...e^(-X1) e^(X1+...+Xn) truncated at degree K, written down by fact 5.
+def peel_residue(ctx: AlgebraCtx) -> Graded:
+    """R = e^(-Xn)...e^(-X1) e^(X1+...+Xn) truncated at degree K, written down by fact 5, over K!.
 
-    Only the stretches are computed, and each is laid down at C speed; the
-    gcd of the numerators is that of the stretch values, so reducing the
-    form costs nothing per word either.
+    Only the stretches are computed, and each degree's block is laid down
+    from them at C speed.
     """
     n, K = ctx.n, ctx.max_degree
     den = math.factorial(K)
     fact = [math.factorial(i) for i in range(K + 1)]
-    starts: list[int] = []
-    counts: list[int] = []
-    values: list[int] = []
-    for d in range(K + 1):
-        pos = ctx._offsets[d]
-        for total, size in _stretches(n, d, den, fact):
-            if total and size:
-                starts.append(pos)
-                counts.append(size)
-                values.append(total)
-            pos += size
-    g = math.gcd(den, *values)
-    if g != 1:
-        den //= g
-        values = [v // g for v in values]
-    codes = chain.from_iterable(map(range, starts, map(add, starts, counts)))
-    return AssocPoly._make(ctx, dict(zip(codes, chain.from_iterable(map(repeat, values, counts)))), den)
+    blocks = [list(chain.from_iterable(starmap(repeat, _stretches(n, d, den, fact)))) for d in range(K + 1)]
+    return den, [b if any(b) else None for b in blocks]
+
+
+def _exp_times(w: Block, m: int, q: Graded, sign: int) -> Graded:
+    """e^(sign W) Q truncated at degree K, W homogeneous of degree m with block `w`: the verifiers' one product.
+
+    Horner, T <- Q + sign W T / p for p = K//m..1, forms at step p only the
+    degrees d <= K - (p-1) m that the p - 1 factors W still to come can use.
+    W T at degree d is one row c T_(d-m) per distinct numerator c of w, read
+    in w's order (word u v sits at i n^(d-m) + j).  Q is lifted to T's
+    growing denominator in the pass that adds the rows; the result is
+    reduced once, an all-zero block as None.
+    """
+    (w_den, w_nums), (q_den, q_blocks) = w, q
+    K = len(q_blocks) - 1
+    if sign < 0:
+        w_nums = list(map(neg, w_nums))
+    values = set(w_nums)
+    den, t = q_den, q_blocks
+    for p in range(K // m, 0, -1):
+        den *= w_den * p
+        lift = den // q_den
+        grown: list[list[int] | None] = []
+        for d in range(K - (p - 1) * m + 1):
+            q_d, t_e = q_blocks[d], t[d - m] if d >= m else None
+            if t_e is None:
+                grown.append(q_d and list(map(lift.__mul__, q_d)))
+                continue
+            rows = {c: list(map(c.__mul__, t_e)) for c in values}
+            wt = chain.from_iterable(map(rows.__getitem__, w_nums))
+            grown.append(list(wt if q_d is None else map(add, map(lift.__mul__, q_d), wt)))
+        t = grown
+    t = [b if b and any(b) else None for b in t]
+    g = den
+    for b in filter(None, t):  # low degrees first: their few numerators often settle g = 1
+        g = math.gcd(g, *b)
+        if g == 1:
+            return den, t
+    return den // g, [b and list(map(floordiv, b, repeat(g))) for b in t]
+
+
+def _letters_times(ctx: AlgebraCtx, z: Graded) -> list[list[int]]:
+    """d! (e^(X1)...e^(Xn) Z)_d over Z's denominator, d = 0..K, for Z_0 != 0: the letters by slice adds (fact 4).
+
+    Scaled by d!, e^(X_i) Z at degree d is the sum of C(d, a) X_i^a Z_(d-a),
+    and X_i^a times the block of degree d - a is the contiguous range of
+    n^(d-a) codes from (i-1)(1 + n + ... + n^(a-1)) n^(d-a).  Each letter,
+    Xn first, updates the degrees from K down, reading the lower ones it has
+    not updated yet.
+    """
+    n, K, off = ctx.n, ctx.max_degree, ctx._offsets
+    out = [b and list(map(math.factorial(d).__mul__, b)) for d, b in enumerate(z[1])]
+    for i in range(n - 1, -1, -1):
+        for d in range(K, 0, -1):
+            for a in range(1, d + 1):
+                src = out[d - a]
+                if src is None:
+                    continue
+                if out[d] is None:
+                    out[d] = zeros(n, d)
+                width, c = len(src), math.comb(d, a)
+                start = i * off[a] * width
+                block = out[d]
+                block[start : start + width] = map(add, block[start : start + width], map(c.__mul__, src))
+    return out
 
 
 def peel_oracle(n: int, max_degree: int) -> list[AssocPoly]:
@@ -240,19 +264,22 @@ def peel_oracle(n: int, max_degree: int) -> list[AssocPoly]:
     fact 5) rather than multiplied out.  With W_2..W_(m-1) divided out, the
     residue is e^(W_m) e^(W_(m+1)) ... = 1 + W_m + (degree > m): every
     product of two or more of its factors has degree >= 2m.  So W_m is the
-    residue's degree-m component, the one log R would give.  Once 2m > K
-    those products vanish in the truncation, the residue is
-    1 + W_m + ... + W_K, and W_m is not divided out: the later W_j, from
-    W_h on, h = K//2 + 1, are split off the same residue in one pass.
+    residue's degree-m block, the one log R would give, and e^(-W_m) R
+    (`_exp_times`) divides it out.  Once 2m > K those products vanish in
+    the truncation, the residue is 1 + W_m + ... + W_K, and W_m is not
+    divided out: the later W_j, from W_h on, h = K//2 + 1, are read off
+    the same residue's blocks.
     """
     ctx = AlgebraCtx(n, max_degree)
     residue = peel_residue(ctx)
-    h = max_degree // 2 + 1
     out: list[AssocPoly] = []
-    for m in range(2, h):
-        out.append(residue.degree_component(m))
-        residue = exp_trunc(-out[-1]) * residue
-    return out + residue.degree_components(max(2, h))
+    for m in range(2, max_degree + 1):
+        den, blocks = residue
+        w = reduce_block(den, blocks[m] or zeros(n, m))
+        out.append(from_block(ctx, m, *w))
+        if 2 * m <= max_degree and blocks[m]:  # e^0 = 1
+            residue = _exp_times(w, m, residue, -1)
+    return out
 
 
 def _check_ws(n: int, max_degree: int, ws: Sequence[AssocPoly]) -> AlgebraCtx:
@@ -286,20 +313,26 @@ def exact_identity_check(
     right or wrong, so once the inputs are validated the defect equals
     that of the full product term for term.  The W side is multiplied
     from the right, Q = e^(W_2)(...(e^(W_(h-1))(1 + W_h + ... + W_K))),
-    so the factor that e^(W_m) multiplies has no words of degree 1..m; the
-    written-down e^(X1)...e^(Xn) (`exp_of_letters`) multiplies Q once at
-    the end, and by associativity the defect is the same polynomial.
+    so the factor that e^(W_m) multiplies has no words of degree 1..m;
+    e^(X1)...e^(Xn) multiplies Q once at the end, and by associativity the
+    defect is the same polynomial, compared degree by degree (fact 4).
     """
     ctx = _check_ws(n, max_degree, ws)
-    split = max(0, max_degree // 2 - 1)  # W_2..W_(h-1) need their exponentials
-    q = poly_sum(ctx, [AssocPoly.one(ctx), *ws[split:]])
-    for w in reversed(ws[:split]):
-        q = exp_trunc(w) * q
-    defect = exp_of_sum(ctx) - exp_of_letters(ctx) * q
-    worst = defect.max_abs_coeff()
+    lo = max(2, max_degree // 2 + 1)  # W_lo..W_K are summed, W_2..W_(lo-1) need their exponentials
+    blocks = [to_block(w, m) for m, w in enumerate(ws, start=2)]
+    den = math.lcm(*(d for d, _ in blocks[lo - 2 :]))
+    tail = [list(map((den // d).__mul__, nums)) if any(nums) else None for d, nums in blocks[lo - 2 :]]
+    q = (den, [[den], *repeat(None, lo - 1), *tail])
+    for m in range(lo - 1, 1, -1):
+        if any(blocks[m - 2][1]):  # e^0 = 1
+            q = _exp_times(blocks[m - 2], m, q, 1)
+    den = q[0]
+    worst = Fraction(0)
+    for d, b in enumerate(_letters_times(ctx, q)):  # d! e^(X1+...+Xn) is den over den on every word
+        worst = max(worst, Fraction(max(den - min(b), max(b) - den), den * math.factorial(d)))
     return VerificationReport(
         mode="exact",
-        passed=defect.is_zero,
+        passed=not worst,
         residuals=((None, worst),),
         detail=f"defect max |coeff| = {format_fraction(worst)} at n={n}, K={max_degree}",
     )

@@ -31,6 +31,13 @@ def restricted(p, max_degree):
     return AssocPoly(AlgebraCtx(p.ctx.n, max_degree), [(w, c) for w, c in p.terms() if len(w) <= max_degree])
 
 
+def degree_component(p, d):
+    """The terms of p of degree exactly d, word by word; ValueError for a degree outside 0..max_degree."""
+    if not 0 <= d <= p.ctx.max_degree:
+        raise ValueError(f"degree {d} outside 0..{p.ctx.max_degree}")
+    return AssocPoly(p.ctx, [(w, c) for w, c in p.terms() if len(w) == d])
+
+
 @pytest.fixture
 def engine():
     return shared_engine

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import subprocess
 import sys
 import time
@@ -12,16 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import restricted, shared_engine
+from conftest import degree_component, restricted, shared_engine
 from zassenhaus import oracle
-from zassenhaus.freealg import AlgebraCtx, AssocPoly, exp_trunc, generators, log_trunc, poly_sum
+from zassenhaus.freealg import AlgebraCtx, AssocPoly, exp_trunc, from_block, generators, log_trunc, poly_sum, to_block
 from zassenhaus.lieform import dsw_project
 from zassenhaus.oracle import (
     MAX_DIM,
     VerificationReport,
     exact_identity_check,
-    exp_of_letters,
-    exp_of_sum,
     numeric_order_check,
     oracle_equivalence_check,
     peel_oracle,
@@ -40,7 +39,7 @@ def log_peel(n, K):
         residue = exp_trunc(-g) * residue
     out = []
     for m in range(2, K + 1):
-        out.append(log_trunc(residue).degree_component(m))
+        out.append(degree_component(log_trunc(residue), m))
         residue = exp_trunc(-out[-1]) * residue
     return out
 
@@ -77,15 +76,28 @@ def full_product_defect(n, K, ws):
     return exp_trunc(poly_sum(ctx, gens)) - rhs
 
 
+def graded_poly(ctx, graded):
+    """The polynomial of a graded element (den, blocks), one block per degree, None where it is zero."""
+    den, blocks = graded
+    return poly_sum(ctx, [from_block(ctx, d, den, b) for d, b in enumerate(blocks) if b is not None])
+
+
+def unscaled(K, den, scaled):
+    """The graded element (den K!, blocks) whose degree d is that of `scaled` over d!: `_letters_times`'s scaling undone."""
+    f = math.factorial
+    return den * f(K), [[c * (f(K) // f(d)) for c in b] for d, b in enumerate(scaled)]
+
+
 def count_exp_trunc(monkeypatch):
-    """Route the oracle's exp_trunc through a counter and return the counter."""
+    """Route the oracle's one exponential product, `_exp_times`, through a counter and return the counter."""
     calls = Counter()
+    exp_times = oracle._exp_times
 
-    def counted(a):
+    def counted(*args):
         calls["exp_trunc"] += 1
-        return exp_trunc(a)
+        return exp_times(*args)
 
-    monkeypatch.setattr(oracle, "exp_trunc", counted)
+    monkeypatch.setattr(oracle, "_exp_times", counted)
     return calls
 
 
@@ -95,7 +107,7 @@ CALL_COUNT_CASES = [(1, 1), (2, 1), (3, 2), (2, 3), (3, 4), (2, 7), (3, 8), (2, 
 def expected_exp_calls(n, K):
     """W_2..W_(K//2): divided out by the peel, exponentiated by the exact
     check; the later W_m are read off or summed, and the fixed factors are
-    written down (`exp_of_sum`, `exp_of_letters`, `peel_residue`)."""
+    written down (`peel_residue`) or compared and multiplied by slice adds."""
     return max(0, K // 2 - 1)
 
 
@@ -125,41 +137,64 @@ class TestVerificationReport:
 @pytest.mark.parametrize("K", range(1, 9))
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_exp_of_sum_is_the_exponential_of_the_sum(n, K):
+    # X1 + ... + Xn is homogeneous of degree 1 with every numerator 1, so the
+    # graded product gives e^(X1+...+Xn): 1/d! on each word of degree d (fact 4).
     ctx = AlgebraCtx(n, K)
-    written = exp_of_sum(ctx)
-    assert written == exp_trunc(poly_sum(ctx, generators(ctx)))
-    words, nums, den = written.numerators()
-    assert AssocPoly.from_numerators(ctx, words, nums, den) == written  # canonical as made
-    assert len(words) == sum(n**d for d in range(K + 1))
+    one = (1, [[1], *[None] * K])
+    den, blocks = oracle._exp_times((1, [1] * n), 1, one, 1)
+    assert graded_poly(ctx, (den, blocks)) == exp_trunc(poly_sum(ctx, generators(ctx)))
+    for d, b in enumerate(blocks):
+        assert [Fraction(c, den) for c in b] == [Fraction(1, math.factorial(d))] * n**d
 
 
 @pytest.mark.parametrize("K", range(1, 9))
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_exp_of_letters_is_the_product_of_the_letters_exponentials(n, K):
+    # `_letters_times` scales degree d by d!; at Z = 1 it gives d! e^(X1)...e^(Xn).
     ctx = AlgebraCtx(n, K)
-    written = exp_of_letters(ctx)
+    scaled = oracle._letters_times(ctx, (1, [[1], *[None] * K]))
+    written = graded_poly(ctx, unscaled(K, 1, scaled))
     product = AssocPoly.one(ctx)
     for g in generators(ctx):
         product = product * exp_trunc(g)
     assert written == product
-    words, nums, den = written.numerators()
-    assert AssocPoly.from_numerators(ctx, words, nums, den) == written  # canonical as made
-    assert len(words) == math.comb(K + n, n)  # the words X1^a1...Xn^an of degree <= K
+    assert len(written) == math.comb(K + n, n)  # the words X1^a1...Xn^an of degree <= K
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_graded_products_match_the_dict_kernel(data):
+    # e^(+-W) Z and e^(X1)...e^(Xn) Z on random graded Z and homogeneous W, against mul and exp_trunc.
+    n = data.draw(st.integers(1, 3), label="n")
+    K = data.draw(st.integers(1, 6), label="K")
+    m = data.draw(st.integers(1, K), label="m")
+    ctx = AlgebraCtx(n, K)
+    ints = st.integers(-5, 5)
+    den = data.draw(st.integers(1, 12), label="den")
+    blocks = [data.draw(st.none() | st.lists(ints, min_size=n**d, max_size=n**d), label=f"Z_{d}") for d in range(K + 1)]
+    blocks[0] = [data.draw(ints.filter(bool), label="Z_0")]
+    w = (data.draw(st.integers(1, 12), label="w den"), data.draw(st.lists(ints, min_size=n**m, max_size=n**m)))
+    sign = data.draw(st.sampled_from([1, -1]), label="sign")
+    z, w_poly = graded_poly(ctx, (den, blocks)), from_block(ctx, m, *w)
+    assert graded_poly(ctx, oracle._exp_times(w, m, (den, blocks), sign)) == exp_trunc(w_poly.scaled(sign)) * z
+    letters = AssocPoly.one(ctx)
+    for g in generators(ctx):
+        letters = letters * exp_trunc(g)
+    scaled = oracle._letters_times(ctx, (den, blocks))
+    assert graded_poly(ctx, unscaled(K, den, scaled)) == letters * z
 
 
 @pytest.mark.parametrize("K", range(1, 9))
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_peel_residue_is_the_peeled_exponential_of_the_sum(n, K):
     ctx = AlgebraCtx(n, K)
-    written = peel_residue(ctx)
+    den, blocks = peel_residue(ctx)
+    assert den == math.factorial(K)
+    assert [b is None for b in blocks] == [d == 1 or (n == 1 and d > 0) for d in range(K + 1)]  # None where zero
     product = AssocPoly.one(ctx)
     for g in generators(ctx):
         product = exp_trunc(-g) * product
-    assert written == product * exp_of_sum(ctx)
-    words, nums, den = written.numerators()
-    assert AssocPoly.from_numerators(ctx, words, nums, den) == written  # canonical as made
-    if n == 1:
-        assert written == AssocPoly.one(ctx)  # e^(-X1) e^(X1) = 1
+    assert graded_poly(ctx, (den, blocks)) == product * exp_trunc(poly_sum(ctx, generators(ctx)))
 
 
 def test_peel_residue_reads_each_word_off_its_non_increasing_prefix():
@@ -169,7 +204,8 @@ def test_peel_residue_reads_each_word_off_its_non_increasing_prefix():
         return math.prod(Fraction((-1) ** u.count(i), math.factorial(u.count(i))) for i in set(u))
 
     n, K = 3, 6
-    written = peel_residue(AlgebraCtx(n, K))
+    ctx = AlgebraCtx(n, K)
+    written = graded_poly(ctx, peel_residue(ctx))
     for d in range(K + 1):
         for w in itertools.product(range(1, n + 1), repeat=d):
             L = next((j for j in range(1, d) if w[j] > w[j - 1]), d)
@@ -235,18 +271,8 @@ class TestExactIdentityCheck:
         e = shared_engine(n, K)
         ws = [e.w_term(j) for j in range(2, K + 1)]
         ws[m - 2] = ws[m - 2].scaled(c)
-        defects = []
-        original = AssocPoly.max_abs_coeff
-
-        def spy(poly):  # the check calls it once, on its defect polynomial
-            defects.append(poly)
-            return original(poly)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(AssocPoly, "max_abs_coeff", spy)
-            report = exact_identity_check(n, K, ws)
+        report = exact_identity_check(n, K, ws)
         expected = full_product_defect(n, K, ws)
-        assert defects == [expected]
         assert report.residuals == ((None, expected.max_abs_coeff()),)
         # W_m is nonzero for n >= 2, so scaling it breaks the identity.
         assert report.passed is expected.is_zero is (n == 1)
@@ -267,8 +293,8 @@ class TestExactIdentityCheck:
         def no_work(*args):
             pytest.fail("work started before the input was checked")
 
-        monkeypatch.setattr(oracle, "peel_oracle", no_work)
-        monkeypatch.setattr(oracle, "exp_trunc", no_work)
+        for kernel in ("peel_oracle", "peel_residue", "_exp_times", "_letters_times"):
+            monkeypatch.setattr(oracle, kernel, no_work)
         e = engine(2, 4)
         ws = [e.w_term(m) for m in range(2, 5)]
         refused = [
@@ -303,6 +329,48 @@ class TestOracleEquivalenceCheck:
         report = oracle_equivalence_check(2, 4, ws)
         assert not report.passed
         assert "m=[4]" in report.detail
+
+
+@pytest.mark.parametrize("n, K", [(2, 8), (3, 6), (4, 5)])
+def test_one_corrupted_numerator_of_each_block_fails_both_checks(n, K):
+    # The acceptance grid: each W_m in turn gets one numerator of its block changed.
+    ctx = AlgebraCtx(n, K)
+    rng = random.Random(n * 100 + K)
+    blocks = [shared_engine(n, K).w_block(m) for m in range(2, K + 1)]
+    for m in range(2, K + 1):
+        den, nums = blocks[m - 2]
+        nums = list(nums)
+        nums[rng.randrange(len(nums))] += rng.choice([-2, -1, 1, 3])
+        ws = [from_block(ctx, j, *b) for j, b in enumerate(blocks, start=2)]
+        ws[m - 2] = from_block(ctx, m, den, nums)
+        exact = exact_identity_check(n, K, ws)
+        assert not exact.passed, m
+        assert exact.residuals == ((None, full_product_defect(n, K, ws).max_abs_coeff()),), m
+        assert not oracle_equivalence_check(n, K, ws).passed, m
+
+
+def digit_reversal(n, d):
+    """perm[i] = the index of the reverse of the i-th word of degree d: its d base-n digits read backwards."""
+    perm = [0]
+    for k in range(d):  # word i = a n + b, a its prefix and b its last letter: reversed, b n^k + perm_k[a]
+        perm = [p + b * n**k for p in perm for b in range(n)]
+    return perm
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_blocks_satisfy_the_antipode_law(data):
+    # A Lie element P homogeneous of degree m has P(reverse w) = (-1)^(m+1) P(w) (Reutenauer,
+    # Free Lie Algebras): the antipode maps a word w to (-1)^|w| reverse(w) and a Lie element to -P.
+    n = data.draw(st.integers(1, 4), label="n")
+    K = data.draw(st.integers(2, {1: 8, 2: 8, 3: 6, 4: 5}[n]), label="K")
+    ctx = AlgebraCtx(n, K)
+    engine = shared_engine(n, K)
+    for m, w in enumerate(peel_oracle(n, K), start=2):
+        perm = digit_reversal(n, m)
+        for den, nums in (engine.w_block(m), to_block(w, m)):
+            sign = (-1) ** (m + 1)
+            assert list(map(nums.__getitem__, perm)) == [sign * c for c in nums], (m, ctx)
 
 
 @st.composite
