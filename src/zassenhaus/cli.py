@@ -16,16 +16,17 @@ in `zassenhaus terms ... | head`), with no traceback.
 All output is deterministic for fixed flags (and seed, where one
 applies): JSON has sorted keys and fixed separators, byte for byte as
 `json.dumps(doc, sort_keys=True, separators=(",", ":"))` writes it, and
-term order is canonical everywhere.  `terms` holds each W_m as the
-engine's reduced dense degree block (den, nums), from
-`EngineCtx.series_blocks` or the cache to its output:
+term order is canonical everywhere.  `terms` and `verify` hold each W_m
+as the engine's reduced dense degree block (den, nums), from
+`EngineCtx.series_blocks` or the cache to the output or verdict:
 `freealg.render_block` writes text, LaTeX and the JSON "poly" straight
-from the block, and a cache entry stores the block's numerators as
-machine words.  Dicts are made only where a
-consumer needs one: `--path both` compares polynomials, `--form comm`
-renders the `LieExpr` of W_2..W_4, and `f1k` and `verify` work on
-`AssocPoly` values.  `terms` writes its output in chunks, one W_m each,
-rendered only when written, so that one rendering at a time is alive.
+from the block, a cache entry stores its numerators as machine words,
+and the exact and oracle checks compute on blocks.  Dicts are made only
+where a consumer needs one: `--path both` compares polynomials, `--form
+comm` renders the `LieExpr` of W_2..W_4, and `f1k` and the numeric check
+work on `AssocPoly` values.  `terms` writes its output in chunks, one
+W_m each, rendered only when written, so that one rendering at a time is
+alive.
 The cache layout is
 
     <root>/<cache-version>/n<n>/W<m>.bin
@@ -78,7 +79,7 @@ from operator import add, and_, lshift, rshift
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .engine import EngineCtx, PathDisagreementError, f1k_comm, f1k_direct, series, w_comm
+from .engine import EngineCtx, PathDisagreementError, f1k_comm, f1k_direct, w_comm
 from .freealg import AlgebraCtx, Block, block_length, check_block, render_block
 from .lieform import LieExpr, expand, render
 from .oracle import (
@@ -328,7 +329,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     t_values = [float(part) for part in args.t.split(",") if part.strip()]
     if args.mode in ("numeric", "all"):
         check_numeric_args(args.dim, args.seed, t_values)  # a usage error costs no work
-    ws = list(series(EngineCtx(AlgebraCtx(n, K)))) if K >= 2 else []  # K = 1 verifies the bare splitting
+    ws = list(EngineCtx(AlgebraCtx(n, K)).series_blocks()) if K >= 2 else []  # K = 1 verifies the bare splitting
     reports = []
     if args.mode in ("exact", "all"):
         reports.append(exact_identity_check(n, K, ws))

@@ -34,9 +34,9 @@ as it enters the memo and never changed after.  Each Horner step is one
 f[m, k] are homogeneous and nearly dense, so a step is one C-level list
 pass per distinct numerator of W_m, one stride copy per nonzero word of
 W_m and one fused pass over the result.  Each W_m is kept as its reduced
-block (`w_block`), which is what the CLI renders and caches; a dict is
-made only when a caller asks for a polynomial: `w_term` (and so `series`,
-the oracles and `--path both`) and `fmk`.  The graded pass stays
+block (`w_block`), which is what the CLI renders, caches and verifies; a
+dict is made only when a caller asks for a polynomial: `w_term` (and so
+`series` and `--path both`) and `fmk`.  The graded pass stays
 sparse: its operator is one letter and its early parts are mostly zeros;
 dense blocks there took the (3, 9) pass from 6.5 ms to 87 ms (2 CPUs,
 Python 3.11.7), and each part becomes its block once, through

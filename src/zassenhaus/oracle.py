@@ -17,6 +17,9 @@ Three checks, in increasing distance from the algebra:
   with one np.matmul per prefix level, and every float it returns equals
   that of a walk over the words one at a time.
 
+W_m goes in and out as `EngineCtx.series_blocks` yields it, a reduced block
+(den, nums) (`freealg.to_block`); only the numeric check makes polynomials.
+
 All exact checks are zero-tolerance; the numeric check accepts an
 observed order within +-0.5 of K + 1 and reports "inconclusive" (not
 failure) when the residuals sit at round-off level.
@@ -83,10 +86,10 @@ from .freealg import (
     AssocPoly,
     Block,
     Frozen,
+    check_block,
     format_fraction,
     from_block,
     reduce_block,
-    to_block,
     zeros,
 )
 
@@ -157,26 +160,27 @@ class VerificationReport(Frozen):
         }
 
 
-def _stretches(n: int, d: int, den: int, fact: list[int]) -> Iterator[tuple[int, int]]:
-    """(numerator over den = K!, length) of each constant stretch of R's degree-d block, in code order (fact 5).
+def _stretches(n: int, d: int, scale: int) -> Iterator[tuple[int, int]]:
+    """(numerator over K! = scale d!, length) of each nonempty constant stretch of R's degree-d block, in code order (fact 5).
 
-    A depth-first walk over the non-increasing prefixes p: the words p y with
-    y <= last(p) continue the walk, and those with y > last(p) form p's
-    stretch.  A prefix carries its length, its last letter and how often it
-    ends in it, a1!...an! and the sum over its prefixes u of K! c(u) / (d - |u|)!.
+    A depth-first walk, on a stack as deep as d, over the non-increasing
+    prefixes p: the words p y with y <= last(p) continue it, those with
+    y > last(p) form p's stretch.  A prefix carries its length, last letter
+    and how often it ends in it, its multinomial d!/(a1!...an! (d-|p|)!) and
+    the sum of (-1)^|u| times that of each prefix u: small ints.
     """
-
-    def visit(length: int, last: int, run: int, p: int, total: int) -> Iterator[tuple[int, int]]:
+    stack = [(0, n, 0, 1, 1, 1)]  # (length, last, run, multinomial, sum, next letter): the empty prefix, last = n
+    while stack:
+        length, last, run, multinomial, total, y = stack.pop()
         if length == d:
-            yield total, 1
-            return
-        for y in range(1, last + 1):
+            yield scale * total, 1
+        elif y <= last:
+            stack.append((length, last, run, multinomial, total, y + 1))
             r = run + 1 if y == last else 1
-            term = den // (p * r * fact[d - length - 1])
-            yield from visit(length + 1, y, r, p * r, total - term if length % 2 == 0 else total + term)
-        yield total, (n - last) * n ** (d - length - 1)
-
-    return visit(0, n, 0, 1, den // fact[d])  # the empty prefix continues with every letter: last = n
+            multinomial = multinomial * (d - length) // r  # a_y = r
+            stack.append((length + 1, y, r, multinomial, total + multinomial if length % 2 else total - multinomial, 1))
+        elif last < n:
+            yield scale * total, (n - last) * n ** (d - length - 1)
 
 
 def peel_residue(ctx: AlgebraCtx) -> Graded:
@@ -187,8 +191,7 @@ def peel_residue(ctx: AlgebraCtx) -> Graded:
     """
     n, K = ctx.n, ctx.max_degree
     den = math.factorial(K)
-    fact = [math.factorial(i) for i in range(K + 1)]
-    blocks = [list(chain.from_iterable(starmap(repeat, _stretches(n, d, den, fact)))) for d in range(K + 1)]
+    blocks = [list(chain.from_iterable(starmap(repeat, _stretches(n, d, den // math.factorial(d))))) for d in range(K + 1)]
     return den, [b if any(b) else None for b in blocks]
 
 
@@ -256,8 +259,8 @@ def _letters_times(ctx: AlgebraCtx, z: Graded) -> list[list[int]]:
     return out
 
 
-def peel_oracle(n: int, max_degree: int) -> list[AssocPoly]:
-    """W_2 .. W_max_degree extracted order by order from the product itself.
+def peel_oracle(n: int, max_degree: int) -> list[Block]:
+    """W_2 .. W_max_degree as reduced blocks, like the engine's, extracted order by order from the product itself.
 
     R := e^(-Xn) ... e^(-X1) e^(X1+...+Xn) equals e^(W2) e^(W3) ...
     through the truncation degree; it is written down (`peel_residue`,
@@ -270,41 +273,39 @@ def peel_oracle(n: int, max_degree: int) -> list[AssocPoly]:
     divided out: the later W_j, from W_h on, h = K//2 + 1, are read off
     the same residue's blocks.
     """
-    ctx = AlgebraCtx(n, max_degree)
-    residue = peel_residue(ctx)
-    out: list[AssocPoly] = []
+    residue = peel_residue(AlgebraCtx(n, max_degree))
+    out: list[Block] = []
     for m in range(2, max_degree + 1):
         den, blocks = residue
         w = reduce_block(den, blocks[m] or zeros(n, m))
-        out.append(from_block(ctx, m, *w))
+        out.append(w)
         if 2 * m <= max_degree and blocks[m]:  # e^0 = 1
             residue = _exp_times(w, m, residue, -1)
     return out
 
 
-def _check_ws(n: int, max_degree: int, ws: Sequence[AssocPoly]) -> AlgebraCtx:
-    """The context (n, max_degree); ValueError, before any product is formed, unless `ws` is W_2..W_K in it."""
+def _check_ws(n: int, max_degree: int, ws: Sequence[Block]) -> AlgebraCtx:
+    """The context (n, max_degree); ValueError, before any product is formed, unless `ws` is W_2..W_K as `check_block` blocks."""
     ctx = AlgebraCtx(n, max_degree)
     expected = max(0, max_degree - 1)
     if len(ws) != expected:
         raise ValueError(f"need W_2..W_{max_degree} ({expected} terms), got {len(ws)}")
     for m, w in enumerate(ws, start=2):
-        if w.ctx != ctx:
-            raise ValueError(f"W_{m} belongs to context {w.ctx}, expected {ctx}")
-        if not w.is_zero and w.homogeneous_degree() != m:
-            raise ValueError(f"W_{m} is not homogeneous of degree {m}")
+        try:
+            den, nums = w
+            check_block(n, m, den, nums)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"W_{m} is not a reduced block (den, nums) of degree {m} at n={n}: {exc}") from None
     return ctx
 
 
-def exact_identity_check(
-    n: int, max_degree: int, ws: Sequence[AssocPoly]
-) -> VerificationReport:
+def exact_identity_check(n: int, max_degree: int, ws: Sequence[Block]) -> VerificationReport:
     """Zero-tolerance check of e^(sum X) = e^(X1)...e^(Xn) e^(W2)...e^(WK).
 
     `ws` must be W_2..W_max_degree in order (empty when max_degree < 2),
-    each in the context (n, max_degree) and homogeneous of its degree (or
-    zero).  The defect is the difference of the two sides as truncated
-    polynomials; the check passes iff it is identically zero.
+    each the reduced block (den, nums) of its degree.  The defect is the
+    difference of the two sides as truncated polynomials; the check passes
+    iff it is identically zero.
 
     With h = K//2 + 1, every product of two of W_h..W_K has degree
     >= 2h > K, so e^(W_h) ... e^(W_K) = 1 + W_h + ... + W_K in the
@@ -319,13 +320,12 @@ def exact_identity_check(
     """
     ctx = _check_ws(n, max_degree, ws)
     lo = max(2, max_degree // 2 + 1)  # W_lo..W_K are summed, W_2..W_(lo-1) need their exponentials
-    blocks = [to_block(w, m) for m, w in enumerate(ws, start=2)]
-    den = math.lcm(*(d for d, _ in blocks[lo - 2 :]))
-    tail = [list(map((den // d).__mul__, nums)) if any(nums) else None for d, nums in blocks[lo - 2 :]]
+    den = math.lcm(*(d for d, _ in ws[lo - 2 :]))
+    tail = [list(map((den // d).__mul__, nums)) if any(nums) else None for d, nums in ws[lo - 2 :]]
     q = (den, [[den], *repeat(None, lo - 1), *tail])
     for m in range(lo - 1, 1, -1):
-        if any(blocks[m - 2][1]):  # e^0 = 1
-            q = _exp_times(blocks[m - 2], m, q, 1)
+        if any(ws[m - 2][1]):  # e^0 = 1
+            q = _exp_times(ws[m - 2], m, q, 1)
     den = q[0]
     worst = Fraction(0)
     for d, b in enumerate(_letters_times(ctx, q)):  # d! e^(X1+...+Xn) is den over den on every word
@@ -338,16 +338,14 @@ def exact_identity_check(
     )
 
 
-def oracle_equivalence_check(
-    n: int, max_degree: int, ws: Sequence[AssocPoly]
-) -> VerificationReport:
+def oracle_equivalence_check(n: int, max_degree: int, ws: Sequence[Block]) -> VerificationReport:
     """Term-by-term comparison of `ws` (engine output, as `exact_identity_check` takes it) against `peel_oracle`."""
     _check_ws(n, max_degree, ws)
-    reference = peel_oracle(n, max_degree)
-    mismatches = [m for m, (a, b) in enumerate(zip(ws, reference), start=2) if a != b]
-    worst = Fraction(0)
-    for m in mismatches:
-        worst = max(worst, (ws[m - 2] - reference[m - 2]).max_abs_coeff())
+    mismatches, worst = [], Fraction(0)
+    for m, ((da, x), (db, y)) in enumerate(zip(ws, peel_oracle(n, max_degree)), start=2):
+        if da != db or x != y:  # reduced blocks: equal iff their polynomials are
+            mismatches.append(m)  # and x/da - y/db = (x db - y da) / (da db)
+            worst = max(worst, Fraction(max(map(abs, map(sub, map(db.__mul__, x), map(da.__mul__, y)))), da * db))
     if mismatches:
         detail = f"mismatch at m={mismatches} (n={n}, K={max_degree})"
     elif max_degree < 2:
@@ -537,7 +535,7 @@ def numeric_order_check(
     dim: int,
     seed: int,
     t_values: Sequence[float],
-    ws: Sequence[AssocPoly] | None = None,
+    ws: Sequence[Block] | None = None,
     mats: Sequence[np.ndarray] | None = None,
 ) -> VerificationReport:
     """Estimate the convergence order of the residual and compare to K + 1.
@@ -554,15 +552,16 @@ def numeric_order_check(
     nan would poison them.  These, a `dim` outside 1..MAX_DIM and a
     negative `seed` are rejected before any work is done.
 
-    `ws` defaults to the peel-off oracle output (keeping this check
-    independent of the engine); `mats` defaults to `random_matrices`.
+    `ws`, as `exact_identity_check` takes it, defaults to the peel-off oracle
+    output (keeping this check independent of the engine); `mats` defaults
+    to `random_matrices`.  Each W_m is made a polynomial once, for every t.
     """
     check_numeric_args(dim, seed, t_values)
-    if ws is None:
-        ws = peel_oracle(n, max_degree) if max_degree >= 2 else []
+    ws = peel_oracle(n, max_degree) if ws is None else ws
+    ctx = _check_ws(n, max_degree, ws)
     if mats is None:
         mats = random_matrices(n, dim, seed)
-    ws = [_Prepared.of(w) for w in ws]
+    ws = [_Prepared.of(from_block(ctx, m, *w)) for m, w in enumerate(ws, start=2)]
     norms = [(float(t), splitting_residual(mats, t, ws)) for t in t_values]
     fine, coarse = sorted(norms)[:2]  # two smallest t, ascending
     threshold = ROUNDOFF_FACTOR * sys.float_info.epsilon

@@ -74,7 +74,7 @@ def test_05_product_identity(engine):
     with criterion(5, "exact splitting identity on (n,K) in {(2,8),(3,6),(4,5)}"):
         for n, K in GRID:
             e = engine(n, K)
-            ws = [e.w_term(m) for m in range(2, K + 1)]
+            ws = [e.w_block(m) for m in range(2, K + 1)]
             report = exact_identity_check(n, K, ws)
             assert report.passed, report.detail
 
@@ -83,7 +83,7 @@ def test_06_peel_oracle_equivalence(engine):
     with criterion(6, "peel-off oracle reproduces the engine terms on the same grid"):
         for n, K in GRID:
             e = engine(n, K)
-            assert peel_oracle(n, K) == [e.w_term(m) for m in range(2, K + 1)]
+            assert peel_oracle(n, K) == [e.w_block(m) for m in range(2, K + 1)]
 
 
 def test_07_lie_membership(engine):

@@ -693,6 +693,8 @@ class TestVerify:
     def test_usage_errors(self, cli, monkeypatch):
         assert cli("verify", "--mode", "fancy").returncode == EXIT_USAGE
         assert cli("verify", "--t", "0.1").returncode == EXIT_USAGE
+        for mode in ("exact", "oracle", "numeric", "all"):  # no truncation degree below 1, in every mode
+            assert cli("verify", "--mode", mode, "--max-degree", 0).returncode == EXIT_USAGE
         for dim in (0, -1):
             r = cli("verify", "--mode", "numeric", "--dim", dim)
             assert r.returncode == EXIT_USAGE and r.stdout == ""
@@ -710,10 +712,10 @@ class TestVerify:
             assert r.returncode == EXIT_USAGE and r.stdout == "" and r.stderr.startswith("error: ")
 
         def no_series(*args, **kwargs):
-            pytest.fail("series ran before --seed was checked")
+            pytest.fail("the engine ran before --seed was checked")
 
-        # numpy refuses a negative seed too, but only after series and the exact checks.
-        monkeypatch.setattr("zassenhaus.cli.series", no_series)
+        # numpy refuses a negative seed too, but only after the engine and the exact checks.
+        monkeypatch.setattr("zassenhaus.engine.EngineCtx.series_blocks", no_series)
         for mode in ("numeric", "all"):
             r = cli("verify", "--mode", mode, "--n", 3, "--max-degree", 8, "--seed", -1)
             assert r.returncode == EXIT_USAGE and r.stdout == ""
@@ -721,16 +723,16 @@ class TestVerify:
 
     def test_out_of_memory_is_a_usage_error(self, cli, monkeypatch):
         # Exit 1 would read as a failed verification.
-        monkeypatch.setattr("zassenhaus.cli.series", _out_of_memory)
+        monkeypatch.setattr("zassenhaus.engine.EngineCtx.series_blocks", _out_of_memory)
         r = cli("verify", "--n", 2, "--max-degree", 40, "--mode", "exact")
         assert r.returncode == EXIT_USAGE and r.stdout == ""
         assert r.stderr == "error: out of memory in verify at n=2, K=40\n"
 
     def test_numeric_usage_errors_come_before_any_work(self, cli, monkeypatch):
         def no_series(*args, **kwargs):
-            pytest.fail("series ran before the numeric arguments were checked")
+            pytest.fail("the engine ran before the numeric arguments were checked")
 
-        monkeypatch.setattr("zassenhaus.cli.series", no_series)
+        monkeypatch.setattr("zassenhaus.engine.EngineCtx.series_blocks", no_series)
         for mode in ("numeric", "all"):
             for flags in (("--dim", 0), ("--dim", 257), ("--t", "0.1"), ("--t", "nan,0.1"), ("--t", "0.1,0.1")):
                 r = cli("verify", "--mode", mode, "--n", 3, "--max-degree", 9, *flags)
@@ -739,6 +741,29 @@ class TestVerify:
         # The exact and oracle modes take no numeric arguments, so they do not judge them.
         for mode in ("exact", "oracle"):
             assert cli("verify", "--mode", mode, "--max-degree", 3, "--dim", 0).returncode == EXIT_OK
+
+    @pytest.mark.parametrize("mode", ["exact", "oracle"])
+    def test_checks_make_no_polynomial_of_any_w(self, cli, monkeypatch, mode):
+        # The W_m go from the engine to the exact and oracle checks as reduced blocks, and
+        # neither check, nor the peel, makes a polynomial of one.
+        argv = ("verify", "--n", 3, "--max-degree", 6, "--mode", mode)
+        expected = cli(*argv)
+        assert expected.returncode == EXIT_OK
+
+        def no_polynomial(*args):
+            pytest.fail("a polynomial of a W_m was made")
+
+        monkeypatch.setattr(EngineCtx, "w_term", no_polynomial)
+        monkeypatch.setattr("zassenhaus.oracle.from_block", no_polynomial)
+        r = cli(*argv)
+        assert (r.returncode, r.stdout, r.stderr) == (EXIT_OK, expected.stdout, "")
+
+    @pytest.mark.parametrize("mode", ["oracle", "all"])
+    def test_single_generator_at_degree_1000(self, cli, mode):
+        # The peel walks prefixes as long as the degree: no recursion limit may end the run.
+        r = cli("verify", "--n", 1, "--max-degree", 1000, "--mode", mode)
+        assert r.returncode == EXIT_OK and r.stderr == ""
+        assert json.loads(r.stdout)["pass"] is True
 
 
 class TestF1k:

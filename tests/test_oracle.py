@@ -13,9 +13,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import degree_component, restricted, shared_engine
+from conftest import degree_component, shared_engine
 from zassenhaus import oracle
-from zassenhaus.freealg import AlgebraCtx, AssocPoly, exp_trunc, from_block, generators, log_trunc, poly_sum, to_block
+from zassenhaus.freealg import (
+    AlgebraCtx,
+    AssocPoly,
+    exp_trunc,
+    from_block,
+    generators,
+    log_trunc,
+    poly_sum,
+    reduce_block,
+    to_block,
+)
 from zassenhaus.lieform import dsw_project
 from zassenhaus.oracle import (
     MAX_DIM,
@@ -74,6 +84,16 @@ def full_product_defect(n, K, ws):
     for factor in (*gens, *ws):
         rhs = rhs * exp_trunc(factor)
     return exp_trunc(poly_sum(ctx, gens)) - rhs
+
+
+def blocks_of(ws):
+    """The reduced blocks of polynomials W_2, W_3, ..., as the checks take them."""
+    return [to_block(w, m) for m, w in enumerate(ws, start=2)]
+
+
+def polys_of(ctx, blocks):
+    """The polynomials of blocks W_2, W_3, ... in `ctx`: `blocks_of` undone."""
+    return [from_block(ctx, m, *b) for m, b in enumerate(blocks, start=2)]
 
 
 def graded_poly(ctx, graded):
@@ -212,11 +232,21 @@ def test_peel_residue_reads_each_word_off_its_non_increasing_prefix():
             assert written.coeff(w) == sum(c(w[:j]) * Fraction(1, math.factorial(d - j)) for j in range(L + 1)), w
 
 
+def test_peel_residue_of_one_generator_at_degree_1000():
+    # R = e^(-X) e^(X) = 1.  The walk over the prefixes goes as deep as the degree, on its own
+    # stack, and each step multiplies and divides small ints, never the 8530-bit 1000!.
+    start = time.perf_counter()
+    residue = peel_residue(AlgebraCtx(1, 1000))
+    assert time.perf_counter() - start < 2.0
+    f = math.factorial(1000)
+    assert residue == (f, [[f], *[None] * 1000])
+
+
 class TestPeelOracle:
     def test_matches_log_peel(self):
         for n in (1, 2, 3):
             for K in range(1, 9):
-                assert peel_oracle(n, K) == log_peel(n, K), (n, K)
+                assert peel_oracle(n, K) == blocks_of(log_peel(n, K)), (n, K)
 
     @pytest.mark.parametrize("n, K", CALL_COUNT_CASES)
     def test_exp_trunc_calls(self, monkeypatch, n, K):
@@ -226,18 +256,17 @@ class TestPeelOracle:
 
     def test_matches_engine(self, engine):
         for n, K in ((2, 6), (3, 5)):
-            ws = peel_oracle(n, K)
             e = engine(n, K)
-            assert ws == [e.w_term(m) for m in range(2, K + 1)]
+            assert peel_oracle(n, K) == [e.w_block(m) for m in range(2, K + 1)]
 
     def test_terms_are_lie_elements(self):
         # The oracle certifies Lie-ness on its own, without the engine.
-        for m, w in enumerate(peel_oracle(3, 5), start=2):
+        for m, w in enumerate(polys_of(AlgebraCtx(3, 5), peel_oracle(3, 5)), start=2):
             assert w.homogeneous_degree() == m
             assert dsw_project(w) == w
 
     def test_single_generator_gives_zeros(self):
-        assert all(w.is_zero for w in peel_oracle(1, 6))
+        assert peel_oracle(1, 6) == [(1, [0])] * 5  # the zero block: all zeros over 1
 
     def test_empty_below_degree_two(self):
         assert peel_oracle(2, 1) == []
@@ -246,15 +275,15 @@ class TestPeelOracle:
 class TestExactIdentityCheck:
     def test_passes_on_engine_output(self, engine):
         e = engine(2, 6)
-        ws = [e.w_term(m) for m in range(2, 7)]
+        ws = [e.w_block(m) for m in range(2, 7)]
         report = exact_identity_check(2, 6, ws)
         assert report.passed and report.mode == "exact"
         assert report.residuals == ((None, Fraction(0)),)
 
     def test_detects_wrong_term(self, engine):
         e = engine(2, 4)
-        ws = [e.w_term(m) for m in range(2, 5)]
-        ws[0] = ws[0].scaled(Fraction(2))  # corrupt W_2
+        ws = [e.w_block(m) for m in range(2, 5)]
+        ws[0] = to_block(e.w_term(2).scaled(Fraction(2)), 2)  # corrupt W_2
         report = exact_identity_check(2, 4, ws)
         assert not report.passed
         assert report.residuals[0][1] > 0
@@ -271,7 +300,7 @@ class TestExactIdentityCheck:
         e = shared_engine(n, K)
         ws = [e.w_term(j) for j in range(2, K + 1)]
         ws[m - 2] = ws[m - 2].scaled(c)
-        report = exact_identity_check(n, K, ws)
+        report = exact_identity_check(n, K, blocks_of(ws))
         expected = full_product_defect(n, K, ws)
         assert report.residuals == ((None, expected.max_abs_coeff()),)
         # W_m is nonzero for n >= 2, so scaling it breaks the identity.
@@ -289,22 +318,40 @@ class TestExactIdentityCheck:
 
     @pytest.mark.parametrize("check", [exact_identity_check, oracle_equivalence_check])
     def test_validates_input(self, engine, monkeypatch, check):
-        # A refused input raises before the peel or any exponential is formed.
+        # Each W_m must be the reduced block of its degree (`check_block`); a refused input
+        # raises before the peel or any exponential is formed.
         def no_work(*args):
             pytest.fail("work started before the input was checked")
 
         for kernel in ("peel_oracle", "peel_residue", "_exp_times", "_letters_times"):
             monkeypatch.setattr(oracle, kernel, no_work)
         e = engine(2, 4)
-        ws = [e.w_term(m) for m in range(2, 5)]
+        ws = [e.w_block(m) for m in range(2, 5)]
+        d3, w3 = ws[1]
+
+        def with_w3(block):
+            return [ws[0], block, ws[2]]
+
         refused = [
-            ws[:1],  # wrong length
-            [ws[1], ws[0], ws[2]],  # wrong degrees
-            [ws[0] + ws[1], ws[1], ws[2]],  # not homogeneous
-            [restricted(w, 5) for w in ws],  # wrong context
+            ws[:1],  # too few W_m
+            [*ws, (1, [0] * 32)],  # too many
+            [ws[1], ws[0], ws[2]],  # wrong degrees: blocks of the wrong length
+            with_w3((d3, w3[:-1])),  # a block one numerator short
+            with_w3((d3, [*w3, 0])),  # and one too long
+            with_w3((d3, [True, *w3[1:]])),  # a bool numerator
+            with_w3((d3, [float(w3[0]), *w3[1:]])),  # a float numerator
+            with_w3((d3, tuple(w3))),  # numerators not in a list
+            with_w3((0, w3)),  # den <= 0
+            with_w3((-d3, w3)),
+            with_w3((float(d3), w3)),  # a float den
+            with_w3((2 * d3, [2 * c for c in w3])),  # a common factor
+            with_w3((2, [0] * 8)),  # the zero block is all zeros over 1
+            with_w3((d3, w3, 0)),  # not a pair
+            with_w3(e.w_term(3)),  # a polynomial, not its block
+            [engine(3, 4).w_block(m) for m in range(2, 5)],  # blocks of another n
         ]
         for bad in refused:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"W_\d"):
                 check(2, 4, bad)
 
     def test_json_schema(self):
@@ -319,13 +366,13 @@ class TestExactIdentityCheck:
 class TestOracleEquivalenceCheck:
     def test_passes_on_engine_output(self, engine):
         e = engine(3, 5)
-        ws = [e.w_term(m) for m in range(2, 6)]
+        ws = [e.w_block(m) for m in range(2, 6)]
         assert oracle_equivalence_check(3, 5, ws).passed
 
     def test_detects_mismatch(self, engine):
         e = engine(2, 4)
-        ws = [e.w_term(m) for m in range(2, 5)]
-        ws[2] = ws[2].scaled(Fraction(1, 2))
+        ws = [e.w_block(m) for m in range(2, 5)]
+        ws[2] = to_block(e.w_term(4).scaled(Fraction(1, 2)), 4)
         report = oracle_equivalence_check(2, 4, ws)
         assert not report.passed
         assert "m=[4]" in report.detail
@@ -341,12 +388,15 @@ def test_one_corrupted_numerator_of_each_block_fails_both_checks(n, K):
         den, nums = blocks[m - 2]
         nums = list(nums)
         nums[rng.randrange(len(nums))] += rng.choice([-2, -1, 1, 3])
-        ws = [from_block(ctx, j, *b) for j, b in enumerate(blocks, start=2)]
-        ws[m - 2] = from_block(ctx, m, den, nums)
+        ws = list(blocks)
+        ws[m - 2] = reduce_block(den, nums)  # still a canonical block
         exact = exact_identity_check(n, K, ws)
         assert not exact.passed, m
-        assert exact.residuals == ((None, full_product_defect(n, K, ws).max_abs_coeff()),), m
-        assert not oracle_equivalence_check(n, K, ws).passed, m
+        assert exact.residuals == ((None, full_product_defect(n, K, polys_of(ctx, ws)).max_abs_coeff()),), m
+        report = oracle_equivalence_check(n, K, ws)
+        assert not report.passed and f"m=[{m}]" in report.detail, m
+        diff = from_block(ctx, m, *ws[m - 2]) - from_block(ctx, m, *blocks[m - 2])
+        assert report.residuals == ((None, diff.max_abs_coeff()),), m
 
 
 def digit_reversal(n, d):
@@ -368,7 +418,7 @@ def test_blocks_satisfy_the_antipode_law(data):
     engine = shared_engine(n, K)
     for m, w in enumerate(peel_oracle(n, K), start=2):
         perm = digit_reversal(n, m)
-        for den, nums in (engine.w_block(m), to_block(w, m)):
+        for den, nums in (engine.w_block(m), w):
             sign = (-1) ** (m + 1)
             assert list(map(nums.__getitem__, perm)) == [sign * c for c in nums], (m, ctx)
 
@@ -517,9 +567,22 @@ class TestNumericOrderCheck:
 
     def test_engine_ws_accepted(self, engine):
         e = engine(2, 4)
-        ws = [e.w_term(m) for m in range(2, 5)]
+        ws = [e.w_block(m) for m in range(2, 5)]
         report = numeric_order_check(2, 4, 4, 3, [0.2, 0.1], ws=ws)
         assert report.passed and abs(report.observed_order - 5) <= 0.5
+
+    def test_validates_ws(self, engine, monkeypatch):
+        # Given W_m are held to the blocks' one rule, as by the exact checks, before any matrix is made.
+        def no_matrices(*args):
+            raise AssertionError("a matrix was allocated")
+
+        monkeypatch.setattr(oracle, "random_matrices", no_matrices)
+        monkeypatch.setattr(oracle, "splitting_residual", no_matrices)
+        ws = [engine(2, 4).w_block(m) for m in range(2, 5)]
+        den, nums = ws[1]
+        for bad in (ws[:2], [ws[0], (den, nums[1:]), ws[2]], [ws[0], (3 * den, [3 * c for c in nums]), ws[2]]):
+            with pytest.raises(ValueError, match="W_"):
+                numeric_order_check(2, 4, 4, 0, [0.2, 0.1], ws=bad)
 
     def test_uses_finest_pair(self):
         report = numeric_order_check(2, 2, 4, 9, [0.1, 0.4, 0.2])
@@ -571,9 +634,10 @@ class TestNumericOrderCheck:
         # The check prepares each W_m once and substitutes it at every t: one
         # call per (W_m, t) as before, and not one float may move.
         ws = peel_oracle(n, max_degree)
+        polys = polys_of(AlgebraCtx(n, max_degree), ws)
         mats = random_matrices(n, dim, 5)
         t_values = [0.4, 0.2, 0.1]
-        expected = [(t, splitting_residual(mats, t, ws)) for t in t_values]
+        expected = [(t, splitting_residual(mats, t, polys)) for t in t_values]
         calls, prepared = [], []
         runs = oracle._runs
 
@@ -589,8 +653,8 @@ class TestNumericOrderCheck:
         monkeypatch.setattr(oracle, "_runs", counted_runs)
         report = numeric_order_check(n, max_degree, dim, 5, t_values, ws=ws, mats=mats)
         assert list(report.residuals) == expected
-        assert calls == ws * len(t_values)
-        assert prepared == ws
+        assert calls == polys * len(t_values)
+        assert prepared == polys
 
     def test_json_schema(self):
         d = numeric_order_check(2, 2, 4, 1, [0.2, 0.1]).to_json_dict()
@@ -609,7 +673,7 @@ class TestDeterminism:
 
     def test_residual_reproducible(self):
         mats = random_matrices(2, 4, 8)
-        ws = peel_oracle(2, 3)
+        ws = polys_of(AlgebraCtx(2, 3), peel_oracle(2, 3))
         assert splitting_residual(mats, 0.1, ws) == splitting_residual(mats, 0.1, ws)
 
 
