@@ -21,10 +21,10 @@ as the engine's reduced dense degree block (den, nums), from
 `EngineCtx.series_blocks` or the cache to the output or verdict:
 `freealg.render_block` writes text, LaTeX and the JSON "poly" straight
 from the block, a cache entry stores its numerators as machine words,
-and the exact and oracle checks compute on blocks.  Dicts are made only
-where a consumer needs one: `--path both` compares polynomials, `--form
-comm` renders the `LieExpr` of W_2..W_4, and `f1k` and the numeric check
-work on `AssocPoly` values.  `terms` writes its output in chunks, one
+and the exact, oracle and numeric checks compute on blocks.  Dicts are
+made only where a consumer needs one: `--path both` compares
+polynomials, `--form comm` renders the `LieExpr` of W_2..W_4, and `f1k`
+works on `AssocPoly` values.  `terms` writes its output in chunks, one
 W_m each, rendered only when written, so that one rendering at a time is
 alive.
 The cache layout is
@@ -326,8 +326,11 @@ def cmd_terms(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n, K = args.n, args.max_degree
-    t_values = [float(part) for part in args.t.split(",") if part.strip()]
-    if args.mode in ("numeric", "all"):
+    if args.mode in ("numeric", "all"):  # the other modes take no numeric arguments, so they do not judge them
+        try:
+            t_values = [float(part) for part in args.t.split(",") if part.strip()]
+        except ValueError:
+            raise ValueError(f"--t must be comma-separated numbers, got {args.t!r}") from None
         check_numeric_args(args.dim, args.seed, t_values)  # a usage error costs no work
     ws = list(EngineCtx(AlgebraCtx(n, K)).series_blocks()) if K >= 2 else []  # K = 1 verifies the bare splitting
     reports = []

@@ -457,12 +457,6 @@ class AssocPoly(Frozen):
 
     # -- arithmetic --------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        # isinstance, not Frozen's exact type: the oracle's _Prepared wrapper equals the plain polynomial it wraps.
-        if not isinstance(other, AssocPoly):
-            return NotImplemented
-        return self.ctx == other.ctx and self._den == other._den and self._codes == other._codes
-
     __hash__ = None  # mutable-dict backed; Frozen's hash of the fields would raise on the dict
 
     def __add__(self, other: "AssocPoly") -> "AssocPoly":

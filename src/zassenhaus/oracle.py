@@ -14,11 +14,11 @@ Three checks, in increasing distance from the algebra:
   exponentials at several step sizes t, and estimates the convergence
   order of the residual, which must be K + 1 when the product carries
   W_2..W_K.  Its matrix work is batched: `substitute` evaluates each W_m
-  with one np.matmul per prefix level, and every float it returns equals
-  that of a walk over the words one at a time.
+  at every t with one np.matmul per prefix level, and every float it
+  returns equals that of a walk over the words one at a time.
 
 W_m goes in and out as `EngineCtx.series_blocks` yields it, a reduced block
-(den, nums) (`freealg.to_block`); only the numeric check makes polynomials.
+(den, nums) (`freealg.to_block`); no check makes a polynomial of any W_m.
 
 All exact checks are zero-tolerance; the numeric check accepts an
 observed order within +-0.5 of K + 1 and reports "inconclusive" (not
@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain, compress, repeat, starmap
 from operator import add, floordiv, mod, ne, neg, sub, truediv
@@ -83,12 +82,10 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .freealg import (
     AlgebraCtx,
-    AssocPoly,
     Block,
     Frozen,
     check_block,
     format_fraction,
-    from_block,
     reduce_block,
     zeros,
 )
@@ -395,9 +392,9 @@ def random_matrices(n: int, dim: int, seed: int) -> list[np.ndarray]:
 
 
 def _runs(
-    poly: AssocPoly, width: int
+    n: int, d: int, w: Block, width: int
 ) -> Iterator[tuple[list[int], list[tuple[np.ndarray, np.ndarray]], np.ndarray]]:
-    """The terms of `poly` in canonical order, cut into runs of at most `width` words of one degree.
+    """The words of nonzero numerator of the degree-d block `w`, in code order, cut into runs of at most `width`.
 
     Yields (root, steps, coefs) per run.  `root` is the run's longest common
     prefix as 0-based letters.  `steps` holds one (parents, letters) pair of
@@ -405,21 +402,16 @@ def _runs(
     of that length that the run's words need, each as the position of its
     parent prefix in the level above and its last letter.  `coefs` holds
     num / den per word, each the correctly rounded quotient of Python ints.
-    A word's index among the n^d words of its degree d is its code minus
-    off[d]; its prefix one letter shorter has index // n and its last letter
-    is index % n.  Codes stay Python ints: at n = 2 they pass 2^63 at degree 63.
+    A word is its index i in the block; its prefix one letter shorter has
+    index i // n and its last letter is i % n.
     """
     import numpy as np
 
-    n, off = poly.ctx.n, poly.ctx._offsets
-    codes, den = poly._codes, poly._den
-    ks = sorted(codes)
-    start = 0
-    while start < len(ks):
-        d = bisect_right(off, ks[start]) - 1
-        stop = min(bisect_left(ks, off[d + 1], start), start + width)
-        run = ks[start:stop]
-        level = list(map(sub, run, repeat(off[d])))
+    den, nums = w
+    words = list(compress(range(len(nums)), nums))
+    coefs = np.fromiter(map(truediv, filter(None, nums), repeat(den)), float, len(words))
+    for start in range(0, len(words), width):
+        level = words[start : start + width]
         steps = []
         while len(level) > 1:
             ups = list(map(floordiv, level, repeat(n)))
@@ -432,101 +424,88 @@ def _runs(
             r, letter = divmod(r, n)
             root.append(letter)
         root.reverse()
-        yield root, steps, np.fromiter(map(truediv, map(codes.__getitem__, run), repeat(den)), float, len(run))
-        start = stop
+        yield root, steps, coefs[start : start + width]
 
 
-class _Prepared(AssocPoly):
-    """A polynomial that keeps its runs for `substitute` (see `_runs`).
-
-    `numeric_order_check` wraps each W_m once and substitutes it at every t:
-    only the matrices change with t, so the sorted codes, the quotients
-    num / den and the prefix levels are made once, at the first t.
-    """
-
-    __slots__ = ("_kept",)  # (width, runs), made at the first `runs`: a cache, not a field, so pickle and copy skip it
-
-    @classmethod
-    def of(cls, poly: AssocPoly) -> _Prepared:
-        return cls._make(poly.ctx, poly._codes, poly._den)
-
-    def runs(self, width: int) -> list[tuple[list[int], list[tuple[np.ndarray, np.ndarray]], np.ndarray]]:
-        kept = getattr(self, "_kept", (0, []))  # every width is >= 1
-        if kept[0] != width:
-            kept = (width, list(_runs(self, width)))
-            object.__setattr__(self, "_kept", kept)
-        return kept[1]
-
-
-def substitute(poly: AssocPoly, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate a polynomial on concrete matrices (X_i -> mats[i-1]).
+def substitute(n: int, d: int, w: Block, mats: Sequence[Sequence[np.ndarray]]) -> list[np.ndarray]:
+    """Evaluate W, homogeneous of degree d with block `w`, on each of one or more sets of n matrices (X_i -> mats[j][i-1]).
 
     A word's matrix is its prefix product I @ M[w1] @ ... @ M[wd], taken
     left to right, and the result is the sum of num / den times each word's
-    matrix in canonical order, added one term at a time onto zeros.  The
-    products are batched by prefix level: the words of each degree are
-    taken in runs of at most SUBSTITUTE_CHUNK_BYTES of dim x dim matrices,
-    a run's common prefix (its root) comes from a walk over shared prefixes
-    that carries over from run to run, and each level below the root is one
-    np.matmul of the parent prefixes against the letters' matrices.  Every
-    float equals that of a walk over the words one at a time: the same pairs
-    of matrices are multiplied by the same BLAS kernel, each coefficient is
-    the correctly rounded Python quotient num / den, and the terms are added
-    in canonical order by a sequential np.add.accumulate (not a pairwise
-    sum) onto the running total carried from the previous run.  Besides
-    the root's prefix products (one matrix per letter, as in a walk word by
-    word), the matrices held at once are a few stacks of that budget,
-    however many words a degree has.
+    matrix in code order, added one term at a time onto zeros.  The
+    products are batched by prefix level: the words are taken in runs of at
+    most SUBSTITUTE_CHUNK_BYTES of dim x dim matrices, a run's common prefix
+    (its root) comes from a walk over shared prefixes that carries over from
+    run to run, and each level below the root is one np.matmul of the parent
+    prefixes against the letters' matrices.  The runs depend only on `w` and
+    dim, so they are made once for every set.  Every float equals that of a
+    walk over the words one at a time: the same pairs of matrices are
+    multiplied by the same BLAS kernel, each coefficient is the correctly
+    rounded Python quotient num / den, and the terms are added in code order
+    by a sequential np.add.accumulate (not a pairwise sum) onto the running
+    total carried from the previous run.  Besides the root's prefix products
+    (one matrix per letter, as in a walk word by word), the matrices held at
+    once are a few stacks of that budget, however many words the block has.
     """
     import numpy as np
 
-    if len(mats) != poly.ctx.n:
-        raise ValueError(f"need {poly.ctx.n} matrices, got {len(mats)}")
-    dim = mats[0].shape[0]
-    stack = np.array(mats)
-    out = np.zeros((dim, dim))
-    # prefix[k] = I @ M[r1] @ ... @ M[rk] for the previous root; neighbouring
-    # runs share long prefixes, whose products are reused.
-    prefix = [np.eye(dim)]
-    prev: list[int] = []
-    width = max(1, SUBSTITUTE_CHUNK_BYTES // stack[0].nbytes)
-    runs = poly.runs(width) if isinstance(poly, _Prepared) else _runs(poly, width)
-    for root, steps, coefs in runs:
-        k = 0
-        for x, y in zip(prev, root):
-            if x != y:
-                break
-            k += 1
-        del prefix[k + 1 :]
-        for letter in root[k:]:
-            prefix.append(prefix[-1] @ stack[letter])
-        prev = root
-        block = prefix[-1][None]
-        for parents, letters in steps:
-            block = np.matmul(block[parents], stack[letters])
-        terms = block * coefs[:, None, None]
-        terms[0] += out
-        np.add.accumulate(terms, axis=0, out=terms)
-        out = terms[-1].copy()
-    return out
+    if len(w[1]) != n**d:
+        raise ValueError(f"a block of degree {d} at n={n} has {n**d} numerators, got {len(w[1])}")
+    for m in mats:
+        if len(m) != n:
+            raise ValueError(f"need {n} matrices, got {len(m)}")
+    stacks = [np.array(m) for m in mats]
+    dim = stacks[0].shape[1]
+    runs = list(_runs(n, d, w, max(1, SUBSTITUTE_CHUNK_BYTES // stacks[0][0].nbytes)))
+    values = []
+    for stack in stacks:
+        out = np.zeros((dim, dim))
+        # prefix[k] = I @ M[r1] @ ... @ M[rk] for the previous root; neighbouring
+        # runs share long prefixes, whose products are reused.
+        prefix = [np.eye(dim)]
+        prev: list[int] = []
+        for root, steps, coefs in runs:
+            k = 0
+            for x, y in zip(prev, root):
+                if x != y:
+                    break
+                k += 1
+            del prefix[k + 1 :]
+            for letter in root[k:]:
+                prefix.append(prefix[-1] @ stack[letter])
+            prev = root
+            block = prefix[-1][None]
+            for parents, letters in steps:
+                block = np.matmul(block[parents], stack[letters])
+            terms = block * coefs[:, None, None]
+            terms[0] += out
+            np.add.accumulate(terms, axis=0, out=terms)
+            out = terms[-1].copy()
+        values.append(out)
+    return values
 
 
-def splitting_residual(
-    mats: Sequence[np.ndarray], t: float, ws: Sequence[AssocPoly]
-) -> float:
-    """Operator-norm distance between e^(t sum X) and the ordered product at t."""
+def splitting_residual(mats: Sequence[np.ndarray], t_values: Sequence[float], ws: Sequence[Block]) -> list[float]:
+    """Operator-norm distance between e^(t sum X) and the ordered product e^(tX1)...e^(tXn) e^(W2(tX))... at each t.
+
+    The W_m are taken outermost, each substituted at every t at once, and
+    multiplied onto each t's product in turn.
+    """
     import numpy as np
     from scipy.linalg import expm
 
     dim = mats[0].shape[0]
-    scaled = [t * m for m in mats]
-    lhs = expm(sum(scaled, np.zeros((dim, dim))))
-    rhs = np.eye(dim)
-    for m in scaled:
-        rhs = rhs @ expm(m)
-    for w in ws:
-        rhs = rhs @ expm(substitute(w, scaled))
-    return float(np.linalg.norm(lhs - rhs, 2))
+    scaled = [[t * m for m in mats] for t in t_values]
+    lhs = [expm(sum(s, np.zeros((dim, dim)))) for s in scaled]
+    rhs = []
+    for s in scaled:
+        r = np.eye(dim)
+        for m in s:
+            r = r @ expm(m)
+        rhs.append(r)
+    for d, w in enumerate(ws, start=2):
+        rhs = [r @ expm(v) for r, v in zip(rhs, substitute(len(mats), d, w, scaled))]
+    return [float(np.linalg.norm(a - b, 2)) for a, b in zip(lhs, rhs)]
 
 
 def numeric_order_check(
@@ -554,15 +533,14 @@ def numeric_order_check(
 
     `ws`, as `exact_identity_check` takes it, defaults to the peel-off oracle
     output (keeping this check independent of the engine); `mats` defaults
-    to `random_matrices`.  Each W_m is made a polynomial once, for every t.
+    to `random_matrices`.  Each W_m is evaluated from its block, once for every t.
     """
     check_numeric_args(dim, seed, t_values)
     ws = peel_oracle(n, max_degree) if ws is None else ws
-    ctx = _check_ws(n, max_degree, ws)
+    _check_ws(n, max_degree, ws)
     if mats is None:
         mats = random_matrices(n, dim, seed)
-    ws = [_Prepared.of(from_block(ctx, m, *w)) for m, w in enumerate(ws, start=2)]
-    norms = [(float(t), splitting_residual(mats, t, ws)) for t in t_values]
+    norms = list(zip(map(float, t_values), splitting_residual(mats, t_values, ws)))
     fine, coarse = sorted(norms)[:2]  # two smallest t, ascending
     threshold = ROUNDOFF_FACTOR * sys.float_info.epsilon
     target = max_degree + 1

@@ -737,24 +737,29 @@ class TestVerify:
             for flags in (("--dim", 0), ("--dim", 257), ("--t", "0.1"), ("--t", "nan,0.1"), ("--t", "0.1,0.1")):
                 r = cli("verify", "--mode", mode, "--n", 3, "--max-degree", 9, *flags)
                 assert r.returncode == EXIT_USAGE and r.stdout == "" and r.stderr.startswith("error: ")
+            r = cli("verify", "--mode", mode, "--n", 3, "--max-degree", 9, "--t", "abc")
+            assert r.returncode == EXIT_USAGE and r.stdout == ""
+            assert r.stderr == "error: --t must be comma-separated numbers, got 'abc'\n"
         monkeypatch.undo()
         # The exact and oracle modes take no numeric arguments, so they do not judge them.
         for mode in ("exact", "oracle"):
-            assert cli("verify", "--mode", mode, "--max-degree", 3, "--dim", 0).returncode == EXIT_OK
+            for flags in (("--dim", 0), ("--t", "inf,0.1"), ("--t", "abc")):
+                assert cli("verify", "--mode", mode, "--max-degree", 3, *flags).returncode == EXIT_OK
 
-    @pytest.mark.parametrize("mode", ["exact", "oracle"])
+    @pytest.mark.parametrize("mode", ["exact", "oracle", "numeric", "all"])
     def test_checks_make_no_polynomial_of_any_w(self, cli, monkeypatch, mode):
-        # The W_m go from the engine to the exact and oracle checks as reduced blocks, and
-        # neither check, nor the peel, makes a polynomial of one.
+        # The W_m go from the engine to every check as reduced blocks, and no check,
+        # nor the peel, makes a polynomial of one, or any other.
         argv = ("verify", "--n", 3, "--max-degree", 6, "--mode", mode)
         expected = cli(*argv)
         assert expected.returncode == EXIT_OK
 
-        def no_polynomial(*args):
-            pytest.fail("a polynomial of a W_m was made")
+        def no_polynomial(*args, **kwargs):
+            pytest.fail("a polynomial was made")
 
         monkeypatch.setattr(EngineCtx, "w_term", no_polynomial)
-        monkeypatch.setattr("zassenhaus.oracle.from_block", no_polynomial)
+        monkeypatch.setattr(AssocPoly, "_make", no_polynomial)
+        monkeypatch.setattr(AssocPoly, "__init__", no_polynomial)
         r = cli(*argv)
         assert (r.returncode, r.stdout, r.stderr) == (EXIT_OK, expected.stdout, "")
 

@@ -76,6 +76,20 @@ def substitute_by_prefix_walk(poly, mats):
     return out
 
 
+def residual_by_prefix_walk(mats, t, polys):
+    """`splitting_residual` at one t as first written: one exponential per factor, each W_m by `substitute_by_prefix_walk`."""
+    from scipy.linalg import expm
+
+    scaled = [t * m for m in mats]
+    lhs = expm(sum(scaled, np.zeros_like(mats[0])))
+    rhs = np.eye(len(mats[0]))
+    for m in scaled:
+        rhs = rhs @ expm(m)
+    for w in polys:
+        rhs = rhs @ expm(substitute_by_prefix_walk(w, scaled))
+    return float(np.linalg.norm(lhs - rhs, 2))
+
+
 def full_product_defect(n, K, ws):
     """e^(sum X) - e^(X1)...e^(Xn) e^(W2)...e^(WK), one exponential per factor."""
     ctx = AlgebraCtx(n, K)
@@ -425,119 +439,115 @@ def test_blocks_satisfy_the_antipode_law(data):
 
 @st.composite
 def substitution_cases(draw):
-    """(poly, dim, seed, width): a mixed-degree polynomial, with its words of
-    one degree all present or not, and the words per run of `substitute`
-    (None for the default budget, which at these dims holds every degree whole)."""
-    n = draw(st.integers(1, 4), label="n")
-    K = draw(st.integers(1, 7), label="K")
-    ctx = AlgebraCtx(n, K)
-    words = st.lists(st.integers(1, n), max_size=K).map(tuple)
-    coeffs = st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**20))
-    terms = draw(st.dictionaries(words, coeffs, max_size=30), label="terms")
-    dense = [d for d in range(K + 1) if n**d <= 256]
-    if draw(st.booleans(), label="fill a degree"):
-        d = draw(st.sampled_from(dense), label="filled degree")
-        for i, w in enumerate(itertools.product(range(1, n + 1), repeat=d)):
-            terms[w] = Fraction(i * 7919 % 1001 - 500, 1 + i % 12)  # as in FILLED_DEGREE_6
+    """(n, d, block, dim, seed, width): a block of one degree, zeros among its
+    numerators, and the words per run of `substitute` (None for the default
+    budget, which at these dims holds the block whole)."""
+    n = draw(st.integers(1, 5), label="n")
+    d = draw(st.sampled_from([d for d in range(8) if n**d <= 256]), label="d")
+    nums = st.one_of(st.just(0), st.integers(-(10**20), 10**20))
+    block = (draw(st.integers(1, 10**20), label="den"), draw(st.lists(nums, min_size=n**d, max_size=n**d), label="nums"))
     dim = draw(st.integers(1, 5), label="dim")
     seed = draw(st.integers(0, 2**32 - 1), label="seed")
     width = draw(st.one_of(st.none(), st.integers(1, 9)), label="width")
-    return AssocPoly(ctx, terms), dim, seed, width
+    return n, d, block, dim, seed, width
 
 
-#: Traced peak allowed to `substitute(W_12)` at n = 2, dim 64: a few stacks
-#: of SUBSTITUTE_CHUNK_BYTES and the root's prefix products (measured 0.8 MiB;
-#: 1.1 MiB for the walk word by word), against 128 MB for one stack of the
-#: whole degree.
+#: Traced peak allowed to `substitute` of W_12 at n = 2, dim 64: a few stacks
+#: of SUBSTITUTE_CHUNK_BYTES, the root's prefix products and the runs, kept for
+#: every set of matrices (measured 2.8 MiB, most of it the 2048 runs of two
+#: words; 1.1 MiB for the walk word by word), against 128 MB for one stack of
+#: the whole degree.
 SUBSTITUTE_MEMORY_BUDGET = 4 << 20
 
 
-FILLED_DEGREE_6 = AssocPoly(
-    AlgebraCtx(2, 6),
-    {w: Fraction(i * 7919 % 1001 - 500, 1 + i % 12) for i, w in enumerate(itertools.product((1, 2), repeat=6))},
+FILLED_DEGREE_6 = to_block(
+    AssocPoly(
+        AlgebraCtx(2, 6),
+        {w: Fraction(i * 7919 % 1001 - 500, 1 + i % 12) for i, w in enumerate(itertools.product((1, 2), repeat=6))},
+    ),
+    6,
 )
 
 
-def substitute_with_width(poly, mats, width):
-    """`substitute` with runs of `width` words, or of its default budget for None."""
+def substitute_with_width(n, d, block, mats, width):
+    """`substitute` of one set of matrices with runs of `width` words, or of its default budget for None."""
     if width is None:
-        return substitute(poly, mats)
+        return substitute(n, d, block, [mats])[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "SUBSTITUTE_CHUNK_BYTES", width * mats[0].nbytes)
-        return substitute(poly, mats)
+        return substitute(n, d, block, [mats])[0]
+
+
+def walk(n, d, block, mats):
+    """`substitute_by_prefix_walk` of the block's polynomial: the reference the batched evaluation must equal."""
+    return substitute_by_prefix_walk(from_block(AlgebraCtx(n, max(d, 1)), d, *block), mats)
 
 
 class TestSubstitute:
     def test_agrees_with_manual_evaluation(self):
-        ctx = AlgebraCtx(2, 3)
-        x, y = generators(ctx)
-        p = x * y - y * x + x.scaled(Fraction(1, 2)) + AssocPoly.one(ctx)
+        # X1 X1 / 2 + X1 X2 - X2 X1, at two sets of matrices from one call.
         rng = np.random.default_rng(5)
-        a, b = rng.normal(size=(2, 3, 3))
-        expected = a @ b - b @ a + 0.5 * a + np.eye(3)
-        assert np.allclose(substitute(p, [a, b]), expected)
+        sets = [list(rng.normal(size=(2, 3, 3))) for _ in range(2)]
+        got = substitute(2, 2, (2, [1, 2, -2, 0]), sets)
+        assert len(got) == 2
+        for (a, b), value in zip(sets, got):
+            assert np.allclose(value, 0.5 * a @ a + a @ b - b @ a)
 
     def test_checks_arity(self):
-        ctx = AlgebraCtx(2, 2)
-        with pytest.raises(ValueError):
-            substitute(AssocPoly.one(ctx), [np.eye(2)])
+        with pytest.raises(ValueError, match="need 2 matrices, got 1"):
+            substitute(2, 2, (1, [0, 1, 0, 0]), [[np.eye(2), np.eye(2)], [np.eye(2)]])
+        with pytest.raises(ValueError, match="has 4 numerators, got 3"):
+            substitute(2, 2, (1, [0, 1, 0]), [[np.eye(2), np.eye(2)]])
 
     @settings(max_examples=150, deadline=None)
     @given(case=substitution_cases())
-    @example(case=(AssocPoly.zero(AlgebraCtx(2, 3)), 3, 0, None))
-    @example(case=(AssocPoly.one(AlgebraCtx(3, 2)).scaled(Fraction(-7, 3)), 2, 1, None))
-    @example(case=(AssocPoly(AlgebraCtx(1, 6), {(1,) * d: Fraction(d - 3, d + 1) for d in range(7)}), 4, 2, 2))
-    @example(
-        case=(
-            AssocPoly.from_numerators(AlgebraCtx(2, 3), [(1,), (1, 2), (2, 1, 1)], [2**53 + 1, -(2**60) - 3, 3**40], 7),
-            4,
-            3,
-            None,
-        )
-    )
-    @example(case=(AssocPoly.from_numerators(AlgebraCtx(2, 2), [(), (1, 2)], [10**400 + 1, -1], 10**400), 3, 4, 1))
-    @example(case=(FILLED_DEGREE_6, 1, 0, None))  # 1 x 1 matrices: a pairwise sum would move the result
+    @example(case=(2, 3, (1, [0] * 8), 3, 0, None))  # the zero block
+    @example(case=(3, 0, (3, [-7]), 2, 1, None))
+    @example(case=(1, 6, (7, [3]), 4, 2, 2))
+    @example(case=(2, 3, (7, [0, 2**53 + 1, 0, 0, -(2**60) - 3, 0, 3**40, 0]), 4, 3, None))
+    @example(case=(2, 2, (10**400, [10**400 + 1, 0, -1, 0]), 3, 4, 1))  # huge numerators, a quotient near 1
+    @example(case=(2, 6, FILLED_DEGREE_6, 1, 0, None))  # 1 x 1 matrices: a pairwise sum would move the result
     def test_bitwise_equal_to_prefix_walk(self, case):
         # Same products by the same kernel, same quotients, same sequential sum:
         # not one float may move, whatever the runs are.
-        poly, dim, seed, width = case
-        mats = list(np.random.default_rng(seed).uniform(-0.5, 0.5, size=(poly.ctx.n, dim, dim)))
-        got = substitute_with_width(poly, mats, width)
-        assert np.array_equal(got, substitute_by_prefix_walk(poly, mats))
+        n, d, block, dim, seed, width = case
+        mats = list(np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, dim, dim)))
+        got = substitute_with_width(n, d, block, mats, width)
+        assert np.array_equal(got, walk(n, d, block, mats))
 
     def test_huge_quotient_is_finite(self):
         # Both parts beyond float range, the quotient 1: no overflow, no 0/0.
-        p = AssocPoly.from_numerators(AlgebraCtx(1, 1), [()], [10**400 + 1], 10**400)
-        assert np.array_equal(substitute(p, [np.ones((2, 2))]), np.eye(2))
+        assert np.array_equal(substitute(1, 0, (10**400, [10**400 + 1]), [[np.ones((2, 2))]])[0], np.eye(2))
 
-    @pytest.mark.parametrize("n, degree, count", [(2, 70, 1), (3, 30, 5)])
-    def test_sparse_long_words(self, n, degree, count):
-        # Codes past int64 (2^70 at n = 2); the work must follow the words
-        # present, not the n^degree words of their degree.
+    @pytest.mark.parametrize("n, degree, count", [(2, 20, 3), (3, 12, 5)])
+    def test_sparse_block(self, n, degree, count):
+        # A block of 2^20 or 3^12 numerators with a few nonzero: the products
+        # must follow the words present, not the n^degree words of the degree.
         rng = np.random.default_rng(degree)
-        ctx = AlgebraCtx(n, degree)
-        words = [tuple(int(x) for x in rng.integers(1, n + 1, size=degree)) for _ in range(count)]
-        poly = AssocPoly(ctx, {w: Fraction(i + 1, 3) for i, w in enumerate(words)})
+        nums = [0] * n**degree
+        for i, k in enumerate(rng.choice(n**degree, size=count, replace=False)):
+            nums[int(k)] = i + 1
+        block = (3, nums)
         mats = random_matrices(n, 4, 7)
         start = time.perf_counter()
-        got = substitute(poly, mats)
+        got = substitute(n, degree, block, [mats])[0]
         assert time.perf_counter() - start < 1.0
-        assert np.array_equal(got, substitute_by_prefix_walk(poly, mats))
+        assert np.array_equal(got, walk(n, degree, block, mats))
 
     def test_memory_stays_within_the_run_budget(self):
         # W_12 at n = 2 has 4096 words of 64 x 64 matrices (32 kB each): one
         # stack of the whole degree would take 128 MB per copy.
-        w12 = shared_engine(2, 12).w_term(12)
+        w12 = shared_engine(2, 12).w_block(12)
         mats = random_matrices(2, 64, 3)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            got = substitute(w12, mats)
+            got = substitute(2, 12, w12, [mats])[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < SUBSTITUTE_MEMORY_BUDGET
-        assert np.array_equal(got, substitute_by_prefix_walk(w12, mats))
+        assert np.array_equal(got, walk(2, 12, w12, mats))
 
 
 class TestNumericOrderCheck:
@@ -631,30 +641,24 @@ class TestNumericOrderCheck:
 
     @pytest.mark.parametrize("n, max_degree, dim", [(2, 6, 4), (3, 4, 1), (2, 5, 64)])
     def test_residuals_equal_those_of_plain_substitution(self, monkeypatch, n, max_degree, dim):
-        # The check prepares each W_m once and substitutes it at every t: one
-        # call per (W_m, t) as before, and not one float may move.
+        # The check makes the runs of each W_m once and evaluates it at every t
+        # from them, and not one float may move from a walk word by word.
         ws = peel_oracle(n, max_degree)
-        polys = polys_of(AlgebraCtx(n, max_degree), ws)
         mats = random_matrices(n, dim, 5)
         t_values = [0.4, 0.2, 0.1]
-        expected = [(t, splitting_residual(mats, t, polys)) for t in t_values]
-        calls, prepared = [], []
+        polys = polys_of(AlgebraCtx(n, max_degree), ws)
+        expected = [(t, residual_by_prefix_walk(mats, t, polys)) for t in t_values]
+        made = []
         runs = oracle._runs
 
-        def counted(poly, mats):
-            calls.append(poly)
-            return substitute(poly, mats)
+        def counted_runs(n, d, w, width):
+            made.append((d, w))
+            return runs(n, d, w, width)
 
-        def counted_runs(poly, width):
-            prepared.append(poly)
-            return runs(poly, width)
-
-        monkeypatch.setattr(oracle, "substitute", counted)
         monkeypatch.setattr(oracle, "_runs", counted_runs)
         report = numeric_order_check(n, max_degree, dim, 5, t_values, ws=ws, mats=mats)
         assert list(report.residuals) == expected
-        assert calls == polys * len(t_values)
-        assert prepared == polys
+        assert made == list(enumerate(ws, start=2))  # K - 1 calls, not (K - 1) len(t)
 
     def test_json_schema(self):
         d = numeric_order_check(2, 2, 4, 1, [0.2, 0.1]).to_json_dict()
@@ -673,8 +677,8 @@ class TestDeterminism:
 
     def test_residual_reproducible(self):
         mats = random_matrices(2, 4, 8)
-        ws = polys_of(AlgebraCtx(2, 3), peel_oracle(2, 3))
-        assert splitting_residual(mats, 0.1, ws) == splitting_residual(mats, 0.1, ws)
+        ws = peel_oracle(2, 3)
+        assert splitting_residual(mats, [0.1], ws) == splitting_residual(mats, [0.1], ws)
 
 
 def test_cli_import_does_not_load_numpy_or_scipy():
