@@ -85,6 +85,7 @@ from .lieform import LieExpr, expand, render
 from .oracle import (
     MAX_DIM,
     check_numeric_args,
+    check_ws,
     exact_identity_check,
     numeric_order_check,
     oracle_equivalence_check,
@@ -332,7 +333,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except ValueError:
             raise ValueError(f"--t must be comma-separated numbers, got {args.t!r}") from None
         check_numeric_args(args.dim, args.seed, t_values)  # a usage error costs no work
-    ws = list(EngineCtx(AlgebraCtx(n, K)).series_blocks()) if K >= 2 else []  # K = 1 verifies the bare splitting
+    # K = 1 verifies the bare splitting; the checks share one validation of W_2..W_K.
+    ws = check_ws(n, K, list(EngineCtx(AlgebraCtx(n, K)).series_blocks()) if K >= 2 else [])
     reports = []
     if args.mode in ("exact", "all"):
         reports.append(exact_identity_check(n, K, ws))

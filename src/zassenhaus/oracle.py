@@ -13,12 +13,16 @@ Three checks, in increasing distance from the algebra:
 * `numeric_order_check` substitutes random matrices, compares matrix
   exponentials at several step sizes t, and estimates the convergence
   order of the residual, which must be K + 1 when the product carries
-  W_2..W_K.  Its matrix work is batched: `substitute` evaluates each W_m
-  at every t with one np.matmul per prefix level, and every float it
-  returns equals that of a walk over the words one at a time.
+  W_2..W_K.  Its matrix work is batched: `substitute` evaluates all of
+  W_2..W_K at every t in one walk over the prefix tree of their words,
+  each prefix's matrix made once, a chunk of a level per np.matmul, and
+  every float it returns equals that of a walk over the words one at a
+  time.
 
 W_m goes in and out as `EngineCtx.series_blocks` yields it, a reduced block
 (den, nums) (`freealg.to_block`); no check makes a polynomial of any W_m.
+`check_ws` validates W_2..W_K once, and a value it returned passes every
+check's own call of it without a second scan.
 
 All exact checks are zero-tolerance; the numeric check accepts an
 observed order within +-0.5 of K + 1 and reports "inconclusive" (not
@@ -77,8 +81,8 @@ import math
 import sys
 from fractions import Fraction
 from itertools import chain, compress, repeat, starmap
-from operator import add, floordiv, mod, ne, neg, sub, truediv
-from typing import TYPE_CHECKING, Iterator, Sequence
+from operator import add, floordiv, neg, sub, truediv
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .freealg import (
     AlgebraCtx,
@@ -104,9 +108,9 @@ ROUNDOFF_FACTOR = 100.0
 #: no big matrices, and a huge one would only exhaust memory or CPU.
 MAX_DIM = 256
 
-#: Byte budget of one stack of dim x dim matrices in `substitute`: the words of
-#: a degree are evaluated in runs of at most this many bytes of matrices, so a
-#: level's batch is bounded however many words the degree has.
+#: Byte budget of one stack of dim x dim matrices in `substitute`: each level of
+#: the words' prefix tree is evaluated in chunks of at most this many bytes of
+#: matrices (or one node), so a batch is bounded however many words a level has.
 SUBSTITUTE_CHUNK_BYTES = 1 << 16
 
 #: A graded element (den, blocks): blocks[d] is the block of degree d, d = 0..K, or None where it is 0.
@@ -281,9 +285,22 @@ def peel_oracle(n: int, max_degree: int) -> list[Block]:
     return out
 
 
-def _check_ws(n: int, max_degree: int, ws: Sequence[Block]) -> AlgebraCtx:
-    """The context (n, max_degree); ValueError, before any product is formed, unless `ws` is W_2..W_K as `check_block` blocks."""
-    ctx = AlgebraCtx(n, max_degree)
+class _Checked(tuple):
+    """W_2..W_K that `check_ws` accepted at (n, K) = `key`."""
+
+    key: tuple[int, int]
+
+
+def check_ws(n: int, max_degree: int, ws: Sequence[Block]) -> Sequence[Block]:
+    """`ws` as validated W_2..W_K; ValueError, before any product is formed, unless it is W_2..W_K as `check_block` blocks.
+
+    A value this returned for the same (n, max_degree) comes back without a
+    second scan, so `verify` validates once for all its checks; every check
+    passes what it is given through here.
+    """
+    if type(ws) is _Checked and ws.key == (n, max_degree):
+        return ws
+    AlgebraCtx(n, max_degree)  # n and K themselves
     expected = max(0, max_degree - 1)
     if len(ws) != expected:
         raise ValueError(f"need W_2..W_{max_degree} ({expected} terms), got {len(ws)}")
@@ -293,7 +310,9 @@ def _check_ws(n: int, max_degree: int, ws: Sequence[Block]) -> AlgebraCtx:
             check_block(n, m, den, nums)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"W_{m} is not a reduced block (den, nums) of degree {m} at n={n}: {exc}") from None
-    return ctx
+    checked = _Checked(ws)
+    checked.key = (n, max_degree)
+    return checked
 
 
 def exact_identity_check(n: int, max_degree: int, ws: Sequence[Block]) -> VerificationReport:
@@ -315,7 +334,7 @@ def exact_identity_check(n: int, max_degree: int, ws: Sequence[Block]) -> Verifi
     e^(X1)...e^(Xn) multiplies Q once at the end, and by associativity the
     defect is the same polynomial, compared degree by degree (fact 4).
     """
-    ctx = _check_ws(n, max_degree, ws)
+    ws = check_ws(n, max_degree, ws)
     lo = max(2, max_degree // 2 + 1)  # W_lo..W_K are summed, W_2..W_(lo-1) need their exponentials
     den = math.lcm(*(d for d, _ in ws[lo - 2 :]))
     tail = [list(map((den // d).__mul__, nums)) if any(nums) else None for d, nums in ws[lo - 2 :]]
@@ -325,7 +344,7 @@ def exact_identity_check(n: int, max_degree: int, ws: Sequence[Block]) -> Verifi
             q = _exp_times(ws[m - 2], m, q, 1)
     den = q[0]
     worst = Fraction(0)
-    for d, b in enumerate(_letters_times(ctx, q)):  # d! e^(X1+...+Xn) is den over den on every word
+    for d, b in enumerate(_letters_times(AlgebraCtx(n, max_degree), q)):  # d! e^(X1+...+Xn) is den over den on every word
         worst = max(worst, Fraction(max(den - min(b), max(b) - den), den * math.factorial(d)))
     return VerificationReport(
         mode="exact",
@@ -337,7 +356,7 @@ def exact_identity_check(n: int, max_degree: int, ws: Sequence[Block]) -> Verifi
 
 def oracle_equivalence_check(n: int, max_degree: int, ws: Sequence[Block]) -> VerificationReport:
     """Term-by-term comparison of `ws` (engine output, as `exact_identity_check` takes it) against `peel_oracle`."""
-    _check_ws(n, max_degree, ws)
+    ws = check_ws(n, max_degree, ws)
     mismatches, worst = [], Fraction(0)
     for m, ((da, x), (db, y)) in enumerate(zip(ws, peel_oracle(n, max_degree)), start=2):
         if da != db or x != y:  # reduced blocks: equal iff their polynomials are
@@ -391,120 +410,119 @@ def random_matrices(n: int, dim: int, seed: int) -> list[np.ndarray]:
     return [rng.uniform(-0.5, 0.5, size=(dim, dim)) * scale for _ in range(n)]
 
 
-def _runs(
-    n: int, d: int, w: Block, width: int
-) -> Iterator[tuple[list[int], list[tuple[np.ndarray, np.ndarray]], np.ndarray]]:
-    """The words of nonzero numerator of the degree-d block `w`, in code order, cut into runs of at most `width`.
+def substitute(n: int, blocks: Mapping[int, Block], mats: Sequence[Sequence[np.ndarray]]) -> list[dict[int, np.ndarray]]:
+    """Evaluate each W, homogeneous of degree d with block blocks[d], on each of one or more sets of n matrices (X_i -> mats[j][i-1]).
 
-    Yields (root, steps, coefs) per run.  `root` is the run's longest common
-    prefix as 0-based letters.  `steps` holds one (parents, letters) pair of
-    index arrays per level below the root, top down: the distinct prefixes
-    of that length that the run's words need, each as the position of its
-    parent prefix in the level above and its last letter.  `coefs` holds
-    num / den per word, each the correctly rounded quotient of Python ints.
-    A word is its index i in the block; its prefix one letter shorter has
-    index i // n and its last letter is i % n.
-    """
-    import numpy as np
-
-    den, nums = w
-    words = list(compress(range(len(nums)), nums))
-    coefs = np.fromiter(map(truediv, filter(None, nums), repeat(den)), float, len(words))
-    for start in range(0, len(words), width):
-        level = words[start : start + width]
-        steps = []
-        while len(level) > 1:
-            ups = list(map(floordiv, level, repeat(n)))
-            first = [True, *map(ne, ups[1:], ups)]  # ups ascend: a new parent where they change
-            steps.append((np.cumsum(first) - 1, np.fromiter(map(mod, level, repeat(n)), np.intp, len(level))))
-            level = list(compress(ups, first))
-        steps.reverse()
-        root, r = [], level[0]
-        for _ in range(d - len(steps)):
-            r, letter = divmod(r, n)
-            root.append(letter)
-        root.reverse()
-        yield root, steps, coefs[start : start + width]
-
-
-def substitute(n: int, d: int, w: Block, mats: Sequence[Sequence[np.ndarray]]) -> list[np.ndarray]:
-    """Evaluate W, homogeneous of degree d with block `w`, on each of one or more sets of n matrices (X_i -> mats[j][i-1]).
-
+    Returns one dict per set, mapping each degree of `blocks` to its matrix.
     A word's matrix is its prefix product I @ M[w1] @ ... @ M[wd], taken
-    left to right, and the result is the sum of num / den times each word's
-    matrix in code order, added one term at a time onto zeros.  The
-    products are batched by prefix level: the words are taken in runs of at
-    most SUBSTITUTE_CHUNK_BYTES of dim x dim matrices, a run's common prefix
-    (its root) comes from a walk over shared prefixes that carries over from
-    run to run, and each level below the root is one np.matmul of the parent
-    prefixes against the letters' matrices.  The runs depend only on `w` and
-    dim, so they are made once for every set.  Every float equals that of a
-    walk over the words one at a time: the same pairs of matrices are
-    multiplied by the same BLAS kernel, each coefficient is the correctly
-    rounded Python quotient num / den, and the terms are added in code order
-    by a sequential np.add.accumulate (not a pairwise sum) onto the running
-    total carried from the previous run.  Besides the root's prefix products
-    (one matrix per letter, as in a walk word by word), the matrices held at
-    once are a few stacks of that budget, however many words the block has.
+    left to right, and each W's value is the sum of num / den times each of
+    its words' matrices in code order, added one term at a time onto zeros.
+    All the blocks are evaluated in one depth-first walk over the prefix
+    tree of the words of nonzero numerator, so each prefix's matrix is made
+    once, as its parent's matrix times its last letter's, however many
+    blocks and words share it.  The walk cuts each level of the tree into
+    chunks of at most SUBSTITUTE_CHUNK_BYTES of dim x dim matrices, or one
+    node, each chunk one np.matmul of its parents against its letters for
+    several sets at once, and finishes a chunk's subtree before it makes
+    the next chunk; sets whose matrices of one node exceed the budget
+    together are walked in groups, one group after another.
+    Every float equals that of a walk over one block's words one at a
+    time: the same pairs of matrices are multiplied by the same BLAS
+    kernel, each coefficient is the correctly rounded Python quotient
+    num / den, and a block's terms are added in code order by a sequential
+    np.add.accumulate (not a pairwise sum) onto the running total carried
+    from the previous chunk.  The matrices held at once are one chunk per
+    level, and the index arrays of the tree, however many words the blocks
+    have.
     """
     import numpy as np
 
-    if len(w[1]) != n**d:
-        raise ValueError(f"a block of degree {d} at n={n} has {n**d} numerators, got {len(w[1])}")
+    for d, (_, nums) in blocks.items():
+        if len(nums) != n**d:
+            raise ValueError(f"a block of degree {d} at n={n} has {n**d} numerators, got {len(nums)}")
     for m in mats:
         if len(m) != n:
             raise ValueError(f"need {n} matrices, got {len(m)}")
-    stacks = [np.array(m) for m in mats]
-    dim = stacks[0].shape[1]
-    runs = list(_runs(n, d, w, max(1, SUBSTITUTE_CHUNK_BYTES // stacks[0][0].nbytes)))
-    values = []
-    for stack in stacks:
-        out = np.zeros((dim, dim))
-        # prefix[k] = I @ M[r1] @ ... @ M[rk] for the previous root; neighbouring
-        # runs share long prefixes, whose products are reused.
-        prefix = [np.eye(dim)]
-        prev: list[int] = []
-        for root, steps, coefs in runs:
-            k = 0
-            for x, y in zip(prev, root):
-                if x != y:
-                    break
-                k += 1
-            del prefix[k + 1 :]
-            for letter in root[k:]:
-                prefix.append(prefix[-1] @ stack[letter])
-            prev = root
-            block = prefix[-1][None]
-            for parents, letters in steps:
-                block = np.matmul(block[parents], stack[letters])
-            terms = block * coefs[:, None, None]
-            terms[0] += out
-            np.add.accumulate(terms, axis=0, out=terms)
-            out = terms[-1].copy()
-        values.append(out)
-    return values
+    first = np.asarray(mats[0][0])
+    sets, dim = len(mats), len(first)
+    out = {d: np.zeros((sets, dim, dim)) for d in blocks}
+    words, coefs = {}, {}  # per degree: the codes of nonzero numerator, ascending, and their num / den
+    for d, (den, nums) in blocks.items():
+        if any(nums):
+            words[d] = np.fromiter(compress(range(len(nums)), nums), np.intp)
+            coefs[d] = np.fromiter(map(truediv, filter(None, nums), repeat(den)), float, len(words[d]))[:, None, None, None]
+    top = max(words, default=-1)
+    # nodes[k]: the codes of the degree-k prefixes of the words, ascending;
+    # level k's node i has its parent at parents[k][i] in level k - 1.
+    nodes, up = [], np.zeros(0, np.intp)
+    for k in range(top, -1, -1):
+        seen = np.zeros(n**k, bool)
+        seen[up] = True
+        if k in words:
+            seen[words[k]] = True
+        nodes.append(np.flatnonzero(seen))
+        up = nodes[-1] // n
+    nodes.reverse()
+    parents = [None, *(np.searchsorted(above, level // n) for above, level in zip(nodes, nodes[1:]))]
+    at = {d: np.searchsorted(nodes[d], w) for d, w in words.items()}  # the words' places in their level
+
+    def add(d: int, stack: np.ndarray, a: int, b: int) -> None:
+        """Add the terms of block d among nodes a..b-1 of level d, whose matrices `stack` holds."""
+        if d not in at:
+            return
+        i, j = np.searchsorted(at[d], (a, b))
+        if i == j:
+            return
+        terms = (stack if j - i == b - a else stack[at[d][i:j] - a]) * coefs[d][i:j]
+        terms[0] += out[d][lo:hi]
+        np.add.accumulate(terms, axis=0, out=terms)
+        out[d][lo:hi] = terms[-1]
+
+    # A chunk is at least one node, so the sets go in groups whose matrices of one node fit the budget.
+    group = max(1, SUBSTITUTE_CHUNK_BYTES // first.nbytes)
+    for lo in range(0, sets if top >= 0 else 0, group):
+        hi = min(lo + group, sets)
+        letters = np.asarray(mats[lo:hi]).swapaxes(0, 1)  # letters[i, j] = mats[lo + j][i]
+        width = max(1, SUBSTITUTE_CHUNK_BYTES // letters[0].nbytes)  # nodes per chunk
+        root = np.broadcast_to(np.eye(dim), (1, hi - lo, dim, dim))
+        add(0, root, 0, 1)
+        # (k, stack, a, c, e): level k's nodes from a on have matrices `stack`,
+        # and their children c..e-1 in level k + 1 are still to be made.
+        todo = [(0, root, 0, 0, len(nodes[1]) if top else 0)]
+        while todo:
+            k, stack, a, c, e = todo.pop()
+            if c == e:
+                continue
+            b = min(c + width, e)
+            if b < e:
+                todo.append((k, stack, a, b, e))
+            child = np.matmul(stack[parents[k + 1][c:b] - a], letters[nodes[k + 1][c:b] % n])
+            add(k + 1, child, c, b)
+            if k + 1 < top:
+                todo.append((k + 1, child, c, *np.searchsorted(parents[k + 2], (c, b))))
+    return [{d: v[j] for d, v in out.items()} for j in range(sets)]
 
 
 def splitting_residual(mats: Sequence[np.ndarray], t_values: Sequence[float], ws: Sequence[Block]) -> list[float]:
     """Operator-norm distance between e^(t sum X) and the ordered product e^(tX1)...e^(tXn) e^(W2(tX))... at each t.
 
-    The W_m are taken outermost, each substituted at every t at once, and
-    multiplied onto each t's product in turn.
+    W_2..W_K are substituted at every t in one call, and multiplied onto
+    each t's product in turn.
     """
     import numpy as np
     from scipy.linalg import expm
 
     dim = mats[0].shape[0]
-    scaled = [[t * m for m in mats] for t in t_values]
+    scaled = np.multiply.outer(t_values, mats)  # scaled[j, i] = t_values[j] * mats[i]
     lhs = [expm(sum(s, np.zeros((dim, dim)))) for s in scaled]
     rhs = []
-    for s in scaled:
+    for s, values in zip(scaled, substitute(len(mats), dict(enumerate(ws, start=2)), scaled)):
         r = np.eye(dim)
         for m in s:
             r = r @ expm(m)
+        for v in values.values():
+            r = r @ expm(v)
         rhs.append(r)
-    for d, w in enumerate(ws, start=2):
-        rhs = [r @ expm(v) for r, v in zip(rhs, substitute(len(mats), d, w, scaled))]
     return [float(np.linalg.norm(a - b, 2)) for a, b in zip(lhs, rhs)]
 
 
@@ -533,11 +551,11 @@ def numeric_order_check(
 
     `ws`, as `exact_identity_check` takes it, defaults to the peel-off oracle
     output (keeping this check independent of the engine); `mats` defaults
-    to `random_matrices`.  Each W_m is evaluated from its block, once for every t.
+    to `random_matrices`.  W_2..W_K are evaluated from their blocks in one
+    call of `substitute` for every t.
     """
     check_numeric_args(dim, seed, t_values)
-    ws = peel_oracle(n, max_degree) if ws is None else ws
-    _check_ws(n, max_degree, ws)
+    ws = check_ws(n, max_degree, peel_oracle(n, max_degree) if ws is None else ws)
     if mats is None:
         mats = random_matrices(n, dim, seed)
     norms = list(zip(map(float, t_values), splitting_residual(mats, t_values, ws)))

@@ -763,6 +763,22 @@ class TestVerify:
         r = cli(*argv)
         assert (r.returncode, r.stdout, r.stderr) == (EXIT_OK, expected.stdout, "")
 
+    def test_ws_are_validated_once_for_all_checks(self, cli, monkeypatch):
+        # Each W_m is scanned by `check_block` once per run, not once per check.
+        from zassenhaus import oracle
+
+        checked = []
+        check_block = oracle.check_block
+
+        def counted(n, d, den, nums):
+            checked.append(d)
+            check_block(n, d, den, nums)
+
+        monkeypatch.setattr(oracle, "check_block", counted)
+        r = cli("verify", "--n", 3, "--max-degree", 6, "--mode", "all")
+        assert r.returncode == EXIT_OK
+        assert checked == [2, 3, 4, 5, 6]  # K - 1 scans, not 3 (K - 1)
+
     @pytest.mark.parametrize("mode", ["oracle", "all"])
     def test_single_generator_at_degree_1000(self, cli, mode):
         # The peel walks prefixes as long as the degree: no recursion limit may end the run.

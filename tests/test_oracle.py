@@ -392,6 +392,25 @@ class TestOracleEquivalenceCheck:
         assert "m=[4]" in report.detail
 
 
+def test_check_ws_scans_each_value_once(engine, monkeypatch):
+    # A value check_ws returned passes it again at the same (n, K) unscanned, so
+    # verify validates once for its three checks; a plain list is scanned.
+    ws = [engine(2, 4).w_block(m) for m in range(2, 5)]
+    checked = oracle.check_ws(2, 4, ws)
+    assert list(checked) == ws
+
+    def no_scan(*args):
+        raise AssertionError("scanned again")
+
+    monkeypatch.setattr(oracle, "check_block", no_scan)
+    assert oracle.check_ws(2, 4, checked) is checked
+    assert exact_identity_check(2, 4, checked).passed
+    with pytest.raises(AssertionError, match="scanned again"):
+        oracle.check_ws(2, 4, list(checked))
+    with pytest.raises(ValueError, match="need W_2..W_5"):  # another K
+        oracle.check_ws(2, 5, checked)
+
+
 @pytest.mark.parametrize("n, K", [(2, 8), (3, 6), (4, 5)])
 def test_one_corrupted_numerator_of_each_block_fails_both_checks(n, K):
     # The acceptance grid: each W_m in turn gets one numerator of its block changed.
@@ -439,24 +458,30 @@ def test_blocks_satisfy_the_antipode_law(data):
 
 @st.composite
 def substitution_cases(draw):
-    """(n, d, block, dim, seed, width): a block of one degree, zeros among its
-    numerators, and the words per run of `substitute` (None for the default
-    budget, which at these dims holds the block whole)."""
+    """(n, blocks, dim, sets, seed, chunk): blocks of several degrees, degree 0
+    and all-zero blocks among them, zeros among their numerators, sets of
+    matrices, and the matrices per chunk of `substitute` (None for the default
+    budget, which at these dims holds a level whole; fewer than `sets` splits
+    the sets into groups, 1 cuts every level at every node)."""
     n = draw(st.integers(1, 5), label="n")
-    d = draw(st.sampled_from([d for d in range(8) if n**d <= 256]), label="d")
+    degrees = draw(st.sets(st.sampled_from([d for d in range(8) if n**d <= 256]), min_size=1, max_size=4), label="degrees")
     nums = st.one_of(st.just(0), st.integers(-(10**20), 10**20))
-    block = (draw(st.integers(1, 10**20), label="den"), draw(st.lists(nums, min_size=n**d, max_size=n**d), label="nums"))
+    blocks = {}
+    for d in sorted(degrees):
+        zero = draw(st.booleans(), label=f"zero block {d}")
+        numerators = [0] * n**d if zero else draw(st.lists(nums, min_size=n**d, max_size=n**d), label=f"nums {d}")
+        blocks[d] = (draw(st.integers(1, 10**20), label=f"den {d}"), numerators)
     dim = draw(st.integers(1, 5), label="dim")
+    sets = draw(st.integers(1, 3), label="sets")
     seed = draw(st.integers(0, 2**32 - 1), label="seed")
-    width = draw(st.one_of(st.none(), st.integers(1, 9)), label="width")
-    return n, d, block, dim, seed, width
+    chunk = draw(st.one_of(st.none(), st.integers(1, 9)), label="chunk")
+    return n, blocks, dim, sets, seed, chunk
 
 
-#: Traced peak allowed to `substitute` of W_12 at n = 2, dim 64: a few stacks
-#: of SUBSTITUTE_CHUNK_BYTES, the root's prefix products and the runs, kept for
-#: every set of matrices (measured 2.8 MiB, most of it the 2048 runs of two
-#: words; 1.1 MiB for the walk word by word), against 128 MB for one stack of
-#: the whole degree.
+#: Traced peak allowed to `substitute` of W_2..W_12 at n = 2, dim 64: a chunk
+#: per level of the prefix tree, its index arrays and one sum per W_m
+#: (measured 1.6 MiB; 1.1 MiB for a walk over W_12's words one at a time),
+#: against 128 MB for one stack of the whole top degree.
 SUBSTITUTE_MEMORY_BUDGET = 4 << 20
 
 
@@ -469,13 +494,13 @@ FILLED_DEGREE_6 = to_block(
 )
 
 
-def substitute_with_width(n, d, block, mats, width):
-    """`substitute` of one set of matrices with runs of `width` words, or of its default budget for None."""
-    if width is None:
-        return substitute(n, d, block, [mats])[0]
+def substitute_with_chunk(n, blocks, sets, chunk):
+    """`substitute` with chunks of `chunk` matrices, or of its default budget for None."""
+    if chunk is None:
+        return substitute(n, blocks, sets)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "SUBSTITUTE_CHUNK_BYTES", width * mats[0].nbytes)
-        return substitute(n, d, block, [mats])[0]
+        mp.setattr(oracle, "SUBSTITUTE_CHUNK_BYTES", chunk * sets[0][0].nbytes)
+        return substitute(n, blocks, sets)
 
 
 def walk(n, d, block, mats):
@@ -483,71 +508,87 @@ def walk(n, d, block, mats):
     return substitute_by_prefix_walk(from_block(AlgebraCtx(n, max(d, 1)), d, *block), mats)
 
 
+def bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestSubstitute:
     def test_agrees_with_manual_evaluation(self):
-        # X1 X1 / 2 + X1 X2 - X2 X1, at two sets of matrices from one call.
+        # X1 X1 / 2 + X1 X2 - X2 X1 and X2 - 3 X1, at two sets of matrices from one call.
         rng = np.random.default_rng(5)
         sets = [list(rng.normal(size=(2, 3, 3))) for _ in range(2)]
-        got = substitute(2, 2, (2, [1, 2, -2, 0]), sets)
+        got = substitute(2, {2: (2, [1, 2, -2, 0]), 1: (1, [-3, 1])}, sets)
         assert len(got) == 2
         for (a, b), value in zip(sets, got):
-            assert np.allclose(value, 0.5 * a @ a + a @ b - b @ a)
+            assert list(value) == [2, 1]
+            assert np.allclose(value[2], 0.5 * a @ a + a @ b - b @ a)
+            assert np.allclose(value[1], b - 3 * a)
 
     def test_checks_arity(self):
         with pytest.raises(ValueError, match="need 2 matrices, got 1"):
-            substitute(2, 2, (1, [0, 1, 0, 0]), [[np.eye(2), np.eye(2)], [np.eye(2)]])
+            substitute(2, {2: (1, [0, 1, 0, 0])}, [[np.eye(2), np.eye(2)], [np.eye(2)]])
         with pytest.raises(ValueError, match="has 4 numerators, got 3"):
-            substitute(2, 2, (1, [0, 1, 0]), [[np.eye(2), np.eye(2)]])
+            substitute(2, {1: (1, [0, 1]), 2: (1, [0, 1, 0])}, [[np.eye(2), np.eye(2)]])
 
     @settings(max_examples=150, deadline=None)
     @given(case=substitution_cases())
-    @example(case=(2, 3, (1, [0] * 8), 3, 0, None))  # the zero block
-    @example(case=(3, 0, (3, [-7]), 2, 1, None))
-    @example(case=(1, 6, (7, [3]), 4, 2, 2))
-    @example(case=(2, 3, (7, [0, 2**53 + 1, 0, 0, -(2**60) - 3, 0, 3**40, 0]), 4, 3, None))
-    @example(case=(2, 2, (10**400, [10**400 + 1, 0, -1, 0]), 3, 4, 1))  # huge numerators, a quotient near 1
-    @example(case=(2, 6, FILLED_DEGREE_6, 1, 0, None))  # 1 x 1 matrices: a pairwise sum would move the result
+    @example(case=(2, {3: (1, [0] * 8)}, 3, 1, 0, None))  # the zero block
+    @example(case=(3, {0: (3, [-7])}, 2, 1, 1, None))
+    @example(case=(1, {6: (7, [3])}, 4, 1, 2, 2))
+    @example(case=(2, {3: (7, [0, 2**53 + 1, 0, 0, -(2**60) - 3, 0, 3**40, 0])}, 4, 1, 3, None))
+    @example(case=(2, {2: (10**400, [10**400 + 1, 0, -1, 0])}, 3, 1, 4, 1))  # huge numerators, a quotient near 1
+    @example(case=(2, {6: FILLED_DEGREE_6}, 1, 1, 0, None))  # 1 x 1 matrices: a pairwise sum would move the result
+    @example(case=(2, {0: (1, [1]), 2: (1, [0] * 4), 5: (3, [1] * 32), 6: FILLED_DEGREE_6}, 2, 3, 5, 1))
+    @example(case=(3, {1: (2, [1, 0, 1]), 3: (5, list(range(-13, 14)))}, 3, 2, 6, 3))
     def test_bitwise_equal_to_prefix_walk(self, case):
         # Same products by the same kernel, same quotients, same sequential sum:
-        # not one float may move, whatever the runs are.
-        n, d, block, dim, seed, width = case
-        mats = list(np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, dim, dim)))
-        got = substitute_with_width(n, d, block, mats, width)
-        assert np.array_equal(got, walk(n, d, block, mats))
+        # not one float may move, however the prefix tree is cut into chunks.
+        n, blocks, dim, sets, seed, chunk = case
+        mats = [list(m) for m in np.random.default_rng(seed).uniform(-0.5, 0.5, size=(sets, n, dim, dim))]
+        got = substitute_with_chunk(n, blocks, mats, chunk)
+        assert len(got) == sets
+        for values, m in zip(got, mats):
+            assert list(values) == list(blocks)
+            for d, block in blocks.items():
+                assert bitwise_equal(values[d], walk(n, d, block, m)), (d, block)
 
     def test_huge_quotient_is_finite(self):
         # Both parts beyond float range, the quotient 1: no overflow, no 0/0.
-        assert np.array_equal(substitute(1, 0, (10**400, [10**400 + 1]), [[np.ones((2, 2))]])[0], np.eye(2))
+        got = substitute(1, {0: (10**400, [10**400 + 1]), 1: (10**400, [-(10**400) - 1])}, [[np.ones((2, 2))]])[0]
+        assert np.array_equal(got[0], np.eye(2))
+        assert np.array_equal(got[1], -np.ones((2, 2)))
 
     @pytest.mark.parametrize("n, degree, count", [(2, 20, 3), (3, 12, 5)])
     def test_sparse_block(self, n, degree, count):
-        # A block of 2^20 or 3^12 numerators with a few nonzero: the products
-        # must follow the words present, not the n^degree words of the degree.
+        # A block of 2^20 or 3^12 numerators with a few nonzero: the walk must
+        # follow the words present, not the n^degree words of the degree.
         rng = np.random.default_rng(degree)
         nums = [0] * n**degree
         for i, k in enumerate(rng.choice(n**degree, size=count, replace=False)):
             nums[int(k)] = i + 1
-        block = (3, nums)
+        blocks = {degree: (3, nums), 2: (1, [1] + [0] * (n * n - 1))}
         mats = random_matrices(n, 4, 7)
         start = time.perf_counter()
-        got = substitute(n, degree, block, [mats])[0]
+        got = substitute(n, blocks, [mats])[0]
         assert time.perf_counter() - start < 1.0
-        assert np.array_equal(got, walk(n, degree, block, mats))
+        for d, block in blocks.items():
+            assert bitwise_equal(got[d], walk(n, d, block, mats))
 
     def test_memory_stays_within_the_run_budget(self):
         # W_12 at n = 2 has 4096 words of 64 x 64 matrices (32 kB each): one
         # stack of the whole degree would take 128 MB per copy.
-        w12 = shared_engine(2, 12).w_block(12)
+        blocks = {m: shared_engine(2, 12).w_block(m) for m in range(2, 13)}
         mats = random_matrices(2, 64, 3)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            got = substitute(2, 12, w12, [mats])[0]
+            got = substitute(2, blocks, [mats])[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < SUBSTITUTE_MEMORY_BUDGET
-        assert np.array_equal(got, walk(2, 12, w12, mats))
+        for d in (2, 7, 12):
+            assert bitwise_equal(got[d], walk(2, d, blocks[d], mats))
 
 
 class TestNumericOrderCheck:
@@ -641,24 +682,24 @@ class TestNumericOrderCheck:
 
     @pytest.mark.parametrize("n, max_degree, dim", [(2, 6, 4), (3, 4, 1), (2, 5, 64)])
     def test_residuals_equal_those_of_plain_substitution(self, monkeypatch, n, max_degree, dim):
-        # The check makes the runs of each W_m once and evaluates it at every t
-        # from them, and not one float may move from a walk word by word.
+        # The check substitutes W_2..W_K at every t in one call, and not one
+        # float may move from a walk word by word.
         ws = peel_oracle(n, max_degree)
         mats = random_matrices(n, dim, 5)
         t_values = [0.4, 0.2, 0.1]
         polys = polys_of(AlgebraCtx(n, max_degree), ws)
         expected = [(t, residual_by_prefix_walk(mats, t, polys)) for t in t_values]
         made = []
-        runs = oracle._runs
+        plain = oracle.substitute
 
-        def counted_runs(n, d, w, width):
-            made.append((d, w))
-            return runs(n, d, w, width)
+        def counted(n, blocks, sets):
+            made.append(blocks)
+            return plain(n, blocks, sets)
 
-        monkeypatch.setattr(oracle, "_runs", counted_runs)
+        monkeypatch.setattr(oracle, "substitute", counted)
         report = numeric_order_check(n, max_degree, dim, 5, t_values, ws=ws, mats=mats)
         assert list(report.residuals) == expected
-        assert made == list(enumerate(ws, start=2))  # K - 1 calls, not (K - 1) len(t)
+        assert made == [dict(enumerate(ws, start=2))]  # one call for every W_m and every t
 
     def test_json_schema(self):
         d = numeric_order_check(2, 2, 4, 1, [0.2, 0.1]).to_json_dict()

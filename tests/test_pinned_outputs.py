@@ -12,6 +12,9 @@ frontier pins at (2,14) and (3,10), whose f[m, k] sums take longer Horner
 chains than the benchmark labels, at commit 01a98fe.  The pins of the graded
 f[1, k] pass at (k, n) = (10, 3) and (6, 5), and of `terms` at (5, 6), were
 recorded at commit e2fcda1, before that pass ran in integers scaled by d!.
+The `verify --mode numeric` pins at (2,14), (3,10), (2,10) at --dim 64 and
+(4,7) at --dim 16 were recorded at commit 7b5e81b, before `substitute`
+evaluated every W_m in one walk over the words' prefix tree.
 """
 
 import hashlib
@@ -54,6 +57,24 @@ def test_terms_match_benchmark_digests(cli, label):
 def test_verify_all_report_is_pinned(cli, n, max_degree, digest):
     r = cli("verify", "--mode", "all", "--n", n, "--max-degree", max_degree)
     assert r.returncode == EXIT_OK
+    assert sha256(r.stdout) == digest
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ("--n 2 --max-degree 14 --t 0.5,0.4", "b7b16da6379bcbde1dcf7fc6fbe610e7873499cbf31aa5b609ce9c4617ba55fe"),
+        ("--n 3 --max-degree 10", "7e088ac8b6b5d39301f4bf20f0210dc90710afd55573159a0a25aa9e4db8d1f0"),
+        ("--n 2 --max-degree 10 --dim 64", "783970630cf723920cae3a258f0beb36bed395547b1c0926708bb8153993f624"),
+        ("--n 4 --max-degree 7 --dim 16", "94b1b15cdf3b3ddf0c4e81c46452586457dbbd47dbdd665ebea2d99db7d60ddd"),
+    ],
+)
+def test_verify_numeric_report_is_pinned(cli, flags, digest):
+    # Prefix trees of many levels, cut into many chunks (at --dim 64 one node
+    # each), and conclusive orders, so the residuals' floats are all compared.
+    r = cli("verify", "--mode", "numeric", *flags.split())
+    assert r.returncode == EXIT_OK
+    assert json.loads(r.stdout)["inconclusive"] is False
     assert sha256(r.stdout) == digest
 
 
