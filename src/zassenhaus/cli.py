@@ -21,12 +21,14 @@ as the engine's reduced dense degree block (den, nums), from
 `EngineCtx.series_blocks` or the cache to the output or verdict:
 `freealg.render_block` writes text, LaTeX and the JSON "poly" straight
 from the block, a cache entry stores its numerators as machine words,
-and the exact, oracle and numeric checks compute on blocks.  Dicts are
-made only where a consumer needs one: `--path both` compares
-polynomials, `--form comm` renders the `LieExpr` of W_2..W_4, and `f1k`
-works on `AssocPoly` values.  `terms` writes its output in chunks, one
-W_m each, rendered only when written, so that one rendering at a time is
-alive.
+and the exact, oracle and numeric checks compute on blocks, as does the
+cross-check of `--path both` (`EngineCtx.w_block_expanded`).  Dicts are
+made only where a consumer needs one: `--form comm` renders the `LieExpr`
+of W_2..W_4, and `f1k` works on `AssocPoly` values, its `--path both`
+comparing the term map of `lieform.expand` with `f1k_direct`'s.  No path
+calls the dict product (`freealg.mul`, `bracket`).  `terms` writes its
+output in chunks, one W_m each, rendered only when written, so that one
+rendering at a time is alive.
 The cache layout is
 
     <root>/<cache-version>/n<n>/W<m>.bin

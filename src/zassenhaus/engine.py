@@ -36,22 +36,25 @@ pass per distinct numerator of W_m, one stride copy per nonzero word of
 W_m and one fused pass over the result.  Each W_m is kept as its reduced
 block (`w_block`), which is what the CLI renders, caches and verifies; a
 dict is made only when a caller asks for a polynomial: `w_term` (and so
-`series` and `--path both`) and `fmk`.  The graded pass stays
+`series`), `w_term_expanded` and `fmk`.  The graded pass stays
 sparse: its operator is one letter and its early parts are mostly zeros;
 dense blocks there took the (3, 9) pass from 6.5 ms to 87 ms (2 CPUs,
 Python 3.11.7), and each part becomes its block once, through
 `freealg.block_nums`.  The block of the top part, the largest list of
 the request, is made before the pass, so a K whose block cannot exist
 fails with MemoryError before any of the pass's work.
-`w_term_expanded` keeps the dict `bracket` (the oracles bracket nothing),
-so that `--path both` checks the block kernel against the dict kernel.
 
-`EngineCtx.w_term_expanded` evaluates W_m (m >= 5) through the recursion
+`EngineCtx.w_block_expanded` evaluates W_m (m >= 5) through the recursion
 unrolled down to f[base, .] (`_expanded_formula`), which reproduces the
 paper's expanded formulas; tests/golden.py holds those and the tests
-compare them term by term for m <= 40.  It is a cross-check, not an
-independent derivation: each ad_{W_j} uses the generic `w_term`, and for
-m >= 11 the f[base, .] with base >= 2 come from the recursion.
+compare them term by term for m <= 40.  It works on the same blocks and
+the same `bracket_add`: each term's inner ad_{W_j} go into zero blocks and
+its outermost bracket into one accumulator of degree m, so a run of
+--path both makes no dict.  It is a cross-check of the recursion's
+algebra, not an independent derivation: each ad_{W_j} uses the generic
+`w_block`, and for m >= 11 the f[base, .] with base >= 2 come from the
+recursion; the checks independent of the engine's kernel are the
+verifiers' (see `oracle`).
 `EngineCtx.series_blocks` alone chooses the path and yields the blocks of
 W_2..W_K one at a time from the recursion, and `series` yields them as
 polynomials; path="both" asserts that the expanded formulas agree with
@@ -69,18 +72,18 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import add
 from typing import Iterator, Mapping
 
 from .freealg import (
     AlgebraCtx,
     AssocPoly,
     Block,
+    ad_letter,
     block_nums,
-    bracket,
     bracket_add,
     from_block,
-    poly_sum,
     reduce_block,
     zeros,
 )
@@ -101,8 +104,8 @@ def _exp_ad(n: int, l: int, parts: list[dict[int, int]]) -> None:
     The words of parts[D] have degree D + 1.  With that scaling
     E_l parts[D] = sum_j (-1)^j C(D, j) ad_{Xl}^j parts[D-j] is integral,
     and with the signed binomials (E_l for -X_l) the pass carries the sign
-    of f[1, k].  [Xl, v] on words u of degree e is two passes over v's term
-    map: code(Xl u) = l n^e + code(u) and code(u Xl) = code(u) n + l.
+    of f[1, k].  [Xl, v] is `freealg.ad_letter`, two passes over v's term
+    map.
     Parts above len(parts) - 1 are cut.  D runs downwards, so each source
     part is read before anything is added into it.
     """
@@ -112,13 +115,7 @@ def _exp_ad(n: int, l: int, parts: list[dict[int, int]]) -> None:
         for j in range(1, top - d + 1):
             if not v:
                 break
-            shift = l * n ** (d + j)
-            w = dict(zip(map(shift.__add__, v), v.values()))
-            get = w.get
-            for k, c in v.items():
-                k = k * n + l
-                w[k] = get(k, 0) - c
-            v = {k: c for k, c in w.items() if c} if 0 in w.values() else w
+            v = ad_letter(n, l, d + j, v)
             acc, scale = parts[d + j], (-1) ** j * comb(d + j, j)
             get = acc.get
             for k, c in v.items():
@@ -296,22 +293,38 @@ class EngineCtx:
             poly = self._w_memo.setdefault(m, from_block(self.alg, m, *self.w_block(m)))
         return poly
 
-    def w_term_expanded(self, m: int) -> AssocPoly:
-        """W_m (m >= 5) from the term list of `_expanded_formula(m)`.
+    def w_block_expanded(self, m: int) -> Block:
+        """The reduced block of W_m (m >= 5) from the term list of `_expanded_formula(m)`.
 
-        Must equal `w_term(m)` exactly: a cross-check against the
-        recursion, which it reuses (see the module docstring).
+        Each term is evaluated on degree blocks: its inner ad_{W_j} go into
+        zero blocks, and its outermost bracket is added, scaled by coeff/m,
+        into one accumulator of degree m; a bare f[base, m-1] is lifted to
+        the accumulator's denominator and added in.  Must equal `w_block(m)`
+        exactly: a cross-check against the recursion, which it reuses (see
+        the module docstring).
         """
         if m > self.alg.max_degree:
             raise ValueError(f"W_{m} has degree {m} > max_degree {self.alg.max_degree}")
         formula = _expanded_formula(m)
-        pieces: list[AssocPoly] = []
-        for _, ad_ws, (mp, kp) in formula:
-            v = self.fmk(mp, kp)
-            for w_idx in reversed(ad_ws):
-                v = bracket(self.w_term(w_idx), v)
-            pieces.append(v)
-        return poly_sum(self.alg, pieces, [coeff / m for coeff, _, _ in formula])
+        acc: Block = (1, zeros(self.alg.n, m))
+        for coeff, ad_ws, (mp, kp) in formula:
+            v = self._block(mp, kp)
+            r = coeff / m
+            if not ad_ws:
+                (a_den, a_nums), (v_den, v_nums) = acc, v
+                den = lcm(a_den, v_den * r.denominator)
+                a, b = den // a_den, den // (v_den * r.denominator) * r.numerator
+                acc = den, list(map(add, map(a.__mul__, a_nums), map(b.__mul__, v_nums)))
+                continue
+            for w_idx in reversed(ad_ws[1:]):
+                w = self.w_block(w_idx)
+                v = bracket_add((1, [0] * (len(w[1]) * len(v[1]))), w, v, 1)
+            acc = bracket_add(acc, self.w_block(ad_ws[0]), v, r)
+        return reduce_block(*acc)
+
+    def w_term_expanded(self, m: int) -> AssocPoly:
+        """W_m (m >= 5) as a polynomial: `from_block` of `w_block_expanded(m)`."""
+        return from_block(self.alg, m, *self.w_block_expanded(m))
 
     def series_blocks(self, path: str = "generic") -> Iterator[Block]:
         """Yield the blocks of W_2 .. W_K in order, K = alg.max_degree; the one place that decides the path.
@@ -330,7 +343,7 @@ class EngineCtx:
             raise ValueError(f"max_degree must be >= 2, got {self.alg.max_degree}")
         for m in range(2, self.alg.max_degree + 1):
             block = self.w_block(m)
-            if path == "both" and m >= 5 and self.alg.n > 1 and self.w_term_expanded(m) != self.w_term(m):
+            if path == "both" and m >= 5 and self.alg.n > 1 and self.w_block_expanded(m) != block:
                 raise PathDisagreementError(f"W_{m}: generic recursion and expanded formula disagree")
             yield block
 

@@ -43,10 +43,12 @@ fill of a block from a term map, into n^d `zeros` that a caller may make
 before the work that gives the term map, so that a block that cannot
 exist fails at once (`block_length` alone decides whether it can);
 `check_block` is the one rule of a stored block.
+`ad_letter` brackets one letter onto a term map, two passes over its
+codes; the engine's graded pass and `lieform.expand` build on it.
 No table of word codes is kept.  `mul` and `bracket` stay sparse dict
 kernels, one pair loop over the words of every two degrees, the constant
-word included: they serve the Python API, `lieform` and the cross-check
-of `--path both`, while the engine and the verifiers work on blocks.
+word included: they serve only the Python API, while the engine, the
+verifiers and `lieform` work on blocks and term maps.
 
 The codes depend on n alone, not on the truncation degree.  Words become
 tuples only at the boundary: the constructors, `coeff`, `terms`,
@@ -661,6 +663,21 @@ def _product(a: AssocPoly, b: AssocPoly, commutator: bool) -> AssocPoly:
                             k = sa + kb
                             out[k] = get(k, 0) + ca * cb
     return AssocPoly._reduce(a.ctx, out, a._den * b._den)
+
+
+def ad_letter(n: int, l: int, e: int, v: Mapping[int, int]) -> dict[int, int]:
+    """The term map of [X_l, v] for a term map v of words of degree e, zeros dropped.
+
+    Two passes over v: code(X_l u) = l n^e + code(u) takes +c and
+    code(u X_l) = code(u) n + l takes -c.  v is not changed.
+    """
+    shift = l * n**e
+    w = dict(zip(map(shift.__add__, v), v.values()))
+    get = w.get
+    for k, c in v.items():
+        k = k * n + l
+        w[k] = get(k, 0) - c
+    return {k: c for k, c in w.items() if c} if 0 in w.values() else w
 
 
 def mul(a: AssocPoly, b: AssocPoly) -> AssocPoly:

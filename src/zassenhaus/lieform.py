@@ -32,10 +32,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import sub
 from typing import Iterable, Iterator
 
-from .freealg import AlgebraCtx, AssocPoly, Frozen, Scalar, _exact, bracket, generators, poly_sum, signed_sum, zeros
+from .freealg import AlgebraCtx, AssocPoly, Frozen, Scalar, _exact, ad_letter, from_block, signed_sum, to_block, zeros
 
 Composition = tuple[int, ...]
 
@@ -153,30 +154,61 @@ class LieExpr(Frozen):
         return f"LieExpr({render(self, 'text')})"
 
 
-def expand_term(t: CommTerm, ctx: AlgebraCtx) -> AssocPoly:
-    """Associative expansion of one long commutator, scaled by its coefficient."""
-    if t.head > ctx.n or any(idx > ctx.n for idx, _ in t.tail):
-        raise ValueError(f"term {t!r} uses generators beyond n={ctx.n}")
-    if t.degree > ctx.max_degree:
-        raise ValueError(f"term degree {t.degree} exceeds max_degree {ctx.max_degree}")
-    poly = AssocPoly.generator(ctx, t.head)
-    for letter in t.letters():
-        poly = bracket(poly, AssocPoly.generator(ctx, letter))
-    return poly.scaled(t.coeff)
-
-
 def expand(e: LieExpr, ctx: AlgebraCtx) -> AssocPoly:
-    return poly_sum(ctx, [expand_term(t, ctx) for t in e])
+    """Associative expansion of e: every long commutator built on a term map, all summed over one denominator.
+
+    [P, X_l] = -[X_l, P] is `freealg.ad_letter`, two passes over P's codes,
+    so a term with s tail letters is (-1)^s ad_{X_ls} ... ad_{X_l1} X_head.
+    A generator beyond n or a degree beyond max_degree raises ValueError.
+    """
+    n = ctx.n
+    den = lcm(*(t.coeff.denominator for t in e))
+    out: dict[int, int] = {}
+    get = out.get
+    for t in e:
+        if t.head > n or any(idx > n for idx, _ in t.tail):
+            raise ValueError(f"term {t!r} uses generators beyond n={n}")
+        if t.degree > ctx.max_degree:
+            raise ValueError(f"term degree {t.degree} exceeds max_degree {ctx.max_degree}")
+        codes = {t.head: 1}  # a one-letter word is its own code
+        for degree, letter in enumerate(t.letters(), start=1):
+            codes = ad_letter(n, letter, degree, codes)
+        scale = (-1) ** (t.degree - 1) * t.coeff.numerator * (den // t.coeff.denominator)
+        for k, c in codes.items():
+            out[k] = get(k, 0) + scale * c
+    return AssocPoly._reduce(ctx, out, den)
+
+
+def _theta(n: int, d: int, nums: list[int]) -> list[int]:
+    """theta(P), theta(x_1 ... x_d) = [[...[x_1, x_2], ...], x_d], on the block of P, homogeneous of degree d >= 1.
+
+    Split by the last letter, P = sum_x P_x x with P_x = nums[x::n] of
+    degree d - 1, so theta(P) = sum_x (theta(P_x) x - x theta(P_x)): the
+    first part is the stride slice x::n, the second the contiguous range
+    of the words that start with x.  A zero block is its own image, so the
+    recursion enters only the slices with a nonzero numerator.
+    """
+    if d == 1 or not any(nums):
+        return nums
+    parts = [_theta(n, d - 1, nums[x::n]) for x in range(n)]
+    out = [0] * len(nums)
+    for x, t in enumerate(parts):
+        out[x::n] = t
+    size = len(nums) // n
+    for x, t in enumerate(parts):
+        out[x * size : (x + 1) * size] = map(sub, out[x * size : (x + 1) * size], t)
+    return out
 
 
 def dsw_project(a: AssocPoly) -> AssocPoly:
-    """Dynkin-Specht-Wever projection of a homogeneous polynomial.
+    """Dynkin-Specht-Wever projection of a homogeneous polynomial: theta(a) / d on its block.
 
     Sends each degree-d word x1 x2 ... xd to [[...[x1, x2], ...], xd] / d.
     Fixes exactly the Lie elements, so `dsw_project(a) == a` is a
-    Lie-membership test.  The zero polynomial (homogeneous of every
-    degree) maps to zero; nonzero inputs must be homogeneous of degree
-    at least 1.
+    Lie-membership test (Reutenauer, Free Lie Algebras, Thm 1.4).  The
+    zero polynomial (homogeneous of every degree) maps to zero; nonzero
+    inputs must be homogeneous of degree at least 1.  The work is on the
+    dense block of degree d, n^d numerators.
     """
     if a.is_zero:
         return a
@@ -185,15 +217,8 @@ def dsw_project(a: AssocPoly) -> AssocPoly:
         raise ValueError("dsw_project requires a homogeneous polynomial")
     if d == 0:
         raise ValueError("dsw_project is undefined in degree 0")
-    gens = generators(a.ctx)
-    words, nums, den = a.numerators()
-    pieces: list[AssocPoly] = []
-    for word in words:
-        nested = gens[word[0] - 1]
-        for letter in word[1:]:
-            nested = bracket(nested, gens[letter - 1])
-        pieces.append(nested)
-    return poly_sum(a.ctx, pieces, [Fraction(c, d * den) for c in nums])
+    den, nums = to_block(a, d)
+    return from_block(a.ctx, d, den * d, _theta(a.ctx.n, d, nums))
 
 
 # -- rendering ---------------------------------------------------------------

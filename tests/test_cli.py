@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zassenhaus import cli as cli_module
-from zassenhaus import engine
+from zassenhaus import engine, freealg
 from zassenhaus.cli import (
     CACHE_VERSION,
     EXIT_BROKEN_PIPE,
@@ -469,10 +469,13 @@ class TestTermsCache:
     def test_path_both_writes_only_checked_terms(self, cli, tmp_path, monkeypatch):
         # Each W_m is written once it has passed the cross-check, so an expanded
         # value that is wrong at W_6 leaves W_2..W_5 in a cold cache and no W_6.
-        expanded = EngineCtx.w_term_expanded
-        monkeypatch.setattr(
-            EngineCtx, "w_term_expanded", lambda self, m: expanded(self, m).scaled(2 if m == 6 else 1)
-        )
+        expanded = EngineCtx.w_block_expanded
+
+        def doubled_at_6(self, m):
+            den, nums = expanded(self, m)
+            return (den, [2 * c for c in nums]) if m == 6 else (den, nums)
+
+        monkeypatch.setattr(EngineCtx, "w_block_expanded", doubled_at_6)
         cache = tmp_path / "c"
         r = cli("terms", "--n", 2, "--max-degree", 7, "--path", "both", "--cache", cache)
         assert r.returncode == EXIT_INTERNAL and "W_6" in r.stderr and r.stdout == ""
@@ -811,6 +814,25 @@ class TestF1k:
         assert both.returncode == EXIT_OK
         doc = json.loads(both.stdout)
         assert "comm" in doc and "poly" in doc
+
+    def test_path_both_makes_no_dict_product(self, cli, monkeypatch):
+        # Both cross-checks run on the engine's blocks and term maps: the dict product may raise.
+        # From W_11 on the expanded formulas start at f[2, .].
+        expected = [
+            cli("terms", "--n", 2, "--max-degree", 12, "--path", "generic").stdout,
+            cli("f1k", "--k", 6, "--n", 3, "--path", "comm").stdout,
+        ]
+
+        def refuse(*args):
+            raise AssertionError("the dict product was called")
+
+        monkeypatch.setattr(freealg, "_product", refuse)
+        runs = [
+            cli("terms", "--n", 2, "--max-degree", 12, "--path", "both"),
+            cli("f1k", "--k", 6, "--n", 3, "--path", "both"),
+        ]
+        assert [r.returncode for r in runs] == [EXIT_OK, EXIT_OK]
+        assert [r.stdout for r in runs] == expected
 
     def test_latex(self, cli):
         r = cli("f1k", "--k", 1, "--n", 2, "--format", "latex")

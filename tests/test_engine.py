@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from zassenhaus import engine as engine_module
 from zassenhaus.engine import (
     EngineCtx,
     PathDisagreementError,
@@ -318,6 +319,22 @@ class TestWTermExpanded:
         e = engine(2, 10)
         for m in range(5, 11):
             assert e.w_term_expanded(m) == e.w_term(m)
+            assert e.w_block_expanded(m) == e.w_block(m)
+
+    def test_block_equals_the_dict_bracket_evaluation(self):
+        # The formula evaluated on polynomials with the dict `bracket`, as `w_term_expanded` once did;
+        # m = 11 and 12 start at f[2, .].
+        for n, K in ((2, 12), (3, 8)):
+            e = EngineCtx(AlgebraCtx(n, K))
+            for m in range(5, K + 1):
+                pieces = []
+                for _, ad_ws, (mp, kp) in _expanded_formula(m):
+                    v = e.fmk(mp, kp)
+                    for w_idx in reversed(ad_ws):
+                        v = bracket(e.w_term(w_idx), v)
+                    pieces.append(v)
+                scalars = [coeff / m for coeff, _, _ in _expanded_formula(m)]
+                assert e.w_term_expanded(m) == poly_sum(e.alg, pieces, scalars), (n, m)
 
     def test_unroll_rule_equals_the_paper_formulas(self):
         # Both sides are formal sums of ad-words applied to f[m', k'], so equal
@@ -336,10 +353,11 @@ class TestWTermExpanded:
 
     def test_errors(self):
         e = EngineCtx(AlgebraCtx(2, 6))
-        with pytest.raises(ValueError):
-            e.w_term_expanded(4)
-        with pytest.raises(ValueError):
-            e.w_term_expanded(7)
+        for method in (e.w_term_expanded, e.w_block_expanded):
+            with pytest.raises(ValueError):
+                method(4)
+            with pytest.raises(ValueError):
+                method(7)
 
 
 def _series(n, max_degree, path="generic"):
@@ -370,13 +388,39 @@ class TestSeries:
 
     def test_both_yields_only_checked_terms(self, monkeypatch):
         ectx = EngineCtx(AlgebraCtx(2, 7))
-        generic = ectx.w_term_expanded
-        monkeypatch.setattr(ectx, "w_term_expanded", lambda m: generic(m).scaled(2) if m == 6 else generic(m))
+        expanded = ectx.w_block_expanded
+
+        def doubled_at_6(m):
+            den, nums = expanded(m)
+            return (den, [2 * c for c in nums]) if m == 6 else (den, nums)
+
+        monkeypatch.setattr(ectx, "w_block_expanded", doubled_at_6)
         got = []
         with pytest.raises(PathDisagreementError, match="W_6"):
             for w in series(ectx, path="both"):
                 got.append(w)
         assert got == [ectx.w_term(m) for m in range(2, 6)]
+
+    def test_both_catches_a_wrong_term_of_a_formula_from_f2(self, monkeypatch):
+        # W_11 is the first formula that starts at f[base, .] with base >= 2: doubling the
+        # coefficient of one of its f[2, .] terms must be caught there, after W_2..W_10.
+        formula = engine_module._expanded_formula
+
+        def corrupted(m):
+            terms = formula(m)
+            if m == 11:
+                i = next(i for i, (_, ad_ws, (mp, _)) in enumerate(terms) if ad_ws and mp == 2)
+                coeff, ad_ws, leaf = terms[i]
+                terms[i] = (2 * coeff, ad_ws, leaf)
+            return terms
+
+        monkeypatch.setattr(engine_module, "_expanded_formula", corrupted)
+        ectx = EngineCtx(AlgebraCtx(2, 12))
+        got = []
+        with pytest.raises(PathDisagreementError, match="W_11"):
+            for block in ectx.series_blocks("both"):
+                got.append(block)
+        assert got == [ectx.w_block(m) for m in range(2, 11)]
 
     def test_single_generator_all_zero(self):
         assert all(w.is_zero for w in _series(1, 6))

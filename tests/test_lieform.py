@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zassenhaus.freealg import AlgebraCtx, AssocPoly, bracket
+from zassenhaus.freealg import AlgebraCtx, AssocPoly, bracket, generators, poly_sum
 from zassenhaus.lieform import (
     CommTerm,
     LieExpr,
@@ -11,12 +13,58 @@ from zassenhaus.lieform import (
     compositions,
     dsw_project,
     expand,
-    expand_term,
     parse,
     render,
 )
 
 from golden import nested
+
+
+# -- dict-kernel references ----------------------------------------------------
+# `expand` and `dsw_project` work on term maps and blocks; these are their
+# textbook forms on the dict `bracket`, one left-nested fold per term or word.
+
+
+def expand_term(t, ctx):
+    """One long commutator as a left-nested fold of dict brackets, scaled by its coefficient."""
+    poly = AssocPoly.generator(ctx, t.head)
+    for letter in t.letters():
+        poly = bracket(poly, AssocPoly.generator(ctx, letter))
+    return poly.scaled(t.coeff)
+
+
+def dsw_reference(a):
+    """Each word x1 ... xd of a, homogeneous of degree d, sent to [[...[x1, x2], ...], xd] / d by dict brackets."""
+    d = a.homogeneous_degree()
+    gens = generators(a.ctx)
+    words, nums, den = a.numerators()
+    pieces = []
+    for word in words:
+        nested_word = gens[word[0] - 1]
+        for letter in word[1:]:
+            nested_word = bracket(nested_word, gens[letter - 1])
+        pieces.append(nested_word)
+    return poly_sum(a.ctx, pieces, [Fraction(c, d * den) for c in nums])
+
+
+@st.composite
+def lie_exprs(draw):
+    """(ctx, LieExpr) at n = 1..4: terms of any degree up to K, mixed denominators, and mirrored terms that cancel.
+
+    The mirror of coeff * [X_h X_l rest] is coeff * [X_l X_h rest], whose expansion is the negative.
+    """
+    n = draw(st.integers(1, 4))
+    K = draw(st.integers(1, {1: 7, 2: 7, 3: 5, 4: 4}[n]))
+    letters = st.integers(1, n)
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        head = draw(letters)
+        tail = draw(st.lists(letters, max_size=K - 1))
+        coeff = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 12)))
+        terms.append(CommTerm(coeff, head, [(letter, 1) for letter in tail]))
+        if tail and draw(st.booleans()):
+            terms.append(CommTerm(coeff, tail[0], [(head, 1)] + [(letter, 1) for letter in tail[1:]]))
+    return AlgebraCtx(n, K), LieExpr(terms)
 
 
 class TestCompositions:
@@ -89,14 +137,18 @@ class TestCommTerm:
     def test_expand_term_is_left_nested(self):
         ctx = AlgebraCtx(3, 4)
         t = CommTerm(Fraction(1, 2), 3, ((1, 2), (2, 1)))
-        assert expand_term(t, ctx) == nested(ctx, 3, 1, 1, 2).scaled(Fraction(1, 2))
+        assert expand(LieExpr([t]), ctx) == nested(ctx, 3, 1, 1, 2).scaled(Fraction(1, 2))
 
     def test_expand_term_validates_against_ctx(self):
         ctx = AlgebraCtx(2, 3)
-        with pytest.raises(ValueError):
-            expand_term(CommTerm(Fraction(1), 3, ((1, 1),)), ctx)  # head > n
-        with pytest.raises(ValueError):
-            expand_term(CommTerm(Fraction(1), 2, ((1, 3),)), ctx)  # degree > K
+        ok = CommTerm(Fraction(1), 2, ((1, 1),))
+        for bad in (
+            CommTerm(Fraction(1), 3, ((1, 1),)),  # head > n
+            CommTerm(Fraction(1), 2, ((3, 1),)),  # tail letter > n
+            CommTerm(Fraction(1), 2, ((1, 3),)),  # degree > K
+        ):
+            with pytest.raises(ValueError):
+                expand(LieExpr([ok, bad]), ctx)
 
 
 class TestLieExpr:
@@ -142,6 +194,12 @@ class TestLieExpr:
             e1, e2 = LieExpr(terms[:2]), LieExpr(terms[2:])
             assert expand(e1 + e2, ctx) == expand(e1, ctx) + expand(e2, ctx)
 
+    @settings(max_examples=80, deadline=None)
+    @given(lie_exprs())
+    def test_expand_equals_the_sum_of_dict_bracket_folds(self, case):
+        ctx, e = case
+        assert expand(e, ctx) == poly_sum(ctx, [expand_term(t, ctx) for t in e])
+
 
 class TestDsw:
     def test_fixes_brackets(self):
@@ -162,6 +220,22 @@ class TestDsw:
             p = AssocPoly(ctx, [(w, Fraction(rng.randint(-3, 3), 2)) for w in words])
             once = dsw_project(p)
             assert dsw_project(once) == once
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equals_the_dict_bracket_reference(self, data):
+        n = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(1, {1: 8, 2: 8, 3: 6, 4: 5}[n]))
+        words = st.tuples(*[st.integers(1, n)] * d)
+        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+        p = AssocPoly(AlgebraCtx(n, d), data.draw(st.lists(st.tuples(words, coeffs), min_size=1, max_size=8)))
+        if p:
+            assert dsw_project(p) == dsw_reference(p)
+
+    def test_equals_the_dict_bracket_reference_on_w_k(self, engine):
+        for n, K in ((2, 9), (3, 6), (4, 5)):
+            w = engine(n, K).w_term(K)
+            assert dsw_project(w) == dsw_reference(w) == w
 
     def test_detects_non_lie(self):
         ctx = AlgebraCtx(2, 2)
