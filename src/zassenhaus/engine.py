@@ -135,6 +135,19 @@ def _f1_pass(ctx: AlgebraCtx, top: int) -> list[dict[int, int]]:
     return parts
 
 
+def _f1_blocks(ctx: AlgebraCtx, top: int) -> Iterator[tuple[int, Block]]:
+    """(k, reduced block of f[1, k]) for k = top..1, from one graded pass; see `f1k_direct`.
+
+    The block of the top part, the largest list, is made before the pass,
+    so a top whose block cannot exist fails at once with MemoryError; each
+    term map is dropped once its block is made.
+    """
+    top_nums = zeros(ctx.n, top + 1)
+    parts = _f1_pass(ctx, top)
+    for k in range(top, 0, -1):
+        yield k, reduce_block(factorial(k), block_nums(ctx, k + 1, parts.pop(), top_nums if k == top else None))
+
+
 def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
     """f[1, k] from its nested-ad closed form.
 
@@ -162,8 +175,8 @@ def f1k_direct(k: int, ctx: AlgebraCtx) -> AssocPoly:
         raise ValueError(
             f"f[1,{k}] has degree {k + 1} > max_degree {ctx.max_degree}"
         )
-    nums = zeros(ctx.n, k + 1)  # before the pass: a block that cannot exist fails at once
-    return from_block(ctx, k + 1, factorial(k), block_nums(ctx, k + 1, _f1_pass(ctx, k)[k], nums))
+    _, block = next(_f1_blocks(ctx, k))
+    return from_block(ctx, k + 1, *block)
 
 
 def f1k_comm(k: int, n: int) -> LieExpr:
@@ -260,12 +273,8 @@ class EngineCtx:
         if cached is not None:
             return cached
         if m == 1:
-            top = self.alg.max_degree - 1
-            top_nums = zeros(self.alg.n, top + 1)  # before the pass: a block that cannot exist fails at once
-            parts = _f1_pass(self.alg, top)
-            for kk in range(top, 0, -1):  # each term map is dropped once its block is made
-                nums = block_nums(self.alg, kk + 1, parts.pop(), top_nums if kk == top else None)
-                self._f_memo.setdefault((1, kk), reduce_block(factorial(kk), nums))
+            for kk, block in _f1_blocks(self.alg, self.alg.max_degree - 1):
+                self._f_memo.setdefault((1, kk), block)
             return self._f_memo[key]
         w = self.w_block(m)
         J = k // m - 1

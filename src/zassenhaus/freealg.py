@@ -45,10 +45,11 @@ exist fails at once (`block_length` alone decides whether it can);
 `check_block` is the one rule of a stored block.
 `ad_letter` brackets one letter onto a term map, two passes over its
 codes; the engine's graded pass and `lieform.expand` build on it.
-No table of word codes is kept.  `mul` and `bracket` stay sparse dict
-kernels, one pair loop over the words of every two degrees, the constant
-word included: they serve only the Python API, while the engine, the
-verifiers and `lieform` work on blocks and term maps.
+No table of word codes is kept.  `mul` is the plain sparse dict product,
+one pair loop over the words of every two degrees, the constant word
+included, and `bracket` is ab - ba through it: they serve the Python API
+and are the reference the tests hold the blocks to, while the engine,
+the verifiers and `lieform` work on blocks and term maps.
 
 The codes depend on n alone, not on the truncation degree.  Words become
 tuples only at the boundary: the constructors, `coeff`, `terms`,
@@ -68,10 +69,10 @@ out the stored form itself (words in canonical order), and
 without any Fraction.  Everything is exact, and every equality test in
 this package is a zero-tolerance test.
 
-Lie elements are represented associatively via [A, B] = A*B - B*A; see
-`bracket` and `ad_pow`.  Exponentials and logarithms of elements without
-constant term (resp. with constant term 1) are finite sums here because
-of the truncation.
+Lie elements are represented associatively via [A, B] = A*B - B*A, which
+`bracket` computes as two `mul`s and a difference; see also `ad_pow`.
+Exponentials and logarithms of elements without constant term (resp.
+with constant term 1) are finite sums here because of the truncation.
 
 Every writer -- `text`, `latex` and `to_json`, and `render_block` of a
 dense block -- is one core, `_parts`: per degree, three stride slice
@@ -318,16 +319,6 @@ class AssocPoly(Frozen):
         self._init(ctx, {k: c.numerator * (den // c.denominator) for k, c in acc.items() if c}, den)
 
     @classmethod
-    def _make(cls, ctx: AlgebraCtx, codes: dict[int, int], den: int = 1) -> "AssocPoly":
-        # Frozen._make with the three stores written out: its loop, 1,521 calls a pass, made the `series`
-        # benchmark 2% slower (wall_ref median of 6 pairs, 2 CPUs, Python 3.11.7).
-        self = object.__new__(cls)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "_codes", codes)
-        object.__setattr__(self, "_den", den)
-        return self
-
-    @classmethod
     def _reduce(cls, ctx: AlgebraCtx, codes: dict[int, int], den: int) -> "AssocPoly":
         """Canonical form of sum(codes[k] / den * word(k)): zeros dropped, common factor cancelled.
 
@@ -347,24 +338,24 @@ class AssocPoly(Frozen):
 
     @classmethod
     def zero(cls, ctx: AlgebraCtx) -> "AssocPoly":
-        return cls._make(ctx, {})
+        return cls._make(ctx, {}, 1)
 
     @classmethod
     def one(cls, ctx: AlgebraCtx) -> "AssocPoly":
-        return cls._make(ctx, {0: 1})
+        return cls._make(ctx, {0: 1}, 1)
 
     @classmethod
     def generator(cls, ctx: AlgebraCtx, i: int) -> "AssocPoly":
         if type(i) is not int or not 1 <= i <= ctx.n:
             raise ValueError(f"generator index {i!r} out of range 1..{ctx.n}")
-        return cls._make(ctx, {i: 1})  # a one-letter word is its own code
+        return cls._make(ctx, {i: 1}, 1)  # a one-letter word is its own code
 
     @classmethod
     def monomial(cls, ctx: AlgebraCtx, word: Word, coeff: Scalar = 1) -> "AssocPoly":
         word = tuple(word)
         ctx.check_word(word)
         c = _exact(coeff)
-        return cls._make(ctx, {_code(ctx.n, word): c.numerator}, c.denominator) if c else cls._make(ctx, {})
+        return cls._make(ctx, {_code(ctx.n, word): c.numerator}, c.denominator) if c else cls.zero(ctx)
 
     @classmethod
     def from_numerators(cls, ctx: AlgebraCtx, words: Sequence[Word], nums: Sequence[int], den: int) -> "AssocPoly":
@@ -402,7 +393,7 @@ class AssocPoly(Frozen):
         """`_parts`'s groups, degree by degree: code(u v) - off[e] = code(u) n^e + (index of v), e = |v| = d // 2."""
         n, off = self.ctx.n, self.ctx._offsets
         heads = _Table(lambda c: head(_word(n, c)))
-        for d, ks, nums in _by_degree(self, ordered=True) if self._codes else ():
+        for d, ks, nums in _by_degree(self) if self._codes else ():
             e, B = d // 2, n ** (d // 2)
             tails = _Table(lambda i, first=off[e]: tail(_word(n, first + i)))
             split = list(map(sub, ks, repeat(off[e])))
@@ -611,14 +602,12 @@ def signed_sum(terms: Iterable[tuple[int, int, str]], format: str = "text", spac
 # -- ring operations ---------------------------------------------------------
 
 
-def _by_degree(p: AssocPoly, ordered: bool = False) -> list[tuple[int, Iterable[int], Iterable[int]]]:
-    """(d, codes, numerators) of the words of each degree d of a nonzero p, d ascending; codes sorted if `ordered`."""
+def _by_degree(p: AssocPoly) -> list[tuple[int, list[int], list[int]]]:
+    """(d, codes, numerators) of the words of each degree d of a nonzero p, d ascending, codes sorted."""
     codes = p._codes
     off = p.ctx._offsets
-    d = bisect_right(off, min(codes)) - 1
-    if not ordered and max(codes) < off[d + 1]:  # homogeneous: no sort, no copy
-        return [(d, codes.keys(), codes.values())]
     ks = sorted(codes)
+    d = bisect_right(off, ks[0]) - 1
     groups = []
     i = 0
     while i < len(ks):
@@ -628,41 +617,6 @@ def _by_degree(p: AssocPoly, ordered: bool = False) -> list[tuple[int, Iterable[
         i = j
         d += 1
     return groups
-
-
-def _product(a: AssocPoly, b: AssocPoly, commutator: bool) -> AssocPoly:
-    """a*b, or [a, b] = a*b - b*a when `commutator`, on the integer numerators.
-
-    Words are multiplied block by block, one block per pair of degrees
-    (da, db) with da + db <= max_degree: code(u v) = code(u) n^db + code(v).
-    """
-    _require_same_ctx(a, b)
-    out: dict[int, int] = {}
-    get = out.get
-    if a._codes and b._codes:
-        n, cap = a.ctx.n, a.ctx.max_degree
-        blocks_b = _by_degree(b)
-        for da, codes_a, nums_a in _by_degree(a):
-            for db, codes_b, nums_b in blocks_b:
-                if da + db > cap:
-                    break
-                shifted_a = [k * n**db for k in codes_a]
-                if commutator:
-                    items_b = list(zip(codes_b, [k * n**da for k in codes_b], nums_b))
-                    for sa, ka, ca in zip(shifted_a, codes_a, nums_a):
-                        for kb, sb, cb in items_b:
-                            c = ca * cb
-                            k = sa + kb
-                            out[k] = get(k, 0) + c
-                            k = sb + ka
-                            out[k] = get(k, 0) - c
-                else:
-                    items_b = list(zip(codes_b, nums_b))
-                    for sa, ca in zip(shifted_a, nums_a):
-                        for kb, cb in items_b:
-                            k = sa + kb
-                            out[k] = get(k, 0) + ca * cb
-    return AssocPoly._reduce(a.ctx, out, a._den * b._den)
 
 
 def ad_letter(n: int, l: int, e: int, v: Mapping[int, int]) -> dict[int, int]:
@@ -681,13 +635,33 @@ def ad_letter(n: int, l: int, e: int, v: Mapping[int, int]) -> dict[int, int]:
 
 
 def mul(a: AssocPoly, b: AssocPoly) -> AssocPoly:
-    """Concatenation product; words of degree > max_degree are dropped eagerly."""
-    return _product(a, b, False)
+    """Concatenation product on the integer numerators; words of degree > max_degree are dropped eagerly.
+
+    Words are multiplied block by block, one block per pair of degrees
+    (da, db) with da + db <= max_degree: code(u v) = code(u) n^db + code(v).
+    """
+    _require_same_ctx(a, b)
+    out: dict[int, int] = {}
+    get = out.get
+    if a._codes and b._codes:
+        n, cap = a.ctx.n, a.ctx.max_degree
+        blocks_b = [(db, list(zip(codes, nums))) for db, codes, nums in _by_degree(b)]
+        for da, codes_a, nums_a in _by_degree(a):
+            for db, items_b in blocks_b:
+                if da + db > cap:
+                    break
+                shift = n**db
+                for ka, ca in zip(codes_a, nums_a):
+                    sa = ka * shift
+                    for kb, cb in items_b:
+                        k = sa + kb
+                        out[k] = get(k, 0) + ca * cb
+    return AssocPoly._reduce(a.ctx, out, a._den * b._den)
 
 
 def bracket(a: AssocPoly, b: AssocPoly) -> AssocPoly:
-    """Commutator [a, b] = a*b - b*a."""
-    return _product(a, b, True)
+    """Commutator [a, b] = a*b - b*a: the reference the tests hold the engine's blocks to."""
+    return mul(a, b) - mul(b, a)
 
 
 # -- dense degree blocks ------------------------------------------------------
@@ -879,15 +853,11 @@ def _sum(ctx: AlgebraCtx, polys: Sequence[AssocPoly], scalars: Sequence[Scalar] 
     else:
         lifts = [(p, s.numerator, p._den * s.denominator) for p, s in zip(polys, map(_exact, scalars))]
     den = lcm(*(d for _, _, d in lifts))
-    # The largest term map is copied and the others are added into the copy.
-    lifts = sorted(((p._codes, den // d * s) for p, s, d in lifts if p and s), key=lambda t: -len(t[0]))
-    if not lifts:
-        return AssocPoly.zero(ctx)
-    (first, f), *rest = lifts
-    out = dict(first) if f == 1 else {k: c * f for k, c in first.items()}
+    out: dict[int, int] = {}
     get = out.get
-    for codes, f in rest:
-        for k, c in codes.items():
+    for p, s, d in lifts:
+        f = den // d * s
+        for k, c in p._codes.items():
             out[k] = get(k, 0) + c * f
     return AssocPoly._reduce(ctx, out, den)
 

@@ -826,7 +826,7 @@ class TestF1k:
         def refuse(*args):
             raise AssertionError("the dict product was called")
 
-        monkeypatch.setattr(freealg, "_product", refuse)
+        monkeypatch.setattr(freealg, "mul", refuse)  # `bracket`, `exp_trunc` and `AssocPoly.__mul__` go through it
         runs = [
             cli("terms", "--n", 2, "--max-degree", 12, "--path", "both"),
             cli("f1k", "--k", 6, "--n", 3, "--path", "both"),

@@ -269,7 +269,8 @@ class TestPeelOracle:
         assert calls["exp_trunc"] == expected_exp_calls(n, K)
 
     def test_matches_engine(self, engine):
-        for n, K in ((2, 6), (3, 5)):
+        # At (2,12), (3,8) and (4,6) the unreduced residue passes through 5, 3 and 2 exponentials.
+        for n, K in ((2, 6), (3, 5), (2, 12), (3, 8), (4, 6)):
             e = engine(n, K)
             assert peel_oracle(n, K) == [e.w_block(m) for m in range(2, K + 1)]
 
