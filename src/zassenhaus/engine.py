@@ -34,9 +34,10 @@ as it enters the memo and never changed after.  Each Horner step is one
 f[m, k] are homogeneous and nearly dense, so a step is one C-level list
 pass per distinct numerator of W_m, one stride copy per nonzero word of
 W_m and one fused pass over the result.  Each W_m is kept as its reduced
-block (`w_block`), which is what the CLI renders, caches and verifies; a
-dict is made only when a caller asks for a polynomial: `w_term` (and so
-`series`), `w_term_expanded` and `fmk`.  The graded pass stays
+block (`w_block`), which is what the CLI renders, caches and verifies.
+The blocks are the only memo: `fmk`, `w_term` (so `series`) and
+`w_term_expanded` make a fresh polynomial from a block on each call,
+which a caller keeps if it needs the value again.  The graded pass stays
 sparse: its operator is one letter and its early parts are mostly zeros;
 dense blocks there took the (3, 9) pass from 6.5 ms to 87 ms (2 CPUs,
 Python 3.11.7), and each part becomes its block once, through
@@ -212,23 +213,26 @@ def w_comm(m: int, n: int) -> LieExpr | None:
 
 
 class EngineCtx:
-    """Computation context: an algebra plus memo caches for f[m, k] and W_m.
+    """Computation context: an algebra plus one memo per family, the blocks of f[m, k] and of W_m.
 
     Memo entries are immutable once inserted (insert-if-absent), so the
     caches are safe for concurrent readers; caches are never shared
-    across different (n, max_degree) contexts.
+    across different (n, max_degree) contexts.  No polynomial is kept:
+    `fmk` and `w_term` make a fresh one from the memo block on each call,
+    so a caller that needs the value again keeps it.
 
     `known`, if given, maps m to the reduced block (den, nums) of a W_m
-    already at hand (e.g. read back from a cache) and seeds the W_m memo.
+    already at hand (e.g. read back from a cache) and seeds the W_m memo;
+    each m must be an int in 2..max_degree.
     """
 
     def __init__(self, alg: AlgebraCtx, known: Mapping[int, Block] | None = None):
         self.alg = alg
         self._f_memo: dict[tuple[int, int], Block] = {}
-        self._f_polys: dict[tuple[int, int], AssocPoly] = {}
         self._w_blocks: dict[int, Block] = dict(known or {})
-        self._w_memo: dict[int, AssocPoly] = {}
         for m, (_, nums) in self._w_blocks.items():
+            if type(m) is not int or not 2 <= m <= alg.max_degree:  # before n**m: a huge m is refused at once
+                raise ValueError(f"a known block must be of W_m with m an int in 2..{alg.max_degree}, got W_{m!r}")
             if len(nums) != alg.n**m:
                 raise ValueError(f"a block of W_{m} has {alg.n**m} numerators, got {len(nums)}")
 
@@ -244,8 +248,7 @@ class EngineCtx:
         which unrolls to sum_j (-1)^j/j! ad_{W_m}^j f[m-1, k-mj]: the term
         of index j passes j brackets, with factors -1/1, -1/2, ..., -1/j.
         The memo holds every f[m, k] as a reduced dense block (see the
-        module docstring); the polynomial is made from it on the first call
-        for (m, k), and later calls return that same object.
+        module docstring); each call makes a fresh polynomial from it.
         """
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
@@ -255,10 +258,7 @@ class EngineCtx:
             raise ValueError(
                 f"f[{m},{k}] has degree {k + 1} > max_degree {self.alg.max_degree}"
             )
-        poly = self._f_polys.get((m, k))
-        if poly is None:
-            poly = self._f_polys.setdefault((m, k), from_block(self.alg, k + 1, *self._block(m, k)))
-        return poly
+        return from_block(self.alg, k + 1, *self._block(m, k))
 
     def _block(self, m: int, k: int) -> Block:
         """The memo block of f[m, k], computed on first use; see `fmk`.
@@ -296,11 +296,8 @@ class EngineCtx:
         return block
 
     def w_term(self, m: int) -> AssocPoly:
-        """W_m, homogeneous of degree m: made from `w_block(m)` on the first call for m, then that same object."""
-        poly = self._w_memo.get(m)
-        if poly is None:
-            poly = self._w_memo.setdefault(m, from_block(self.alg, m, *self.w_block(m)))
-        return poly
+        """W_m, homogeneous of degree m: a fresh polynomial made from `w_block(m)` on each call."""
+        return from_block(self.alg, m, *self.w_block(m))
 
     def w_block_expanded(self, m: int) -> Block:
         """The reduced block of W_m (m >= 5) from the term list of `_expanded_formula(m)`.

@@ -590,13 +590,14 @@ def _signed_join(parts: list[str], space: str) -> str:
     return "".join(parts)
 
 
-def signed_sum(terms: Iterable[tuple[int, int, str]], format: str = "text", space: str = " ") -> str:
+def signed_sum(terms: Iterable[tuple[int, int, str]], format: str = "text") -> str:
     """The sum of p/q * body over (p, q, body) triples, p/q in lowest terms and q > 0, in text or LaTeX.
 
-    The rules are those of `_sum_prefix`; the empty sum is "0".
+    The rules are those of `_sum_prefix`, with " + " and " - " between the
+    terms in both formats; the empty sum is "0".
     """
-    prefix = _sum_prefix(format, space)
-    return _signed_join([prefix(p, q, bool(body)) + body for p, q, body in terms], space)
+    prefix = _sum_prefix(format, " ")
+    return _signed_join([prefix(p, q, bool(body)) + body for p, q, body in terms], " ")
 
 
 # -- ring operations ---------------------------------------------------------
@@ -871,8 +872,3 @@ def poly_sum(ctx: AlgebraCtx, polys: Iterable[AssocPoly], scalars: Sequence[Scal
     if scalars is not None and len(scalars) != len(polys):
         raise ValueError(f"{len(polys)} polynomials but {len(scalars)} scalars")
     return _sum(ctx, polys, scalars)
-
-
-def generators(ctx: AlgebraCtx) -> list[AssocPoly]:
-    """[X1, ..., Xn] as polynomials."""
-    return [AssocPoly.generator(ctx, i) for i in range(1, ctx.n + 1)]

@@ -26,6 +26,11 @@ def shared_engine(n, max_degree):
     return _ENGINES[key]
 
 
+def generators(ctx):
+    """[X1, ..., Xn] as polynomials."""
+    return [AssocPoly.generator(ctx, i) for i in range(1, ctx.n + 1)]
+
+
 def restricted(p, max_degree):
     """p in the context (n, max_degree), deeper or shallower: its terms of degree <= max_degree, word by word."""
     return AssocPoly(AlgebraCtx(p.ctx.n, max_degree), [(w, c) for w, c in p.terms() if len(w) <= max_degree])

@@ -1,4 +1,6 @@
 import itertools
+import re
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -14,10 +16,10 @@ from zassenhaus.engine import (
     series,
     w_comm,
 )
-from zassenhaus.freealg import AlgebraCtx, AssocPoly, ad_pow, bracket, bracket_add, generators, poly_sum, to_block
+from zassenhaus.freealg import AlgebraCtx, AssocPoly, ad_pow, bracket, bracket_add, poly_sum, to_block
 from zassenhaus.lieform import CommTerm, LieExpr, dsw_project, expand
 
-from conftest import restricted
+from conftest import generators, restricted
 from golden import expanded_formula, nested
 
 
@@ -64,7 +66,7 @@ class TestF1kReference:
         e = EngineCtx(AlgebraCtx(3, 7))
         first = e.fmk(1, 2)
         assert set(e._f_memo) == {(1, k) for k in range(1, 7)}
-        assert e.fmk(1, 2) is first
+        assert e.fmk(1, 2) == first
 
 
 class TestF1kIntegerPass:
@@ -228,10 +230,19 @@ class TestWTerm:
         e = engine(1, 8)
         assert all(e.w_term(m).is_zero for m in range(2, 9))
 
-    def test_memoized(self, engine):
+    def test_memoized(self, monkeypatch):
+        # The memo holds blocks: a second call computes nothing and makes its polynomial from the same block.
         e = EngineCtx(AlgebraCtx(2, 5))
-        assert e.w_term(4) is e.w_term(4)
-        assert e.fmk(2, 4) is e.fmk(2, 4)
+        w, f = e.w_term(4), e.fmk(2, 4)
+        blocks = e.w_block(4), e._f_memo[2, 4]
+
+        def refused(*args):
+            raise AssertionError("a memo value was computed again")
+
+        monkeypatch.setattr("zassenhaus.engine.bracket_add", refused)
+        monkeypatch.setattr("zassenhaus.engine._f1_blocks", refused)
+        assert e.w_term(4) == w and e.fmk(2, 4) == f
+        assert e.w_block(4) is blocks[0] and e._f_memo[2, 4] is blocks[1]
 
     def test_memo_blocks_are_never_mutated(self):
         # Every f[m, k] block stays as it entered the memo, whatever reads it later.
@@ -276,7 +287,6 @@ class TestWTerm:
         assert set(bracketed_with) == {n**m for m in low}
         assert all(a is low[m] for m in low for a in bracketed_with[n**m])
         assert all(warm.w_block(m) is low[m] for m in low)
-        assert not warm._w_memo  # no W_m became a dict
 
     def test_warm_terms_makes_no_memo_block_and_no_dict(self, cli, tmp_path, monkeypatch):
         # Every W_m comes from the cache as a block and is rendered from it.
@@ -298,13 +308,21 @@ class TestWTerm:
         assert len(made) == 3
         for e in made:
             assert set(e._w_blocks) == set(range(2, 8))
-            assert not e._f_memo and not e._f_polys and not e._w_memo
+            assert not e._f_memo
         cli(*runs["text"])
-        assert made[-1]._f_memo and not made[-1]._w_memo  # an uncached run renders its blocks too
+        assert made[-1]._f_memo  # an uncached run renders its blocks too
 
     def test_known_block_of_the_wrong_length_is_refused(self):
         with pytest.raises(ValueError):
             EngineCtx(AlgebraCtx(2, 4), {3: (1, [0] * 4)})
+
+    @pytest.mark.parametrize("m", [0, 1, 5, "3", 10**8])
+    def test_known_block_of_no_term_is_refused_at_once(self, m):
+        # Only W_2..W_K can be known; the key is checked before n**m, which took 0.7 s at m = 10**8.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(f"got W_{m!r}")):
+            EngineCtx(AlgebraCtx(2, 4), {m: (1, [0])})
+        assert time.perf_counter() - start < 0.1
 
     def test_errors(self):
         e = EngineCtx(AlgebraCtx(2, 4))
@@ -433,10 +451,11 @@ class TestSeries:
             for m in range(2, short_k + 1):
                 assert restricted(full[m - 2], short_k) == short[m - 2]
 
-    def test_reuses_engine_context(self, engine):
-        e = engine(2, 6)
+    def test_reuses_engine_context(self):
+        e = EngineCtx(AlgebraCtx(2, 6))
         ws = list(series(e))
-        assert ws[2] is e.w_term(4)
+        assert ws[2] == e.w_term(4)
+        assert set(e._w_blocks) == set(range(2, 7))  # the series filled this context's memo
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -447,3 +466,32 @@ class TestSeries:
             _series(2, 1)
         with pytest.raises(ValueError):
             w_comm(1, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, cached",
+    [
+        (("terms", "--n", 3, "--max-degree", 7, "--format", "json"), True),
+        (("terms", "--n", 3, "--max-degree", 7, "--format", "text"), True),
+        (("terms", "--n", 3, "--max-degree", 7, "--format", "latex"), True),
+        (("terms", "--n", 2, "--max-degree", 11, "--path", "both", "--format", "text"), False),
+        (("verify", "--n", 2, "--max-degree", 6, "--mode", "all"), False),
+    ],
+    ids=["terms-json", "terms-text", "terms-latex", "terms-both", "verify-all"],
+)
+def test_commands_make_no_engine_polynomial(cli, tmp_path, monkeypatch, argv, cached):
+    # The commands read the engine's blocks only: with `from_block` refused inside the engine, every
+    # run (terms also cold, then warm, from --cache) prints what it prints unpatched, so no polynomial
+    # is made there, not even one that is dropped at once.
+    expected = cli(*argv)
+    assert expected.returncode == 0
+
+    def refused(*args):
+        raise AssertionError("the engine made a polynomial")
+
+    monkeypatch.setattr("zassenhaus.engine.from_block", refused)
+    cache = tmp_path / "cache"
+    for run in [argv, (*argv, "--cache", cache), (*argv, "--cache", cache)] if cached else [argv]:
+        r = cli(*run)
+        assert (r.returncode, r.stdout) == (0, expected.stdout), r.stderr
+    assert cache.exists() == cached

@@ -12,14 +12,13 @@ from zassenhaus.freealg import (
     ad_pow,
     bracket,
     exp_trunc,
-    generators,
     log_trunc,
     poly_sum,
 )
 from zassenhaus.lieform import CommTerm, LieExpr
 from zassenhaus.oracle import VerificationReport
 
-from conftest import degree_component, restricted
+from conftest import degree_component, generators, restricted
 
 
 def word_key(word):

@@ -21,7 +21,6 @@ from zassenhaus.freealg import (
     bracket_add,
     exp_trunc,
     from_block,
-    generators,
     log_trunc,
     mul,
     poly_sum,
@@ -29,7 +28,7 @@ from zassenhaus.freealg import (
     to_block,
 )
 
-from conftest import degree_component, restricted
+from conftest import degree_component, generators, restricted
 
 kernel_settings = settings(max_examples=60, deadline=None)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zassenhaus.freealg import AlgebraCtx, AssocPoly, bracket, generators, poly_sum
+from zassenhaus.freealg import AlgebraCtx, AssocPoly, bracket, poly_sum
 from zassenhaus.lieform import (
     CommTerm,
     LieExpr,
@@ -17,6 +17,7 @@ from zassenhaus.lieform import (
     render,
 )
 
+from conftest import generators
 from golden import nested
 
 

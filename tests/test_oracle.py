@@ -13,14 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import degree_component, shared_engine
+from conftest import degree_component, generators, shared_engine
 from zassenhaus import oracle
 from zassenhaus.freealg import (
     AlgebraCtx,
     AssocPoly,
     exp_trunc,
     from_block,
-    generators,
     log_trunc,
     poly_sum,
     reduce_block,
