@@ -72,9 +72,9 @@ key and never mutated afterwards, so concurrent readers are safe.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
-from math import comb, factorial, lcm
-from operator import add
+from math import comb, factorial
 from typing import Iterator, Mapping
 
 from .freealg import (
@@ -188,13 +188,21 @@ def f1k_comm(k: int, n: int) -> LieExpr:
         1/(k1! ... kl!) * sum [X_j X_{i1}^{k1} ... X_{il}^{kl}]
 
     over index tuples with i1 < j <= n and i1 < i2 < ... < il <= n
-    (j is unconstrained relative to i2..il).
+    (j is unconstrained relative to i2..il).  C(k-1, l-1) compositions
+    have l parts, and the l-subsets of 1..n have (l-1) C(n, l) heads among
+    their own elements and l C(n, l+1) outside; the list of all the terms
+    is made at full length first, so one that cannot exist fails at once
+    with MemoryError.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    terms: list[CommTerm] = []
+    count = sum(comb(k - 1, l - 1) * ((l - 1) * comb(n, l) + l * comb(n, l + 1)) for l in range(1, min(k, n) + 1))
+    if count > sys.maxsize:  # no list can index it, which [None] * count reports as OverflowError
+        raise MemoryError
+    terms: list = [None] * count
+    i = 0
     for comp in compositions(k):
         denom = 1
         for part in comp:
@@ -203,7 +211,8 @@ def f1k_comm(k: int, n: int) -> LieExpr:
         for idx_tuple in itertools.combinations(range(1, n + 1), len(comp)):
             i1 = idx_tuple[0]
             for j in range(i1 + 1, n + 1):
-                terms.append(CommTerm(coeff, j, tuple(zip(idx_tuple, comp))))
+                terms[i] = CommTerm(coeff, j, tuple(zip(idx_tuple, comp)))
+                i += 1
     return LieExpr(terms)
 
 
@@ -302,30 +311,25 @@ class EngineCtx:
     def w_block_expanded(self, m: int) -> Block:
         """The reduced block of W_m (m >= 5) from the term list of `_expanded_formula(m)`.
 
-        Each term is evaluated on degree blocks: its inner ad_{W_j} go into
-        zero blocks, and its outermost bracket is added, scaled by coeff/m,
-        into one accumulator of degree m; a bare f[base, m-1] is lifted to
-        the accumulator's denominator and added in.  Must equal `w_block(m)`
-        exactly: a cross-check against the recursion, which it reuses (see
-        the module docstring).
+        The first term is always the bare f[base, m-1] with coefficient 1,
+        so the accumulator of degree m starts as its block over den * m;
+        each other term is evaluated on degree blocks: its inner ad_{W_j}
+        go into zero blocks, and its outermost bracket is added, scaled by
+        coeff/m, into the accumulator.  Must equal `w_block(m)` exactly: a
+        cross-check against the recursion, which it reuses (see the module
+        docstring).
         """
         if m > self.alg.max_degree:
             raise ValueError(f"W_{m} has degree {m} > max_degree {self.alg.max_degree}")
-        formula = _expanded_formula(m)
-        acc: Block = (1, zeros(self.alg.n, m))
+        (_, _, bare), *formula = _expanded_formula(m)
+        den, nums = self._block(*bare)
+        acc: Block = (den * m, nums)
         for coeff, ad_ws, (mp, kp) in formula:
             v = self._block(mp, kp)
-            r = coeff / m
-            if not ad_ws:
-                (a_den, a_nums), (v_den, v_nums) = acc, v
-                den = lcm(a_den, v_den * r.denominator)
-                a, b = den // a_den, den // (v_den * r.denominator) * r.numerator
-                acc = den, list(map(add, map(a.__mul__, a_nums), map(b.__mul__, v_nums)))
-                continue
             for w_idx in reversed(ad_ws[1:]):
                 w = self.w_block(w_idx)
                 v = bracket_add((1, [0] * (len(w[1]) * len(v[1]))), w, v, 1)
-            acc = bracket_add(acc, self.w_block(ad_ws[0]), v, r)
+            acc = bracket_add(acc, self.w_block(ad_ws[0]), v, coeff / m)
         return reduce_block(*acc)
 
     def w_term_expanded(self, m: int) -> AssocPoly:

@@ -14,10 +14,11 @@ Three checks, in increasing distance from the algebra:
   exponentials at several step sizes t, and estimates the convergence
   order of the residual, which must be K + 1 when the product carries
   W_2..W_K.  Its matrix work is batched: `substitute` evaluates all of
-  W_2..W_K at every t in one walk over the prefix tree of their words,
-  each prefix's matrix made once, a chunk of a level per np.matmul, and
-  every float it returns equals that of a walk over the words one at a
-  time.
+  W_2..W_K at every t in one walk over every word of degree 1..K, the
+  complete prefix tree, where word c of degree k + 1 has parent c // n
+  and last letter c % n; each prefix's matrix is made once, a chunk of a
+  level per np.matmul, and, every word's matrix being finite, every
+  float it returns equals that of a walk over the words one at a time.
 
 W_m goes in and out as `EngineCtx.series_blocks` yields it, a reduced block
 (den, nums) (`freealg.to_block`); no check makes a polynomial of any W_m.
@@ -83,7 +84,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import chain, compress, repeat, starmap
+from itertools import chain, repeat, starmap
 from operator import add, neg, sub, truediv
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
@@ -111,9 +112,10 @@ ROUNDOFF_FACTOR = 100.0
 #: no big matrices, and a huge one would only exhaust memory or CPU.
 MAX_DIM = 256
 
-#: Byte budget of one stack of dim x dim matrices in `substitute`: each level of
-#: the words' prefix tree is evaluated in chunks of at most this many bytes of
-#: matrices (or one node), so a batch is bounded however many words a level has.
+#: Byte budget of one stack of dim x dim matrices in `substitute`: each degree's
+#: words, codes c..b-1 with parents c//n.. and letters c%n.., are evaluated in
+#: chunks of at most this many bytes of matrices (or one word), so a batch is
+#: bounded however many words a degree has.
 SUBSTITUTE_CHUNK_BYTES = 1 << 16
 
 #: A graded element (den, blocks): blocks[d] is the block of degree d, d = 0..K, or None where it is 0.
@@ -417,23 +419,28 @@ def substitute(n: int, blocks: Mapping[int, Block], mats: Sequence[Sequence[np.n
     A word's matrix is its prefix product I @ M[w1] @ ... @ M[wd], taken
     left to right, and each W's value is the sum of num / den times each of
     its words' matrices in code order, added one term at a time onto zeros.
-    All the blocks are evaluated in one depth-first walk over the prefix
-    tree of the words of nonzero numerator, so each prefix's matrix is made
-    once, as its parent's matrix times its last letter's, however many
-    blocks and words share it.  The walk cuts each level of the tree into
-    chunks of at most SUBSTITUTE_CHUNK_BYTES of dim x dim matrices, or one
-    node, each chunk one np.matmul of its parents against its letters for
-    several sets at once, and finishes a chunk's subtree before it makes
-    the next chunk; sets whose matrices of one node exceed the budget
-    together are walked in groups, one group after another.
-    Every float equals that of a walk over one block's words one at a
-    time: the same pairs of matrices are multiplied by the same BLAS
-    kernel, each coefficient is the correctly rounded Python quotient
+    All the blocks are evaluated in one depth-first walk over every word of
+    degree 0..max(blocks), the complete prefix tree: the word of code c and
+    degree k + 1 has its parent at code c // n and its last letter c % n,
+    so the children of codes c..b-1 are codes c*n..b*n-1.  Each prefix's
+    matrix is made once, as its parent's matrix times its last letter's,
+    however many blocks share it.  The walk cuts each level into chunks of
+    at most SUBSTITUTE_CHUNK_BYTES of dim x dim matrices, or one word, each
+    chunk one np.matmul of its parents against its letters for several sets
+    at once, and finishes a chunk's subtree before it makes the next chunk;
+    sets whose matrices of one word exceed the budget together are walked
+    in groups, one group after another.  The matrices held at once are one
+    chunk per level; a block's length, not its count of nonzero numerators,
+    sets the cost.
+    Every float equals that of a walk over the words of nonzero numerator
+    one at a time: the same pairs of matrices are multiplied by the same
+    BLAS kernel, each coefficient is the correctly rounded Python quotient
     num / den, and a block's terms are added in code order by a sequential
     np.add.accumulate (not a pairwise sum) onto the running total carried
-    from the previous chunk.  The matrices held at once are one chunk per
-    level, and the index arrays of the tree, however many words the blocks
-    have.
+    from the previous chunk.  A zero numerator adds 0.0 * P(w) = +-0.0 to a
+    total that starts at +0.0 and is never -0.0, which leaves it as it is.
+    That needs every word's matrix P(w) to be finite: a word whose matrix
+    overflows makes its degree's value nan, even where its numerator is 0.
     """
     import numpy as np
 
@@ -446,60 +453,41 @@ def substitute(n: int, blocks: Mapping[int, Block], mats: Sequence[Sequence[np.n
     first = np.asarray(mats[0][0])
     sets, dim = len(mats), len(first)
     out = {d: np.zeros((sets, dim, dim)) for d in blocks}
-    words, coefs = {}, {}  # per degree: the codes of nonzero numerator, ascending, and their num / den
-    for d, (den, nums) in blocks.items():
-        if any(nums):
-            words[d] = np.fromiter(compress(range(len(nums)), nums), np.intp)
-            coefs[d] = np.fromiter(map(truediv, filter(None, nums), repeat(den)), float, len(words[d]))[:, None, None, None]
-    top = max(words, default=-1)
-    # nodes[k]: the codes of the degree-k prefixes of the words, ascending;
-    # level k's node i has its parent at parents[k][i] in level k - 1.
-    nodes, up = [], np.zeros(0, np.intp)
-    for k in range(top, -1, -1):
-        seen = np.zeros(n**k, bool)
-        seen[up] = True
-        if k in words:
-            seen[words[k]] = True
-        nodes.append(np.flatnonzero(seen))
-        up = nodes[-1] // n
-    nodes.reverse()
-    parents = [None, *(np.searchsorted(above, level // n) for above, level in zip(nodes, nodes[1:]))]
-    at = {d: np.searchsorted(nodes[d], w) for d, w in words.items()}  # the words' places in their level
+    coefs = {  # per degree: num / den of every word, zeros included
+        d: np.fromiter(map(truediv, nums, repeat(den)), float, len(nums))[:, None, None, None]
+        for d, (den, nums) in blocks.items()
+    }
+    top = max(blocks, default=0)
 
     def add(d: int, stack: np.ndarray, a: int, b: int) -> None:
-        """Add the terms of block d among nodes a..b-1 of level d, whose matrices `stack` holds."""
-        if d not in at:
-            return
-        i, j = np.searchsorted(at[d], (a, b))
-        if i == j:
-            return
-        terms = (stack if j - i == b - a else stack[at[d][i:j] - a]) * coefs[d][i:j]
-        terms[0] += out[d][lo:hi]
-        np.add.accumulate(terms, axis=0, out=terms)
-        out[d][lo:hi] = terms[-1]
+        """Add the terms of block d among words a..b-1 of degree d, whose matrices `stack` holds."""
+        if d in coefs:
+            terms = stack * coefs[d][a:b]
+            terms[0] += out[d][lo:hi]
+            np.add.accumulate(terms, axis=0, out=terms)
+            out[d][lo:hi] = terms[-1]
 
-    # A chunk is at least one node, so the sets go in groups whose matrices of one node fit the budget.
+    # A chunk is at least one word, so the sets go in groups whose matrices of one word fit the budget.
     group = max(1, SUBSTITUTE_CHUNK_BYTES // first.nbytes)
-    for lo in range(0, sets if top >= 0 else 0, group):
+    for lo in range(0, sets, group):
         hi = min(lo + group, sets)
         letters = np.asarray(mats[lo:hi]).swapaxes(0, 1)  # letters[i, j] = mats[lo + j][i]
-        width = max(1, SUBSTITUTE_CHUNK_BYTES // letters[0].nbytes)  # nodes per chunk
+        width = max(1, SUBSTITUTE_CHUNK_BYTES // letters[0].nbytes)  # words per chunk
         root = np.broadcast_to(np.eye(dim), (1, hi - lo, dim, dim))
         add(0, root, 0, 1)
-        # (k, stack, a, c, e): level k's nodes from a on have matrices `stack`,
-        # and their children c..e-1 in level k + 1 are still to be made.
-        todo = [(0, root, 0, 0, len(nodes[1]) if top else 0)]
+        # (k, stack, a, c, e): the words of degree k from code a on have matrices
+        # `stack`, and their children c..e-1 of degree k + 1 are still to be made.
+        todo = [(0, root, 0, 0, n)] if top else []
         while todo:
             k, stack, a, c, e = todo.pop()
-            if c == e:
-                continue
             b = min(c + width, e)
             if b < e:
                 todo.append((k, stack, a, b, e))
-            child = np.matmul(stack[parents[k + 1][c:b] - a], letters[nodes[k + 1][c:b] % n])
+            i = np.arange(c, b)
+            child = np.matmul(stack[i // n - a], letters[i % n])
             add(k + 1, child, c, b)
             if k + 1 < top:
-                todo.append((k + 1, child, c, *np.searchsorted(parents[k + 2], (c, b))))
+                todo.append((k + 1, child, c, c * n, b * n))
     return [{d: v[j] for d, v in out.items()} for j in range(sets)]
 
 

@@ -222,6 +222,7 @@ class TestTerms:
             pytest.param(("f1k", "--k", 200, "--n", 2, "--path", "direct"), "k=200", id="f1k-k200-direct"),
             pytest.param(("terms", "--n", 2, "--max-degree", 2000000000), "K=2000000000", id="terms-n2-K2e9"),
             pytest.param(("f1k", "--k", 2000000000, "--n", 2, "--path", "direct"), "k=2000000000", id="f1k-k2e9-direct"),
+            pytest.param(("f1k", "--k", 3, "--n", 300), "k=3", id="f1k-k3-n300"),
             pytest.param(
                 ("terms", "--n", 2, "--max-degree", 1000000, "--cache", "CACHE"), "K=1000000", id="terms-n2-K1e6-cache"
             ),
@@ -229,8 +230,9 @@ class TestTerms:
     )
     def test_out_of_memory_is_refused_at_once(self, cli_process, tmp_path, argv, degree):
         # The real request under a 2 GB address-space cap.  The largest list of the request
-        # (the block of degree K, or the 2^199 compositions of 200) is made before the work
-        # that fills it, so the run ends within seconds rather than fill the memory it has.
+        # (the block of degree K, the 2^199 compositions of 200, or the 1.02e9 commutator terms
+        # of f[1,3] at n = 300) is made before the work that fills it, so the run ends within
+        # seconds rather than fill the memory it has.
         # At (2,64), (2,100000) and k = 200 no list could even index that length: still out of memory,
         # decided without computing 2^K (seconds at K = 2e9) and, under --cache, before W_2..W_K are looked up.
         resource = pytest.importorskip("resource")
@@ -243,6 +245,13 @@ class TestTerms:
         n = argv[argv.index("--n") + 1]
         assert r.returncode == EXIT_USAGE and r.stdout == ""
         assert r.stderr == f"error: out of memory in {argv[0]} at n={n}, {degree}\n"
+
+    def test_f1k_terms_no_list_can_index_are_refused_at_once(self, cli_process):
+        # f[1,3] at n = 100000 has about 1.25e19 commutator terms, beyond any list's index:
+        # refused from their count alone, with no cap on memory, before a term is made.
+        r = cli_process("f1k", "--k", 3, "--n", 100000, "--path", "comm", timeout=1)
+        assert r.returncode == EXIT_USAGE and r.stdout == ""
+        assert r.stderr == "error: out of memory in f1k at n=100000, k=3\n"
 
 
 class TestStartup:

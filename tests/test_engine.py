@@ -2,9 +2,11 @@ import itertools
 import re
 import time
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zassenhaus import engine as engine_module
 from zassenhaus.engine import (
@@ -150,6 +152,14 @@ class TestF1kComm:
         assert (2, ((1, 1), (3, 1))) in heads  # j < i2 allowed
         assert (3, ((1, 1), (2, 1))) in heads
         assert not any(h <= t[0][0] for h, t in heads)  # head always past i1
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 6), n=st.integers(1, 6))
+    def test_term_count(self, k, n):
+        # The term list is made at full length first, from this count: C(k-1, l-1)
+        # compositions of l parts, and over the l-subsets of 1..n, (l-1) C(n, l) + l C(n, l+1) heads.
+        count = sum(comb(k - 1, l - 1) * ((l - 1) * comb(n, l) + l * comb(n, l + 1)) for l in range(1, k + 1))
+        assert len(f1k_comm(k, n)) == count
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -365,6 +375,8 @@ class TestWTermExpanded:
         for m in range(5, 41):
             rule = _expanded_formula(m)
             assert all(coeff for coeff, _, _ in rule)
+            base = 1 if m <= 10 else (m - 1) // 3 - 1
+            assert rule[0] == (1, (), (base, m - 1)), m  # the bare term, which `w_block_expanded` starts from
             assert as_dict(rule) == as_dict(expanded_formula(m)), m
         with pytest.raises(ValueError):
             _expanded_formula(4)

@@ -479,9 +479,9 @@ def substitution_cases(draw):
 
 
 #: Traced peak allowed to `substitute` of W_2..W_12 at n = 2, dim 64: a chunk
-#: per level of the prefix tree, its index arrays and one sum per W_m
-#: (measured 1.6 MiB; 1.1 MiB for a walk over W_12's words one at a time),
-#: against 128 MB for one stack of the whole top degree.
+#: per level of the complete prefix tree, the coefficients of every word and
+#: one sum per W_m (measured 1.45 MiB; 1.1 MiB for a walk over W_12's words
+#: one at a time), against 128 MB for one stack of the whole top degree.
 SUBSTITUTE_MEMORY_BUDGET = 4 << 20
 
 
@@ -560,8 +560,9 @@ class TestSubstitute:
 
     @pytest.mark.parametrize("n, degree, count", [(2, 20, 3), (3, 12, 5)])
     def test_sparse_block(self, n, degree, count):
-        # A block of 2^20 or 3^12 numerators with a few nonzero: the walk must
-        # follow the words present, not the n^degree words of the degree.
+        # A block of 2^20 or 3^12 numerators with a few nonzero: the walk makes
+        # every word's matrix, so the block's length, not its count of nonzero
+        # numerators, sets the cost, which must stay within the bound.
         rng = np.random.default_rng(degree)
         nums = [0] * n**degree
         for i, k in enumerate(rng.choice(n**degree, size=count, replace=False)):
@@ -573,6 +574,22 @@ class TestSubstitute:
         assert time.perf_counter() - start < 1.0
         for d, block in blocks.items():
             assert bitwise_equal(got[d], walk(n, d, block, mats))
+
+    def test_reads_each_block_once(self):
+        # One pass over a block's numerators makes its coefficients, zeros included.
+        class Counted(list):
+            passes = 0
+
+            def __iter__(self):
+                self.passes += 1
+                return super().__iter__()
+
+        blocks = {0: (1, Counted([2])), 1: (2, Counted([1, 0])), 3: (3, Counted([0, 1, 2, 0, 0, 5, 0, 0]))}
+        mats = random_matrices(2, 3, 1)
+        got = substitute(2, blocks, [mats])[0]
+        assert [nums.passes for _, nums in blocks.values()] == [1, 1, 1]
+        for d, (den, nums) in blocks.items():
+            assert bitwise_equal(got[d], walk(2, d, (den, list(nums)), mats))
 
     def test_memory_stays_within_the_run_budget(self):
         # W_12 at n = 2 has 4096 words of 64 x 64 matrices (32 kB each): one
