@@ -45,29 +45,30 @@ An entry holds W_m in context (n, m) as the engine's dense degree block
 (q, nums) (see `freealg`), where nums holds the numerators of all n^m
 words of degree m in canonical order, zeros included, so the word of
 nums[i] is implied by i; the coefficient of that word is nums[i]/q.  The
-entry is one header line of compact JSON with sorted keys,
+entry is three parts: the hex SHA-256 of the rest of the entry and a
+newline; the header line of compact JSON with sorted keys,
 
-    {"digest":<hex>,"key":{"format":5,"m":m,"n":n},"payload":{"den":q,
-     "limbs":L,"maxDegree":m,"n":n}}
+    {"den":q,"key":{"format":6,"m":m,"n":n}}
 
-then a newline, then the body: nums as L planes of n^m little-endian
-64-bit words, 8 L n^m bytes.  L is the least L >= 1 with
+and a newline; then the body, nums as L planes of n^m little-endian
+64-bit words, so L = len(body) / (8 n^m).  L is the least L >= 1 with
 -2^(64L-1) <= p < 2^(64L-1) for every numerator p (so 1 unless some
 numerator needs more than 64 bits); plane t < L-1 holds the unsigned
 words (p >> 64t) mod 2^64 and the last plane the signed words
-p >> 64(L-1), and a load adds the planes back, top plane first.  The
-payload has exactly these four keys, and `cache_store` and `cache_load`
-hold (q, nums) to one rule, `freealg.check_block`: nums is a list of
-exactly n^m ints (no bool or float), q is a positive int and
-gcd(q, nums) == 1, so the zero polynomial is all zeros over 1.  The
-SHA-256 digest covers the payload bytes exactly as written followed by
-the body, so a load hashes what it read; `cache_store` and `cache_load`
-import `hashlib` and `array` on first use, so a run without a cache
-never loads them.  A digest mismatch, a body of another length than the
-payload gives, or a payload that is not in this canonical form, is an
-integrity failure on load, never silently recomputed; an entry with
-another key is stale and is recomputed.  Trees of older cache versions
-(<root>/2, <root>/3, <root>/4) are never read or touched.
+p >> 64(L-1), and a load adds the planes back, top plane first.  q stays
+in the header because it is the largest number of a block: stored as a
+word, it would double the body of a block whose numerators fit one limb.
+`cache_store` and `cache_load` hold (q, nums) to one rule,
+`freealg.check_block`: nums is a list of exactly n^m ints (no bool or
+float), q is a positive int and gcd(q, nums) == 1, so the zero
+polynomial is all zeros over 1.  `cache_store` and `cache_load` import
+`hashlib` and `array` on first use, so a run without a cache never loads
+them.  A load compares the key first: an entry with another key is
+stale and is recomputed.  Then a digest mismatch, a header with keys
+other than "den" and "key", a body whose length is not a positive
+multiple of 8 n^m, or a block that `check_block` refuses is an integrity
+failure, never silently recomputed.  Trees of older cache versions
+(<root>/2 to <root>/5) are never read or touched.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ from .oracle import (
 )
 
 SCHEMA_VERSION = 1
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -104,7 +105,7 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a
 
 
 class CacheCorruptionError(RuntimeError):
-    """A cache entry failed its digest or key consistency check."""
+    """A cache entry failed its digest or does not hold a block in canonical form."""
 
 
 class CacheAccessError(RuntimeError):
@@ -134,12 +135,9 @@ def _cache_key(n: int, m: int) -> dict:
     return {"format": CACHE_VERSION, "n": n, "m": m}
 
 
-# An entry is the header line _dumps({"digest", "key", "payload"}) + "\n", then the body: the numerators
-# as `limbs` planes of n^m little-endian 64-bit words, least significant plane first.  The payload
-# comes last in the header, between this mark and the closing b"}", and the digest covers those bytes
-# followed by the body.
-_PAYLOAD_MARK = b',"payload":'
-_PAYLOAD_KEYS = {"den", "limbs", "maxDegree", "n"}
+# An entry is the hex SHA-256 of the rest of the entry and b"\n", then the header line
+# _dumps({"den", "key"}) + "\n", then the body: the numerators as L planes of n^m little-endian
+# 64-bit words, least significant plane first, L being the body's length over 8 n^m.
 _WORD = (1 << 64) - 1
 
 
@@ -190,18 +188,17 @@ def cache_store(root: Path, n: int, m: int, block: Block) -> Path:
     den, nums = block
     check_block(n, m, den, nums)
     planes = _planes(nums)
-    payload = _dumps({"den": den, "limbs": len(planes), "maxDegree": m, "n": n}).encode()
-    digest = hashlib.sha256(payload)
+    header = _dumps({"den": den, "key": _cache_key(n, m)}).encode() + b"\n"
+    digest = hashlib.sha256(header)
     for plane in planes:
         digest.update(plane)
-    header = _dumps({"digest": digest.hexdigest(), "key": _cache_key(n, m)}).encode()
     target = _cache_file(root, n, m)
     tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         try:
             with open(tmp, "wb") as out:
-                out.write(header[:-1] + _PAYLOAD_MARK + payload + b"}\n")
+                out.write(digest.hexdigest().encode() + b"\n" + header)
                 out.writelines(planes)
             os.replace(tmp, target)
         except BaseException:
@@ -223,36 +220,27 @@ def cache_load(root: Path, n: int, m: int) -> Block | None:
         return None
     except OSError as exc:
         raise CacheAccessError(f"cannot read cache entry {target}: {exc.strerror or exc}") from exc
-    line, newline, body = data.partition(b"\n")
-    head, mark, tail = line.partition(_PAYLOAD_MARK)
     try:
-        header = json.loads(head + b"}")
+        digest, line, body = data.split(b"\n", 2)  # a ValueError if the digest or header line is missing
+        header = json.loads(line)
     except (RecursionError, ValueError) as exc:
         raise CacheCorruptionError(f"unreadable cache entry {target}: {exc}") from exc
-    if not newline or not mark or not isinstance(header, dict):
-        raise CacheCorruptionError(f"cache entry {target} does not start with a JSON object line ending in its payload")
+    if not isinstance(header, dict):
+        raise CacheCorruptionError(f"cache entry {target} has no JSON object for its header line")
     if header.get("key") != _cache_key(n, m):
         return None  # stale key (e.g. older format version): recompute
-    payload_bytes = tail[:-1]
-    digest = hashlib.sha256(payload_bytes)
-    digest.update(body)
-    if tail[-1:] != b"}" or digest.hexdigest() != header.get("digest"):
+    if hashlib.sha256(memoryview(data)[len(digest) + 1 :]).hexdigest().encode() != digest:
         raise CacheCorruptionError(f"digest mismatch in cache entry {target}")
     try:
-        payload = json.loads(payload_bytes)
-        if set(payload) != _PAYLOAD_KEYS:
-            raise ValueError(f"payload keys are not {sorted(_PAYLOAD_KEYS)}")
-        ctx = AlgebraCtx(payload["n"], payload["maxDegree"])
-        if ctx != AlgebraCtx(n, m):
-            raise ValueError(f"payload context {ctx} is not {AlgebraCtx(n, m)}")
-        den, limbs, count = payload["den"], payload["limbs"], n**m
-        if type(limbs) is not int or limbs < 1:
-            raise ValueError(f"limbs must be a positive int, got {limbs!r}")
-        if len(body) != 8 * limbs * count:
-            raise ValueError(f"the body has {len(body)} bytes, not 8 * {limbs} limbs * {count} numerators")
+        if set(header) != {"den", "key"}:
+            raise ValueError("the header keys are not ['den', 'key']")
+        den, count = header["den"], n**m
+        limbs, extra = divmod(len(body), 8 * count)
+        if extra or not limbs:
+            raise ValueError(f"the body has {len(body)} bytes, not a positive multiple of 8 * {count} numerators")
         nums = _numerators(body, limbs, count)
         check_block(n, m, den, nums, ints=True)  # words decode to ints alone
-    except (RecursionError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CacheCorruptionError(f"malformed cache entry {target}: {exc!r}") from exc
     return den, nums
 

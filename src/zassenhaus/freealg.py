@@ -751,6 +751,11 @@ def block_nums(ctx: AlgebraCtx, d: int, codes: Mapping[int, int], nums: list[int
     return nums
 
 
+def _check_den(den: object) -> None:
+    if type(den) is not int or den < 1:
+        raise ValueError(f"denominator must be a positive int, got {den!r}")
+
+
 def check_block(n: int, d: int, den: object, nums: object, ints: bool = False) -> None:
     """The one rule of a stored block: `nums` a list of n^d ints (no bool), `den` a positive int, gcd 1; else ValueError.
 
@@ -761,8 +766,7 @@ def check_block(n: int, d: int, den: object, nums: object, ints: bool = False) -
         raise ValueError(f"nums is not a list of the n^d = {n**d} numerators of degree {d}")
     if not ints and set(map(type, nums)) != {int}:  # before gcd, which takes True as the numerator 1
         raise ValueError("every numerator must be an int")
-    if type(den) is not int or den < 1:
-        raise ValueError(f"denominator must be a positive int, got {den!r}")
+    _check_den(den)
     if gcd(den, *nums) != 1:
         raise ValueError("numerators and denominator share a common factor")
 
@@ -775,7 +779,11 @@ def to_block(p: AssocPoly, d: int) -> Block:
 
 
 def from_block(ctx: AlgebraCtx, d: int, den: int, nums: list[int]) -> AssocPoly:
-    """The polynomial sum(nums[i] / den * word i of degree d), reduced: the one dict made from a block."""
+    """The polynomial sum(nums[i] / den * word i of degree d), reduced: the one dict made from a block.
+
+    A denominator that is not a positive int raises ValueError.
+    """
+    _check_den(den)
     den, nums = reduce_block(den, nums)
     return AssocPoly._make(ctx, dict(compress(zip(range(*ctx._offsets[d : d + 2]), nums), nums)), den)
 
@@ -786,8 +794,10 @@ def render_block(ctx: AlgebraCtx, d: int, den: int, nums: list[int], format: str
     Word i is u v with u the (i // n^e)-th and v the (i % n^e)-th word of its
     degree, e = |v| = d // 2: so the heads repeat each head(u) n^e times, the
     tails cycle through every tail(v), and `compress` keeps the words of the
-    nonzero numerators.  The block need not be reduced.
+    nonzero numerators.  The block need not be reduced, but its denominator
+    must be a positive int (else ValueError).
     """
+    _check_den(den)
     if len(nums) != ctx.n**d:
         raise ValueError(f"a block of degree {d} has {ctx.n**d} numerators, got {len(nums)}")
 

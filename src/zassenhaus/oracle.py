@@ -425,13 +425,12 @@ def substitute(n: int, blocks: Mapping[int, Block], mats: Sequence[Sequence[np.n
     so the children of codes c..b-1 are codes c*n..b*n-1.  Each prefix's
     matrix is made once, as its parent's matrix times its last letter's,
     however many blocks share it.  The walk cuts each level into chunks of
-    at most SUBSTITUTE_CHUNK_BYTES of dim x dim matrices, or one word, each
-    chunk one np.matmul of its parents against its letters for several sets
-    at once, and finishes a chunk's subtree before it makes the next chunk;
-    sets whose matrices of one word exceed the budget together are walked
-    in groups, one group after another.  The matrices held at once are one
-    chunk per level; a block's length, not its count of nonzero numerators,
-    sets the cost.
+    at most SUBSTITUTE_CHUNK_BYTES of dim x dim matrices over every set, or
+    one word if its matrices of every set exceed the budget together, each
+    chunk one np.matmul of its parents against its letters for all the sets
+    at once, and finishes a chunk's subtree before it makes the next chunk.
+    The matrices held at once are one chunk per level; a block's length,
+    not its count of nonzero numerators, sets the cost.
     Every float equals that of a walk over the words of nonzero numerator
     one at a time: the same pairs of matrices are multiplied by the same
     BLAS kernel, each coefficient is the correctly rounded Python quotient
@@ -450,8 +449,8 @@ def substitute(n: int, blocks: Mapping[int, Block], mats: Sequence[Sequence[np.n
     for m in mats:
         if len(m) != n:
             raise ValueError(f"need {n} matrices, got {len(m)}")
-    first = np.asarray(mats[0][0])
-    sets, dim = len(mats), len(first)
+    letters = np.asarray(mats).swapaxes(0, 1)  # letters[i, j] = mats[j][i]
+    _, sets, dim, _ = letters.shape
     out = {d: np.zeros((sets, dim, dim)) for d in blocks}
     coefs = {  # per degree: num / den of every word, zeros included
         d: np.fromiter(map(truediv, nums, repeat(den)), float, len(nums))[:, None, None, None]
@@ -463,31 +462,26 @@ def substitute(n: int, blocks: Mapping[int, Block], mats: Sequence[Sequence[np.n
         """Add the terms of block d among words a..b-1 of degree d, whose matrices `stack` holds."""
         if d in coefs:
             terms = stack * coefs[d][a:b]
-            terms[0] += out[d][lo:hi]
+            terms[0] += out[d]
             np.add.accumulate(terms, axis=0, out=terms)
-            out[d][lo:hi] = terms[-1]
+            out[d][...] = terms[-1]
 
-    # A chunk is at least one word, so the sets go in groups whose matrices of one word fit the budget.
-    group = max(1, SUBSTITUTE_CHUNK_BYTES // first.nbytes)
-    for lo in range(0, sets, group):
-        hi = min(lo + group, sets)
-        letters = np.asarray(mats[lo:hi]).swapaxes(0, 1)  # letters[i, j] = mats[lo + j][i]
-        width = max(1, SUBSTITUTE_CHUNK_BYTES // letters[0].nbytes)  # words per chunk
-        root = np.broadcast_to(np.eye(dim), (1, hi - lo, dim, dim))
-        add(0, root, 0, 1)
-        # (k, stack, a, c, e): the words of degree k from code a on have matrices
-        # `stack`, and their children c..e-1 of degree k + 1 are still to be made.
-        todo = [(0, root, 0, 0, n)] if top else []
-        while todo:
-            k, stack, a, c, e = todo.pop()
-            b = min(c + width, e)
-            if b < e:
-                todo.append((k, stack, a, b, e))
-            i = np.arange(c, b)
-            child = np.matmul(stack[i // n - a], letters[i % n])
-            add(k + 1, child, c, b)
-            if k + 1 < top:
-                todo.append((k + 1, child, c, c * n, b * n))
+    width = max(1, SUBSTITUTE_CHUNK_BYTES // letters[0].nbytes)  # words per chunk, at least one
+    root = np.broadcast_to(np.eye(dim), (1, sets, dim, dim))
+    add(0, root, 0, 1)
+    # (k, stack, a, c, e): the words of degree k from code a on have matrices
+    # `stack`, and their children c..e-1 of degree k + 1 are still to be made.
+    todo = [(0, root, 0, 0, n)] if top else []
+    while todo:
+        k, stack, a, c, e = todo.pop()
+        b = min(c + width, e)
+        if b < e:
+            todo.append((k, stack, a, b, e))
+        i = np.arange(c, b)
+        child = np.matmul(stack[i // n - a], letters[i % n])
+        add(k + 1, child, c, b)
+        if k + 1 < top:
+            todo.append((k + 1, child, c, c * n, b * n))
     return [{d: v[j] for d, v in out.items()} for j in range(sets)]
 
 

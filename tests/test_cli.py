@@ -350,15 +350,12 @@ class TestTermsCache:
     def test_entries_carry_valid_digests(self, cli, tmp_path):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
-        line, newline, body = _entry(cache, 2, 2).read_bytes().partition(b"\n")
-        entry = json.loads(line)
-        payload = _dumps(entry["payload"]).encode()
-        # The digest covers the payload bytes as stored, the end of the header line, and the body after it.
-        assert line.endswith(b',"payload":' + payload + b"}") and newline
-        assert entry["digest"] == hashlib.sha256(payload + body).hexdigest()
-        assert entry["key"] == {"format": 5, "n": 2, "m": 2}
+        digest, line, body = _entry(cache, 2, 2).read_bytes().split(b"\n", 2)
+        # The digest line covers the rest of the entry: the header line, its newline and the body.
+        assert digest == hashlib.sha256(line + b"\n" + body).hexdigest().encode()
+        assert digest == b"930e7754954ab0067cc735170618ae3bd04eb758ef94426d2959e514ebd6d6f9"
         # W_2 = 1/2 (X2 X1 - X1 X2) as the block of X1X1, X1X2, X2X1, X2X2: one plane of little-endian words.
-        assert entry["payload"] == {"den": 2, "limbs": 1, "maxDegree": 2, "n": 2}
+        assert line == b'{"den":2,"key":{"format":6,"m":2,"n":2}}'
         assert body == struct.pack("<4q", 0, -1, 1, 0)
 
     def test_corrupted_digest_is_rejected(self, cli, tmp_path):
@@ -366,7 +363,7 @@ class TestTermsCache:
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
         target = _entry(cache, 2, 3)
         header, nums = _read_entry(target)
-        nums[0] = 7 * header["payload"]["den"]
+        nums[0] = 7 * header["den"]
         _write_entry(target, header, nums, redigest=False)
         r = cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
         assert r.returncode == EXIT_INTERNAL
@@ -386,17 +383,25 @@ class TestTermsCache:
     def test_version_2_tree_is_ignored(self, cli, tmp_path):
         # A version-2 entry holds per-term "p/q" strings.
         payload = AssocPoly.monomial(AlgebraCtx(2, 3), (1, 1, 2), 7).to_json_dict()
-        _assert_old_entry_is_ignored(cli, tmp_path, 2, payload)
+        _assert_old_entry_is_ignored(cli, tmp_path, "2/n2/W3.json", _json_entry(2, payload))
 
     def test_version_3_tree_is_ignored(self, cli, tmp_path):
         # A version-3 entry holds a word list beside its numerators.
         payload = {"den": 1, "maxDegree": 3, "n": 2, "nums": [7], "words": [[1, 1, 2]]}
-        _assert_old_entry_is_ignored(cli, tmp_path, 3, payload)
+        _assert_old_entry_is_ignored(cli, tmp_path, "3/n2/W3.json", _json_entry(3, payload))
 
     def test_version_4_tree_is_ignored(self, cli, tmp_path):
         # A version-4 entry holds its block as a JSON list of decimal numerators.
         payload = {"den": 1, "maxDegree": 3, "n": 2, "nums": [0, 7, 0, 0, 0, 0, 0, 0]}
-        _assert_old_entry_is_ignored(cli, tmp_path, 4, payload)
+        _assert_old_entry_is_ignored(cli, tmp_path, "4/n2/W3.json", _json_entry(4, payload))
+
+    def test_version_5_tree_is_ignored(self, cli, tmp_path):
+        # A version-5 entry splices its payload into the header line, the digest covering it and the body.
+        payload = _dumps({"den": 1, "limbs": 1, "maxDegree": 3, "n": 2}).encode()
+        body = struct.pack("<8q", 0, 7, 0, 0, 0, 0, 0, 0)
+        header = _dumps({"digest": hashlib.sha256(payload + body).hexdigest(), "key": {"format": 5, "n": 2, "m": 3}})
+        entry = header.encode()[:-1] + b',"payload":' + payload + b"}\n" + body
+        _assert_old_entry_is_ignored(cli, tmp_path, "5/n2/W3.bin", entry)
 
     @settings(max_examples=60, deadline=None)
     @given(_homogeneous_polys())
@@ -423,12 +428,11 @@ class TestTermsCache:
         with tempfile.TemporaryDirectory() as root:
             entry = cache_store(Path(root), n, m, block)
             assert cache_load(Path(root), n, m) == block
-            line, _, body = entry.read_bytes().partition(b"\n")
-            limbs = json.loads(line)["payload"]["limbs"]
-            assert limbs == _least_limbs(block[1]) and len(body) == 8 * limbs * n**m
+            body = entry.read_bytes().split(b"\n", 2)[2]
+            assert len(body) == 8 * _least_limbs(block[1]) * n**m
 
     def test_store_refuses_what_the_block_cannot_hold(self, tmp_path):
-        # The payload holds the n^m words of degree m alone, so a block of any other length has no place.
+        # The body holds the n^m words of degree m alone, so a block of any other length has no place.
         # A polynomial of mixed degree has no block at all: `to_block` refuses it.
         at = AlgebraCtx(2, 3)
         with pytest.raises(ValueError):
@@ -442,7 +446,7 @@ class TestTermsCache:
             (2, (-1, [0, 1, 0, 0, 0, 0, 0, 0])),
             (2, (1, [0, True, -1, 0, 0, 0, 0, 0])),  # a bool is no numerator, though gcd takes it as 1
             (2, (1, [0, 1.0, -1, 0, 0, 0, 0, 0])),
-            (2, (1, (0, 1, -1, 0, 0, 0, 0, 0))),  # the payload holds a list
+            (2, (1, (0, 1, -1, 0, 0, 0, 0, 0))),  # a block holds a list
         ]:
             with pytest.raises(ValueError):
                 cache_store(tmp_path, n, 3, block)
@@ -491,25 +495,26 @@ class TestTermsCache:
         assert sorted(_files(cache)) == [_name(2, m) for m in range(2, 6)]
 
     # The entry is W_3 at n = 2: den 6 over the block of the 8 words of degree 3, one limb.
-    # Each case but the first and the last two is written under a valid digest, so the load must
-    # refuse the payload or the body itself.  A case named after a word-list payload (version 3)
-    # or a numerator list (version 4) takes the closest form of it in a version-5 entry.
+    # Each case but not-an-object, missing-nums, missing-digest-line and the two flipped bits is written
+    # under a valid digest, so the load must refuse the header or the body itself.  A case named after a field of an older version's payload
+    # takes the closest form of it in a version-6 entry: a field that the version-6 header no longer
+    # holds (n, maxDegree, limbs, a version-3 word list) is an extra header key.
     @pytest.mark.parametrize(
         "mutate",
         [
+            # No newline at all.
             "not-an-object",
+            # The empty body.
             lambda p, nums: nums.clear(),
-            lambda p, nums: p.pop("n"),
             lambda p, nums: p.update(n=3),
             # The body of the 27 words of degree 3 over three letters.
             lambda p, nums: nums.extend([0] * 19),
             # The body of the 4 words of degree 2.
             lambda p, nums: nums.__delitem__(slice(4, None)),
-            # The header line alone, without its newline and body.
+            # The digest line and the header line alone, without its newline and body.
             "header-only",
             lambda p, nums: p.pop("den"),
             lambda p, nums: p.update(n=2.0),
-            # maxDegree fixes the length of the words.
             lambda p, nums: p.update(maxDegree=3.0),
             lambda p, nums: p.update(maxDegree=True),
             # Zeros fill a block, but an all-zero block has den 1.
@@ -520,47 +525,58 @@ class TestTermsCache:
             # A body one number short and one number long.
             lambda p, nums: nums.pop(),
             lambda p, nums: nums.append(1),
-            # A version-3 payload under a version-5 key.
             lambda p, nums: p.update(words=[[1, 1, 2]]),
             # The body as version 4's decimal numerators, comma-joined text instead of words.
             "decimal-body",
             lambda p, nums: p.update(den=float(p["den"])),
             lambda p, nums: p.update(den=True),
-            lambda p, nums: p.pop("limbs"),
             lambda p, nums: p.update(limbs=0),
             lambda p, nums: p.update(limbs=True),
             lambda p, nums: p.update(limbs=1.0),
-            # Two planes of 8 words announced over the body of one.
-            lambda p, nums: p.update(limbs=2),
-            # A version-4 payload under a version-5 key: the numerators in the header, no body.
-            lambda p, nums: (p.pop("limbs"), p.update(nums=nums[:]), nums.clear()),
+            # A body of one plane and a half.
+            lambda p, nums: nums.extend(nums[:4]),
+            # A version-4 payload under a version-6 key: the numerators in the header, no body.
+            lambda p, nums: (p.update(nums=nums[:]), nums.clear()),
+            # A body that is not a whole number of words.
+            "body-not-a-multiple",
+            # The header line first, with no digest line before it.
+            "missing-digest-line",
+            # A flipped bit of the header's den, under the old digest.
+            "flipped-header-byte",
             # A flipped bit of the body, under the old digest.
             "flipped-body-byte",
         ],
-        ids=["not-an-object", "missing-terms", "missing-n", "n-differs-from-key", "letter-out-of-range",
-             "not-homogeneous", "missing-nums", "missing-den", "float-n", "float-letter", "bool-letter",
-             "zero-numerator", "zero-denominator", "negative-denominator", "common-factor", "fewer-numerators",
-             "more-numerators", "leftover-words", "nums-not-a-list", "float-denominator", "bool-denominator",
-             "missing-limbs", "zero-limbs", "bool-limbs", "float-limbs", "limbs-past-the-body",
-             "version-4-payload", "flipped-body-byte"],
+        ids=["not-an-object", "missing-terms", "n-differs-from-key", "letter-out-of-range", "not-homogeneous",
+             "missing-nums", "missing-den", "float-n", "float-letter", "bool-letter", "zero-numerator",
+             "zero-denominator", "negative-denominator", "common-factor", "fewer-numerators", "more-numerators",
+             "leftover-words", "nums-not-a-list", "float-denominator", "bool-denominator", "zero-limbs",
+             "bool-limbs", "float-limbs", "limbs-past-the-body", "version-4-payload", "body-not-a-multiple",
+             "missing-digest-line", "flipped-header-byte", "flipped-body-byte"],
     )
     def test_malformed_entry_is_corruption(self, cli, tmp_path, mutate):
         cache = tmp_path / "c"
         cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
         target = _entry(cache, 2, 3)
         header, nums = _read_entry(target)
+        raw = bytearray(target.read_bytes())
         if mutate == "not-an-object":
             target.write_text("[1,2]")
         elif mutate == "header-only":
-            target.write_bytes(target.read_bytes().partition(b"\n")[0])
+            target.write_bytes(b"\n".join(raw.split(b"\n", 2)[:2]))
         elif mutate == "decimal-body":
             _write_entry(target, header, [], body=",".join(map(str, nums)).encode())
+        elif mutate == "body-not-a-multiple":
+            _write_entry(target, header, nums, body=raw.split(b"\n", 2)[2] + b"\0" * 4)
+        elif mutate == "missing-digest-line":
+            target.write_bytes(raw.partition(b"\n")[2])
+        elif mutate == "flipped-header-byte":
+            raw[raw.index(b'"den":6') + 6] ^= 1  # den 7
+            target.write_bytes(raw)
         elif mutate == "flipped-body-byte":
-            raw = bytearray(target.read_bytes())
             raw[-3] ^= 1
             target.write_bytes(raw)
         else:
-            mutate(header["payload"], nums)
+            mutate(header, nums)
             _write_entry(target, header, nums)
         r = cli("terms", "--n", 2, "--max-degree", 3, "--cache", cache)
         assert r.returncode == EXIT_INTERNAL
@@ -605,7 +621,7 @@ class TestTermsCache:
         entry = cache_store(tmp_path, 2, 2, block)
         assert cache_load(tmp_path, 2, 2) == block
         # Swapped in place of a host that needs none, the words read big-endian here.
-        body = entry.read_bytes().partition(b"\n")[2]
+        body = entry.read_bytes().split(b"\n", 2)[2]
         assert body == struct.pack(">4Q4q", 1, 2**64 - 2, 3, 0, 0, -1, 1, 0)
 
 
@@ -618,21 +634,23 @@ def _name(n, m):
     return f"{CACHE_VERSION}/n{n}/W{m}.bin"
 
 
-def _assert_old_entry_is_ignored(cli, tmp_path, version, payload):
-    """An entry of an older cache version, with a valid digest but a wrong W_3, is never read or touched."""
+def _json_entry(version, payload):
+    """An entry of cache version 2, 3 or 4: one JSON line of its digest, key and payload."""
+    digest = hashlib.sha256(_dumps(payload).encode()).hexdigest()
+    return (_dumps({"digest": digest, "key": {"format": version, "n": 2, "m": 3}, "payload": payload}) + "\n").encode()
+
+
+def _assert_old_entry_is_ignored(cli, tmp_path, name, entry):
+    """An entry of an older cache version at `name`, with a valid digest but a wrong W_3, is never read or touched."""
     cache = tmp_path / "c"
-    old = cache / str(version) / "n2" / "W3.json"
+    old = cache / name
     old.parent.mkdir(parents=True)
-    dumped = _dumps(payload)
-    entry = {"digest": hashlib.sha256(dumped.encode()).hexdigest(), "key": {"format": version, "n": 2, "m": 3},
-             "payload": payload}
-    old.write_text(_dumps(entry) + "\n")
-    before = old.read_bytes()
+    old.write_bytes(entry)
     r = cli("terms", "--n", 2, "--max-degree", 3, "--format", "json", "--cache", cache)
     assert r.returncode == EXIT_OK
     assert r.stdout == cli("terms", "--n", 2, "--max-degree", 3, "--format", "json").stdout
-    assert old.read_bytes() == before
-    assert sorted(_files(cache)) == [f"{version}/n2/W3.json", _name(2, 2), _name(2, 3)]
+    assert old.read_bytes() == entry
+    assert sorted(_files(cache)) == sorted([name, _name(2, 2), _name(2, 3)])
 
 
 def _files(root):
@@ -645,26 +663,25 @@ def _dumps(obj):
 
 def _read_entry(target):
     """An entry as its JSON header and its numerators, read as one plane of little-endian words."""
-    line, _, body = target.read_bytes().partition(b"\n")
+    _, line, body = target.read_bytes().split(b"\n", 2)
     header = json.loads(line)
-    assert header["payload"]["limbs"] == 1
+    assert len(body) == 8 * header["key"]["n"] ** header["key"]["m"]
     return header, list(struct.unpack(f"<{len(body) // 8}q", body))
 
 
 def _write_entry(target, header, nums, *, body=None, redigest=True):
-    """Store `header` over the body of `nums` (one plane), under a recomputed, valid digest unless `redigest` is false."""
-    payload = _dumps(header["payload"]).encode()
+    """Store `header` over the body of `nums` (one plane), under a recomputed, valid digest, or the old one if `redigest` is false."""
     if body is None:
         body = struct.pack(f"<{len(nums)}q", *nums)
-    if redigest:
-        header["digest"] = hashlib.sha256(payload + body).hexdigest()
-    target.write_bytes(_dumps(header).encode() + b"\n" + body)
+    rest = _dumps(header).encode() + b"\n" + body
+    digest = hashlib.sha256(rest).hexdigest().encode() if redigest else target.read_bytes().partition(b"\n")[0]
+    target.write_bytes(digest + b"\n" + rest)
 
 
 def _rewrite_entry(target, mutate):
-    """Apply `mutate` to an entry's payload and numerators and store it under a recomputed, valid digest."""
+    """Apply `mutate` to an entry's header and numerators and store it under a recomputed, valid digest."""
     header, nums = _read_entry(target)
-    mutate(header["payload"], nums)
+    mutate(header, nums)
     _write_entry(target, header, nums)
 
 

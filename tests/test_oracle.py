@@ -461,8 +461,8 @@ def substitution_cases(draw):
     """(n, blocks, dim, sets, seed, chunk): blocks of several degrees, degree 0
     and all-zero blocks among them, zeros among their numerators, sets of
     matrices, and the matrices per chunk of `substitute` (None for the default
-    budget, which at these dims holds a level whole; fewer than `sets` splits
-    the sets into groups, 1 cuts every level at every node)."""
+    budget, which at these dims holds a level whole; fewer than 2 * `sets`
+    make a chunk of one word, which cuts every level at every node)."""
     n = draw(st.integers(1, 5), label="n")
     degrees = draw(st.sets(st.sampled_from([d for d in range(8) if n**d <= 256]), min_size=1, max_size=4), label="degrees")
     nums = st.one_of(st.just(0), st.integers(-(10**20), 10**20))

@@ -149,13 +149,14 @@ def dumps(obj):
 
 
 def ref_cache_entry(p, m):
-    """The version-5 cache entry of W_m = p: a `json.dumps` header line, then `struct.pack` words one number at a time.
+    """The version-6 cache entry of W_m = p: a digest line, a `json.dumps` header line, then `struct.pack` words one number at a time.
 
     The block of p is one numerator for every word of degree m, in canonical order, from
     `numerators()`.  Each numerator v is split into L limbs, the least L with
     -2^(64L-1) <= v < 2^(64L-1) for all of them; limb t < L-1 is the unsigned word
     (v >> 64t) mod 2^64 and the last the signed word v >> 64(L-1), and the body holds
-    plane 0 (limb 0 of every numerator) first.
+    plane 0 (limb 0 of every numerator) first.  The digest line is the hex SHA-256 of
+    the header line, its newline and the body.
     """
     words, nums, den = p.numerators()
     coeffs = dict(zip(words, nums))
@@ -165,10 +166,9 @@ def ref_cache_entry(p, m):
         limbs += 1
     body = b"".join(struct.pack("<Q", (v >> 64 * t) % 2**64) for t in range(limbs - 1) for v in block)
     body += b"".join(struct.pack("<q", v >> 64 * (limbs - 1)) for v in block)
-    payload = {"den": den, "limbs": limbs, "maxDegree": m, "n": p.ctx.n}
-    digest = hashlib.sha256(dumps(payload).encode() + body).hexdigest()
     key = {"format": CACHE_VERSION, "m": m, "n": p.ctx.n}
-    return (dumps({"digest": digest, "key": key, "payload": payload}) + "\n").encode() + body
+    rest = (dumps({"den": den, "key": key}) + "\n").encode() + body
+    return (hashlib.sha256(rest).hexdigest() + "\n").encode() + rest
 
 
 @st.composite
@@ -266,3 +266,11 @@ def test_block_writer_refuses_a_wrong_length_or_format():
             render_block(ctx, d, 1, nums)
     with pytest.raises(ValueError):
         render_block(ctx, 1, 1, [1, 0], "markdown")
+
+
+@pytest.mark.parametrize("den", [0, -2, True, 1.5])
+@pytest.mark.parametrize("make", [from_block, render_block], ids=["from_block", "render_block"])
+def test_block_readers_refuse_a_denominator_that_is_not_a_positive_int(make, den):
+    # Equality is structural, so a polynomial over -2 would differ from the same value built over 2.
+    with pytest.raises(ValueError, match="denominator"):
+        make(AlgebraCtx(2, 3), 1, den, [1, 1])
